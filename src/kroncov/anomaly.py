@@ -35,6 +35,8 @@ class FrameSeries:
         values = _frozen_array(self.values)
         if values.ndim != 2:
             raise ValueError("frame values must be a 2-d array (frames x coordinates)")
+        if not np.isfinite(values).all():
+            raise ValueError("frame values must be finite (found NaN or inf)")
         timestamps = _frozen_array(self.timestamps)
         if timestamps.shape != (values.shape[0],):
             raise ValueError("timestamps must align 1:1 with frames")

@@ -14,6 +14,7 @@ converged=false in the diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -78,11 +79,19 @@ def _require(cfg: dict, key: str, kind=None):
     return value
 
 
-def _dims_from_config(cfg: dict) -> SpaceTimeDims:
+@contextlib.contextmanager
+def _config_errors(field: str = ""):
+    """Report a ValueError raised inside the block by input validation, or a
+    TypeError from a wrongly typed config value, as a config error on field."""
     try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: {exc}" if field else str(exc)) from exc
+
+
+def _dims_from_config(cfg: dict) -> SpaceTimeDims:
+    with _config_errors():
         return SpaceTimeDims(int(_require(cfg, "p")), int(_require(cfg, "T")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _estimator_specs(cfg: dict):
@@ -92,14 +101,8 @@ def _estimator_specs(cfg: dict):
     out = []
     for entry in specs:
         name = _require(entry, "name", str)
-        if name not in est.NAME_DEFAULTS:
-            raise ConfigError(f"unknown estimator {name!r}; known: {sorted(est.NAME_DEFAULTS)}")
-        overrides = entry.get("config", {})
-        try:
-            ecfg = est.make_config(name, overrides)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config for estimator {name!r}: {exc}") from exc
-        out.append((entry.get("label", name), name, ecfg))
+        with _config_errors(f"estimator {name!r}"):
+            out.append((entry.get("label", name), name, est.make_config(name, entry.get("config", {}))))
     labels = [label for label, _, _ in out]
     if len(set(labels)) != len(labels):
         raise ConfigError("estimator labels must be unique (set 'label' to disambiguate)")
@@ -132,14 +135,12 @@ def cmd_synth(cfg: dict, out: Path, threads: int = 1) -> None:
     seed = int(_require(cfg, "seed"))
     tcoeff = float(cfg.get("tcoeff", 0.5))
     scoeff = float(cfg.get("scoeff", 0.95))
-    try:
+    with _config_errors():
         truth = synth.ar1_kron_truth(dims.p, dims.T, tcoeff, scoeff)
         if cfg.get("dof") is not None:
             sset = synth.sample_student_t(truth, float(cfg["dof"]), n, seed)
         else:
             sset = synth.sample_gaussian(truth, n, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     synth.write_sample_csv(out / "samples.csv", sset)
     synth.write_sample_sidecar(
         out / "samples.json", sset, truth.description,
@@ -152,21 +153,17 @@ def _load_samples(cfg: dict) -> synth.SampleSet:
     if not path.exists():
         raise ConfigError(f"input file {path} does not exist")
     dims = _dims_from_config(cfg)
-    try:
+    with _config_errors("malformed sample CSV"):
         return synth.read_sample_csv(path, dims)
-    except ValueError as exc:
-        raise ConfigError(f"malformed sample CSV: {exc}") from exc
 
 
 def cmd_estimate(cfg: dict, out: Path, threads: int = 1) -> None:
     samples = _load_samples(cfg)
     name = _require(cfg, "estimator", str)
-    if name not in est.NAME_DEFAULTS:
-        raise ConfigError(f"unknown estimator {name!r}; known: {sorted(est.NAME_DEFAULTS)}")
-    try:
+    with _config_errors(f"estimator {name!r}"):
         ecfg = est.make_config(name, cfg.get("estimator_config", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad estimator config: {exc}") from exc
+    with _config_errors("input"):
+        est.require_samples(name, samples.n)
 
     cov, info = est.fit_by_name(name, samples, ecfg)
     write_matrix_binary(out / "covariance.bin", cov.entries)
@@ -206,7 +203,7 @@ def _bench_cell(truth, specs, n, tseed, dof):
         cov, info = est.fit_by_name(name, sset, ecfg)
         converged &= bool(info["converged"])
         row[label] = normalized_mse(cov.entries, truth.sigma.entries,
-                                    name in est.SHAPE_ESTIMATORS)
+                                    est.ESTIMATORS[name].shape)
     return row, converged
 
 
@@ -221,6 +218,10 @@ def run_mse_bench(cfg: dict, threads: int = 1):
     if trials < 1 or not n_grid:
         raise ConfigError("need at least one trial and a nonempty n_grid")
     specs = _estimator_specs(cfg)
+    with _config_errors("n_grid"):
+        for n in n_grid:
+            for _, name, _ in specs:
+                est.require_samples(name, n)
     dof = float(cfg["dof"]) if cfg.get("dof") is not None else None
     truth = synth.ar1_kron_truth(dims.p, dims.T,
                               float(cfg.get("tcoeff", 0.5)),
@@ -266,7 +267,7 @@ def cmd_mse_bench(cfg: dict, out: Path, threads: int = 1) -> None:
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
         "converged": all_converged,
-        "metric": {label: ("shape_mse" if name in est.SHAPE_ESTIMATORS else "mse")
+        "metric": {label: ("shape_mse" if est.ESTIMATORS[name].shape else "mse")
                    for label, name, _ in specs},
         "seed_derivation": "SeedSequence([seed, n, trial]) per cell, shared across estimators",
     })
@@ -276,10 +277,8 @@ def cmd_anomaly(cfg: dict, out: Path, threads: int = 1) -> None:
     path = Path(_require(cfg, "input", str))
     if not path.exists():
         raise ConfigError(f"input file {path} does not exist")
-    try:
+    with _config_errors("malformed frame CSV"):
         series = anom.read_frame_csv(path)
-    except ValueError as exc:
-        raise ConfigError(f"malformed frame CSV: {exc}") from exc
     if series.labels is None:
         raise ConfigError("anomaly pipeline needs a labeled stream (label column)")
 
@@ -294,17 +293,16 @@ def cmd_anomaly(cfg: dict, out: Path, threads: int = 1) -> None:
     if series.labels[start:stop].any():
         warnings.warn("training range contains anomalous frames; fitting proceeds anyway")
 
-    try:
+    with _config_errors():
         detrended = anom.detrend(series, (start, stop), linear=bool(cfg.get("detrend_linear", False)))
         windows = anom.make_windows(detrended, T, stride)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     inside = (windows.starts >= start) & (windows.starts + T <= stop)
     outside = (windows.starts + T <= start) | (windows.starts >= stop)
     train_vectors = windows.vectors[inside]
-    if train_vectors.shape[0] < 1:
-        raise ConfigError("training range is shorter than the window length")
+    with _config_errors("train_range (windows inside it)"):
+        for _, name, _ in specs:
+            est.require_samples(name, train_vectors.shape[0])
     dims = SpaceTimeDims(series.p, T)
     train_set = synth.SampleSet(dims, train_vectors.shape[0], train_vectors)
 
@@ -353,10 +351,8 @@ def cmd_spectrum(cfg: dict, out: Path, threads: int = 1) -> None:
         if not path.exists():
             raise ConfigError(f"input file {path} does not exist")
         entries = read_matrix_binary(path)
-        try:
+        with _config_errors():
             cov = DenseCovariance(dims, entries)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f'kind must be "samples" or "covariance", got {kind!r}')
 
@@ -408,9 +404,11 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         if args.seed is not None:
             cfg["seed"] = args.seed
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](cfg, out, max(1, args.threads))
+        COMMANDS[args.command](cfg, out, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

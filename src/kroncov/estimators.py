@@ -5,7 +5,7 @@ with a Ledoit-Wolf plug-in intensity, low-rank Kronecker fits of the
 rearranged covariance (optionally constrained to block Toeplitz temporal
 structure and with the covariance diagonal excluded and refit separately),
 and robust variants built from Tyler fixed-point iterations with per-step
-shrinkage.  A small registry maps CLI names to configured fitters.
+shrinkage.  One table maps the CLI names to configured fitters.
 
 Everything is deterministic given the samples and the configuration; the
 iterative solvers report convergence instead of failing, so marginal
@@ -14,7 +14,9 @@ results stay inspectable downstream.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +35,9 @@ from .synth import SampleSet
 
 AUTO = "auto"
 
-# grid for the cross-validated shrinkage fallback used when rho="auto"
-DEFAULT_RHO_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
+# grid and fold count of the cross-validated shrinkage used when rho="auto"
+CV_RHO_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
+CV_FOLDS = 3
 
 
 @dataclass(frozen=True)
@@ -55,19 +58,17 @@ class EstimatorConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be a positive integer")
+        for field in ("r", "max_iter"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{field} must be a positive integer, got {value!r}")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if isinstance(self.rho, str):
-            if self.rho != AUTO:
-                raise ValueError(f'rho must be a number in [0, 1] or "{AUTO}"')
-        elif not 0.0 <= float(self.rho) <= 1.0:
-            raise ValueError(f"explicit rho must lie in [0, 1], got {self.rho}")
+        if self.rho != AUTO and (isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real)
+                                 or not 0.0 <= self.rho <= 1.0):
+            raise ValueError(f'rho must be a number in [0, 1] or "{AUTO}", got {self.rho!r}')
 
 
 @dataclass(frozen=True)
@@ -236,10 +237,7 @@ def svt(m: np.ndarray, tau: float, max_rank: int | None = None) -> np.ndarray:
     max_rank leading values, reconstruct."""
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    if max_rank is not None:
-        s[max_rank:] = 0.0
+    u, s, vt, _ = _thresholded_svd(m, tau, max_rank)
     return (u * s) @ vt
 
 
@@ -329,6 +327,13 @@ def _extract_factors(u: np.ndarray, svals: np.ndarray, vt: np.ndarray,
     return factors
 
 
+def _rearranged(sigma: DenseCovariance, toeplitz_rows: bool) -> np.ndarray:
+    """Rearranged covariance, compressed to its 2T-1 block diagonals when
+    toeplitz_rows is set."""
+    r = rearrange(sigma).entries
+    return compress_diagonals(r, sigma.dims.T) if toeplitz_rows else r
+
+
 def kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     """Low-rank Kronecker fit of a covariance by direct SVD.
 
@@ -339,8 +344,7 @@ def kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     if cfg.diag_correct:
         raise ValueError("kronpca does not fit a diagonal correction; use dc_kronpca")
     dims = sigma.dims
-    r = rearrange(sigma).entries
-    base = compress_diagonals(r, dims.T) if cfg.toeplitz else r
+    base = _rearranged(sigma, cfg.toeplitz)
     u, s, vt, nuclear = _thresholded_svd(base, cfg.beta / 2.0, cfg.r)
     factors = _extract_factors(u, s, vt, dims, cfg.toeplitz)
     fit = (u * s) @ vt
@@ -377,12 +381,8 @@ def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
         raise ValueError("dc_kronpca requires diag_correct=True; use kronpca otherwise")
     dims = sigma.dims
     mask = diag_mask(dims)
-    r = rearrange(sigma).entries
-    if cfg.toeplitz:
-        b, m = compress_diagonals(r, dims.T), mask.compressed
-    else:
-        b, m = r, mask.full
-    result = soft_impute(b, m, cfg.beta, cfg)
+    b = _rearranged(sigma, cfg.toeplitz)
+    result = soft_impute(b, mask.compressed if cfg.toeplitz else mask.full, cfg.beta, cfg)
     u, s, vt, _ = _thresholded_svd(result.z, 0.0, cfg.r)
     factors = _extract_factors(u, s, vt, dims, cfg.toeplitz)
     lowrank = kron_assemble(dims, [(w * tm, sm) for w, tm, sm in factors])
@@ -452,10 +452,7 @@ def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = 
         raise ValueError("need at least two samples")
     model = dc_kronpca(scm(samples), cfg)
     kron_cov = model.covariance()
-    if cfg.rho == AUTO:
-        rho = kron_plugin_intensity(samples, model, kron_cov)
-    else:
-        rho = ShrinkageIntensity(float(cfg.rho), "explicit")
+    rho = resolve_rho(cfg, lambda: kron_plugin_intensity(samples, model, kron_cov))
     cov = shrink(kron_cov, rho)
     if full_output:
         return cov, {"model": model, "rho": rho.rho,
@@ -472,14 +469,28 @@ def _normalized_directions(samples: SampleSet) -> np.ndarray:
     return x / np.sqrt(sq)[:, None]
 
 
+def _tyler_quad(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """s_i^T sigma^{-1} s_i for every row s_i of s."""
+    return np.einsum("ij,ji->i", s, cho_solve(cho_factor(sigma), s.T))
+
+
 def _tyler_average(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """(d/n) * sum_i s_i s_i^T / (s_i^T sigma^{-1} s_i), symmetrized."""
     n, d = s.shape
-    factor = cho_factor(sigma)
-    q = np.einsum("ij,ji->i", s, cho_solve(factor, s.T))
+    q = _tyler_quad(s, sigma)
     if not np.all(q > 0):
         raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
     return _sym((d / n) * (s.T @ (s / q[:, None])))
+
+
+def _shrunk_tyler_step(scatter: np.ndarray, sigma: np.ndarray, r: float):
+    """(1 - r) * (d / trace(scatter)) * scatter + r * I for r in (0, 1], and
+    its relative Frobenius change from the previous iterate sigma."""
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {r}")
+    d = scatter.shape[0]
+    new = (1.0 - r) * (d / np.trace(scatter)) * scatter + r * np.eye(d)
+    return new, np.linalg.norm(new - sigma) / np.linalg.norm(sigma)
 
 
 def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
@@ -497,19 +508,12 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {r}")
     s = _normalized_directions(samples)
-    d = samples.dims.pt
-    eye = np.eye(d)
-    sigma = eye.copy()
+    sigma = np.eye(samples.dims.pt)
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        avg = _tyler_average(s, sigma)
-        new = (1.0 - r) * (d / np.trace(avg)) * avg + r * eye
-        rel = np.linalg.norm(new - sigma) / np.linalg.norm(sigma)
-        sigma = new
+        sigma, rel = _shrunk_tyler_step(_tyler_average(s, sigma), sigma, r)
         if rel < cfg.tol:
             converged = True
             break
@@ -571,13 +575,8 @@ def flipflop_S(sigma_tilde, t_hat: np.ndarray) -> np.ndarray:
         t_inv = cho_solve(cho_factor(t_hat), np.eye(T))
     except np.linalg.LinAlgError as exc:
         raise ValueError("temporal factor must be positive definite") from exc
-    return _flipflop_core(arr, t_inv, p, T)
-
-
-def _flipflop_core(arr: np.ndarray, t_inv: np.ndarray, p: int, T: int) -> np.ndarray:
     blocks = arr.reshape(T, p, T, p)
-    s_hat = np.einsum("ij,jaib->ab", t_inv, blocks) / T
-    return _sym(s_hat)
+    return _sym(np.einsum("ij,jaib->ab", t_inv, blocks) / T)
 
 
 def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
@@ -593,12 +592,8 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {r}")
     dims = samples.dims
-    d = dims.pt
     s = _normalized_directions(samples)
-    eye = np.eye(d)
 
     sigma_hat = chen_tyler(samples, r, cfg).entries.copy()
     sigma_tilde = sigma_hat
@@ -614,15 +609,11 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
                 converged = True
                 break
         t_prev = t_hat
-        t_inv = cho_solve(cho_factor(t_hat), np.eye(dims.T))
         for _ in range(cfg.max_iter):
             inner_total += 1
             sigma_tilde = _tyler_average(s, sigma_hat)
-            s_hat = _flipflop_core(sigma_tilde, t_inv, dims.p, dims.T)
-            new = np.kron(t_hat, s_hat)
-            new = (1.0 - r) * (d / np.trace(new)) * new + r * eye
-            rel = np.linalg.norm(new - sigma_hat) / np.linalg.norm(sigma_hat)
-            sigma_hat = new
+            kron = np.kron(t_hat, flipflop_S(sigma_tilde, t_hat))
+            sigma_hat, rel = _shrunk_tyler_step(kron, sigma_hat, r)
             if rel < cfg.tol:
                 break
     if not converged:
@@ -646,9 +637,7 @@ def kron_spectrum(sigma: DenseCovariance, toeplitz_rows: bool = True):
     rearranged matrix and the eigenvalues of the covariance, each divided
     by the root of its summed squares and sorted nonincreasing.
     """
-    r = rearrange(sigma).entries
-    base = compress_diagonals(r, sigma.dims.T) if toeplitz_rows else r
-    sv = np.linalg.svd(base, compute_uv=False)
+    sv = np.linalg.svd(_rearranged(sigma, toeplitz_rows), compute_uv=False)
     ev = np.sort(np.linalg.eigvalsh(sigma.entries))[::-1]
 
     def _normalize(v):
@@ -677,23 +666,20 @@ def _acg_loglik(directions: np.ndarray, sigma: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
         return -np.inf
-    q = np.einsum("ij,ji->i", directions, cho_solve(cho_factor(sigma), directions.T))
+    q = _tyler_quad(directions, sigma)
     return float(-0.5 * directions.shape[0] * logdet - 0.5 * d * np.sum(np.log(q)))
 
 
-def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig,
-                           grid=DEFAULT_RHO_GRID, folds: int = 3) -> ShrinkageIntensity:
-    """Pick rho from a grid by held-out direction likelihood.
+def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> ShrinkageIntensity:
+    """Pick rho from CV_RHO_GRID by held-out direction likelihood.
 
     `fitter(samples, rho, cfg)` must return a DenseCovariance.  Folds are
-    deterministic stride splits, so selection is reproducible.  This is
-    the fallback used when a config says rho="auto"; an analytic plug-in
-    intensity can be swapped in here without touching the estimators.
+    deterministic stride splits, so selection is reproducible.
     """
     n = samples.n
-    folds = max(2, min(folds, n))
+    folds = max(2, min(CV_FOLDS, n))
     directions = _normalized_directions(samples)
-    scores = np.zeros(len(grid))
+    scores = np.zeros(len(CV_RHO_GRID))
     for k in range(folds):
         hold = np.zeros(n, dtype=bool)
         hold[k::folds] = True
@@ -701,41 +687,84 @@ def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig,
             continue
         train = SampleSet(samples.dims, int((~hold).sum()), samples.samples[~hold])
         held = directions[hold]
-        for gi, rho in enumerate(grid):
+        for gi, rho in enumerate(CV_RHO_GRID):
             cov = fitter(train, rho, cfg)
             scores[gi] += _acg_loglik(held, cov.entries)
-    return ShrinkageIntensity(float(grid[int(np.argmax(scores))]), "cv")
+    return ShrinkageIntensity(float(CV_RHO_GRID[int(np.argmax(scores))]), "cv")
 
 
-def resolve_rho(samples: SampleSet, cfg: EstimatorConfig, fitter) -> ShrinkageIntensity:
+def resolve_rho(cfg: EstimatorConfig, auto: Callable[[], ShrinkageIntensity]) -> ShrinkageIntensity:
+    """cfg.rho taken verbatim, or the intensity auto() selects when it is "auto"."""
     if cfg.rho == AUTO:
-        return cv_shrinkage_intensity(samples, fitter, cfg)
+        return auto()
     return ShrinkageIntensity(float(cfg.rho), "explicit")
 
 
 # ---------------------------------------------------------------------------
-# named estimator registry (shared by the CLI and the benchmark driver)
+# named estimator table (shared by the CLI and the benchmark harness)
 
-# structural defaults applied under each public name before user overrides
-NAME_DEFAULTS = {
-    "scm": {},
-    "scm-lw": {},
-    "kronpca": {"toeplitz": False, "diag_correct": False},
-    "dc-kronpca-lw": {"toeplitz": True, "diag_correct": True},
-    "chen-tyler": {},
-    "tyler-kronpca": {},
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """A named estimator: config defaults applied before user overrides,
+    fit(samples, cfg) -> (covariance, info), whether the output is a
+    trace-normalized shape, and the smallest sample count fit accepts."""
+
+    defaults: dict
+    fit: Callable
+    shape: bool = False
+    min_n: int = 1
+
+
+# The fits name the module-level estimators inside their bodies, so a
+# rebinding of those names (as a tracer does) is seen at call time.
+def _fit_scm_lw(samples, cfg):
+    base = scm(samples)
+    rho = lw_intensity(samples, base)
+    return shrink(base, rho), {"rho": rho.rho}
+
+
+def _fit_kronpca(samples, cfg):
+    model = kronpca(scm(samples), dataclasses.replace(cfg, diag_correct=False))
+    return model.covariance(), {"model": model, "iterations": len(model.objective_trace),
+                                "converged": model.converged}
+
+
+def _fit_tyler(samples, cfg, fitter):
+    rho = resolve_rho(cfg, lambda: cv_shrinkage_intensity(samples, fitter, cfg))
+    return fitter(samples, rho, cfg, full_output=True)
+
+
+ESTIMATORS = {
+    "scm": EstimatorSpec({}, lambda samples, cfg: (scm(samples), {})),
+    "scm-lw": EstimatorSpec({}, _fit_scm_lw, min_n=2),
+    "kronpca": EstimatorSpec({"toeplitz": False, "diag_correct": False}, _fit_kronpca),
+    "dc-kronpca-lw": EstimatorSpec(
+        {"toeplitz": True, "diag_correct": True},
+        lambda samples, cfg: dc_kronpca_lw(
+            samples, dataclasses.replace(cfg, diag_correct=True), full_output=True),
+        min_n=2),
+    "chen-tyler": EstimatorSpec(
+        {}, lambda samples, cfg: _fit_tyler(samples, cfg, chen_tyler), shape=True),
+    "tyler-kronpca": EstimatorSpec(
+        {}, lambda samples, cfg: _fit_tyler(samples, cfg, robust_kronpca), shape=True),
 }
 
-# estimators whose output is a trace-normalized shape rather than a covariance
-SHAPE_ESTIMATORS = frozenset({"chen-tyler", "tyler-kronpca"})
+
+def _estimator_spec(name: str) -> EstimatorSpec:
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}; known: {sorted(ESTIMATORS)}")
+    return ESTIMATORS[name]
 
 
 def make_config(name: str, overrides: dict | None = None) -> EstimatorConfig:
-    if name not in NAME_DEFAULTS:
-        raise ValueError(f"unknown estimator {name!r}; known: {sorted(NAME_DEFAULTS)}")
-    merged = dict(NAME_DEFAULTS[name])
-    merged.update(overrides or {})
-    return EstimatorConfig(**merged)
+    return EstimatorConfig(**{**_estimator_spec(name).defaults, **(overrides or {})})
+
+
+def require_samples(name: str, n: int) -> None:
+    """Raise ValueError when n is below the named estimator's minimum."""
+    need = _estimator_spec(name).min_n
+    if n < need:
+        raise ValueError(f"estimator {name!r} needs n >= {need} samples, got n={n}")
 
 
 def fit_by_name(name: str, samples: SampleSet, cfg: EstimatorConfig | dict | None = None):
@@ -747,40 +776,8 @@ def fit_by_name(name: str, samples: SampleSet, cfg: EstimatorConfig | dict | Non
     """
     if not isinstance(cfg, EstimatorConfig):
         cfg = make_config(name, cfg)
-    info: dict = {"estimator": name, "iterations": 0, "converged": True,
-                  "rho": None, "model": None}
-
-    if name == "scm":
-        return scm(samples), info
-
-    if name == "scm-lw":
-        base = scm(samples)
-        rho = lw_intensity(samples, base)
-        info["rho"] = rho.rho
-        return shrink(base, rho), info
-
-    if name == "kronpca":
-        model = kronpca(scm(samples), dataclasses.replace(cfg, diag_correct=False))
-        info.update(model=model, iterations=len(model.objective_trace),
-                    converged=model.converged)
-        return model.covariance(), info
-
-    if name == "dc-kronpca-lw":
-        cfg = dataclasses.replace(cfg, diag_correct=True)
-        cov, fit_info = dc_kronpca_lw(samples, cfg, full_output=True)
-        info.update(fit_info)
-        return cov, info
-
-    if name == "chen-tyler":
-        rho = resolve_rho(samples, cfg, lambda tr, r, c: chen_tyler(tr, r, c))
-        cov, fit_info = chen_tyler(samples, rho, cfg, full_output=True)
-        info.update(fit_info)
-        return cov, info
-
-    if name == "tyler-kronpca":
-        rho = resolve_rho(samples, cfg, lambda tr, r, c: robust_kronpca(tr, r, c))
-        cov, fit_info = robust_kronpca(samples, rho, cfg, full_output=True)
-        info.update(fit_info)
-        return cov, info
-
-    raise ValueError(f"unknown estimator {name!r}; known: {sorted(NAME_DEFAULTS)}")
+    require_samples(name, samples.n)
+    cov, fit_info = ESTIMATORS[name].fit(samples, cfg)
+    info = {"estimator": name, "iterations": 0, "converged": True,
+            "rho": None, "model": None, **fit_info}
+    return cov, info

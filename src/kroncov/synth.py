@@ -38,6 +38,8 @@ class SampleSet:
             raise ValueError(
                 f"sample array shape {samples.shape}, expected ({self.n}, {self.dims.pt})"
             )
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must be finite (found NaN or inf)")
         object.__setattr__(self, "samples", samples)
 
 

@@ -184,6 +184,15 @@ class TestRoc:
             roc([1.0, 2.0], [NOMINAL, NOMINAL])
 
 
+class TestFrameSeries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.zeros((4, 2))
+        values[2, 0] = bad
+        with pytest.raises(ValueError, match="frame values must be finite"):
+            series_from(values)
+
+
 class TestCsv:
     def test_frame_roundtrip_with_labels(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -110,6 +110,34 @@ class TestEstimateCommand:
         cfg = {"input": str(csv), "p": 3, "T": 1, "estimator": "scm"}
         assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
 
+    @pytest.mark.parametrize("override, message", [
+        ({"r": 1.5}, "r must be a positive integer"),
+        ({"rho": True}, "rho must be a number"),
+    ])
+    def test_wrongly_typed_estimator_config_is_config_error(self, tmp_path, capsys,
+                                                            override, message):
+        csv = tmp_path / "s.csv"
+        csv.write_text("x0,x1\n1,0\n-1,2\n0,1\n")
+        cfg = {"input": str(csv), "p": 2, "T": 1, "estimator": "kronpca",
+               "estimator_config": override}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_sample_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_text("x0,x1\n1,0\nnan,2\n0,1\n")
+        cfg = {"input": str(csv), "p": 2, "T": 1, "estimator": "kronpca"}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
+        assert "samples must be finite" in capsys.readouterr().err
+
+    def test_too_few_samples_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_text("x0,x1\n1,0\n")
+        cfg = {"input": str(csv), "p": 2, "T": 1, "estimator": "scm-lw"}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "input" in err and "needs n >= 2" in err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("x0,x1\n1,0\n0,0\n")  # zero sample breaks normalization
@@ -157,6 +185,13 @@ class TestMseBenchCommand:
     def test_empty_estimators_is_config_error(self, tmp_path):
         cfg = {"p": 2, "T": 2, "seed": 1, "trials": 1, "n_grid": [5], "estimators": []}
         assert run_cli("mse-bench", cfg, tmp_path / "out", tmp_path) == 2
+
+    def test_n_grid_below_estimator_minimum_is_config_error(self, tmp_path, capsys):
+        cfg = {"p": 2, "T": 2, "seed": 1, "trials": 1, "n_grid": [1],
+               "estimators": [{"name": "dc-kronpca-lw", "config": {"r": 1}}]}
+        assert run_cli("mse-bench", cfg, tmp_path / "out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "n_grid" in err and "needs n >= 2" in err
 
     def test_scm_error_shrinks_with_sample_size(self, tmp_path):
         from kroncov.cli import run_mse_bench
@@ -231,6 +266,17 @@ class TestAnomalyCommand:
                "estimators": [{"name": "scm"}]}
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
 
+    def test_non_finite_frame_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "stream.csv"
+        make_stream_csv(csv, seed=4, n_train=30, n_test=60)
+        lines = csv.read_text().splitlines()
+        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        csv.write_text("\n".join(lines) + "\n")
+        cfg = {"input": str(csv), "T": 5, "train_range": [0, 30],
+               "estimators": [{"name": "scm-lw"}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
+        assert "frame values must be finite" in capsys.readouterr().err
+
     def test_singular_training_covariance_is_numerical_error(self, tmp_path):
         csv = tmp_path / "stream.csv"
         make_stream_csv(csv, seed=10, n_train=12, p=4)
@@ -298,3 +344,10 @@ class TestBadConfigs:
         path = tmp_path / "c.json"
         path.write_text("[1, 2]")
         assert main(["synth", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
+        cfg = {"p": 2, "T": 2, "n": 3, "seed": 7}
+        assert run_cli("synth", cfg, tmp_path / "out", tmp_path,
+                       extra=("--threads", threads)) == 2
+        assert "--threads" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from kroncov import (
     soft_impute,
     svt,
 )
-from kroncov.estimators import components_for_energy, fit_by_name
+from kroncov.estimators import ESTIMATORS, components_for_energy, fit_by_name
 from kroncov.cli import trial_seed
 
 
@@ -528,6 +528,14 @@ class TestConfigValidation:
     def test_bad_fields_rejected(self):
         with pytest.raises(ValueError):
             EstimatorConfig(r=0)
+        with pytest.raises(ValueError, match="r must be"):
+            EstimatorConfig(r=1.5)
+        with pytest.raises(ValueError, match="r must be"):
+            EstimatorConfig(r=True)
+        with pytest.raises(ValueError, match="rho must be"):
+            EstimatorConfig(rho=True)
+        with pytest.raises(ValueError, match="max_iter must be"):
+            EstimatorConfig(max_iter=2.5)
         with pytest.raises(ValueError):
             EstimatorConfig(beta=-0.1)
         with pytest.raises(ValueError):
@@ -575,3 +583,23 @@ class TestRegistry:
             back.covariance().entries, model.covariance().entries, atol=1e-12
         )
         assert back.config == model.config
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_every_registered_estimator_meets_the_table_contract(name):
+    spec = ESTIMATORS[name]
+    truth = ar1_kron_truth(3, 2, 0.5, 0.95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in (spec.min_n, 30):
+            samples = sample_student_t(truth, 3.0, n, 17)
+            cov, info = fit_by_name(name, samples)
+            assert cov.dims == truth.sigma.dims
+            np.testing.assert_allclose(cov.entries, cov.entries.T, rtol=0, atol=1e-12)
+            assert {"estimator", "iterations", "converged", "rho", "model"} <= set(info)
+            if spec.shape:
+                assert np.trace(cov.entries) == pytest.approx(truth.sigma.dims.pt, rel=1e-9)
+    too_few = SampleSet(truth.sigma.dims, spec.min_n - 1,
+                        np.ones((spec.min_n - 1, truth.sigma.dims.pt)))
+    with pytest.raises(ValueError, match=rf"needs n >= {spec.min_n} samples, got n={spec.min_n - 1}"):
+        fit_by_name(name, too_few)

@@ -5,6 +5,7 @@ import pytest
 from kroncov import (
     DenseCovariance,
     GroundTruth,
+    SampleSet,
     SpaceTimeDims,
     ar1_cov,
     inject_anomalies,
@@ -172,3 +173,12 @@ class TestSampleCsv:
         write_sample_csv(path, sset)
         with pytest.raises(ValueError):
             read_sample_csv(path, SpaceTimeDims(3, 2))
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        data = np.ones((3, 4))
+        data[1, 2] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            SampleSet(SpaceTimeDims(2, 2), 3, data)

@@ -70,41 +70,77 @@ def read_matrix_binary(path: Path) -> np.ndarray:
     return data.reshape(rows, cols).astype(float)
 
 
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config key {key!r} has the wrong type: {type(value).__name__}")
-    return value
+# the JSON kind of each type a config value can be read as
+_KINDS = {int: "a nonnegative integer", float: "a finite number", bool: "true or false",
+          str: "a string", list: "a nonempty list", dict: "an object"}
+
+
+def _field(cfg: dict, key: str, kind, default=...):
+    """cfg[key] as the JSON kind of a _KINDS type, or of [type] for a list of
+    it; else a ConfigError naming the key.  A missing key, or null when the
+    default is None, gives the default; with no default the key is required.
+    Integers are sizes, counts, seeds or frame indices, so never negative;
+    2.0 reads as the integer 2 and 1 as the number 1.0."""
+    value = cfg.get(key)
+    if value is None and (key not in cfg or default is None):
+        if default is ...:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return default
+    if isinstance(kind, list):
+        entries = {f"{key}[{i}]": v for i, v in enumerate(_field(cfg, key, list))}
+        return [_field(entries, k, kind[0]) for k in entries]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)
+            or (kind is int and value < 0) or (kind is list and not value)
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        raise ConfigError(f"config key {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
 @contextlib.contextmanager
 def _config_errors(field: str = ""):
-    """Report a ValueError raised inside the block by input validation, or a
-    TypeError from a wrongly typed config value, as a config error on field."""
+    """Report a ConfigError, a ValueError raised by input validation, a
+    TypeError from a wrongly typed value or an OSError from reading an input
+    file inside the block as a config error on field."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: {exc}" if field else str(exc)) from exc
 
 
 def _dims_from_config(cfg: dict) -> SpaceTimeDims:
     with _config_errors():
-        return SpaceTimeDims(int(_require(cfg, "p")), int(_require(cfg, "T")))
+        return SpaceTimeDims(_field(cfg, "p", int), _field(cfg, "T", int))
+
+
+def _ar1_sampler(cfg: dict):
+    """The AR(1) Kronecker truth of a synth or mse-bench config, and
+    sample(n, seed) drawing from it: Student-t when dof is set, else Gaussian."""
+    dims = _dims_from_config(cfg)
+    dof = _field(cfg, "dof", float, None)
+    if dof is not None and dof <= 0:
+        raise ConfigError(f"config key 'dof' must be positive, got {dof}")
+    with _config_errors():
+        truth = synth.ar1_kron_truth(dims.p, dims.T, _field(cfg, "tcoeff", float, 0.5),
+                                     _field(cfg, "scoeff", float, 0.95))
+
+    def sample(n: int, seed: int) -> synth.SampleSet:
+        if dof is None:
+            return synth.sample_gaussian(truth, n, seed)
+        return synth.sample_student_t(truth, dof, n, seed)
+    return truth, sample
 
 
 def _estimator_specs(cfg: dict):
-    specs = _require(cfg, "estimators", list)
-    if not specs:
-        raise ConfigError("estimator list is empty")
     out = []
-    for entry in specs:
-        name = _require(entry, "name", str)
-        with _config_errors(f"estimator {name!r}"):
-            out.append((entry.get("label", name), name, est.make_config(name, entry.get("config", {}))))
-    labels = [label for label, _, _ in out]
-    if len(set(labels)) != len(labels):
+    for i, entry in enumerate(_field(cfg, "estimators", [dict])):
+        with _config_errors(f"estimators[{i}]"):
+            name = _field(entry, "name", str)
+            ecfg = est.make_config(name, _field(entry, "config", dict, {}))
+            out.append((_field(entry, "label", str, name), name, ecfg))
+    if len({label for label, _, _ in out}) != len(out):
         raise ConfigError("estimator labels must be unique (set 'label' to disambiguate)")
     return out
 
@@ -130,17 +166,11 @@ def normalized_mse(estimate: np.ndarray, truth: np.ndarray, shape_only: bool) ->
 # subcommands
 
 def cmd_synth(cfg: dict, out: Path, threads: int = 1) -> None:
-    dims = _dims_from_config(cfg)
-    n = int(_require(cfg, "n"))
-    seed = int(_require(cfg, "seed"))
-    tcoeff = float(cfg.get("tcoeff", 0.5))
-    scoeff = float(cfg.get("scoeff", 0.95))
-    with _config_errors():
-        truth = synth.ar1_kron_truth(dims.p, dims.T, tcoeff, scoeff)
-        if cfg.get("dof") is not None:
-            sset = synth.sample_student_t(truth, float(cfg["dof"]), n, seed)
-        else:
-            sset = synth.sample_gaussian(truth, n, seed)
+    n = _field(cfg, "n", int)
+    seed = _field(cfg, "seed", int)
+    truth, sample = _ar1_sampler(cfg)
+    with _config_errors("n"):
+        sset = sample(n, seed)
     synth.write_sample_csv(out / "samples.csv", sset)
     synth.write_sample_sidecar(
         out / "samples.json", sset, truth.description,
@@ -149,19 +179,16 @@ def cmd_synth(cfg: dict, out: Path, threads: int = 1) -> None:
 
 
 def _load_samples(cfg: dict) -> synth.SampleSet:
-    path = Path(_require(cfg, "input", str))
-    if not path.exists():
-        raise ConfigError(f"input file {path} does not exist")
     dims = _dims_from_config(cfg)
-    with _config_errors("malformed sample CSV"):
-        return synth.read_sample_csv(path, dims)
+    with _config_errors("input (sample CSV)"):
+        return synth.read_sample_csv(_field(cfg, "input", str), dims)
 
 
 def cmd_estimate(cfg: dict, out: Path, threads: int = 1) -> None:
     samples = _load_samples(cfg)
-    name = _require(cfg, "estimator", str)
+    name = _field(cfg, "estimator", str)
     with _config_errors(f"estimator {name!r}"):
-        ecfg = est.make_config(name, cfg.get("estimator_config", {}))
+        ecfg = est.make_config(name, _field(cfg, "estimator_config", dict, {}))
     with _config_errors("input"):
         est.require_samples(name, samples.n)
 
@@ -192,66 +219,44 @@ def cmd_estimate(cfg: dict, out: Path, threads: int = 1) -> None:
     write_json(out / "diagnostics.json", diagnostics)
 
 
-def _bench_cell(truth, specs, n, tseed, dof):
-    if dof is not None:
-        sset = synth.sample_student_t(truth, dof, n, tseed)
-    else:
-        sset = synth.sample_gaussian(truth, n, tseed)
-    row = {}
-    converged = True
-    for label, name, ecfg in specs:
-        cov, info = est.fit_by_name(name, sset, ecfg)
-        converged &= bool(info["converged"])
-        row[label] = normalized_mse(cov.entries, truth.sigma.entries,
-                                    est.ESTIMATORS[name].shape)
-    return row, converged
-
-
 def run_mse_bench(cfg: dict, threads: int = 1):
     """Benchmark core: mean/stderr of normalized estimation error per
     (estimator, n) cell over paired trials.  Returns (rows, all_converged)
     with rows as (label, n, mean, stderr, values)."""
-    dims = _dims_from_config(cfg)
-    seed = int(_require(cfg, "seed"))
-    trials = int(_require(cfg, "trials"))
-    n_grid = [int(v) for v in _require(cfg, "n_grid", list)]
-    if trials < 1 or not n_grid:
-        raise ConfigError("need at least one trial and a nonempty n_grid")
+    seed = _field(cfg, "seed", int)
+    trials = _field(cfg, "trials", int)
+    n_grid = _field(cfg, "n_grid", [int])
+    if trials < 1:
+        raise ConfigError("config key 'trials' must be at least 1")
     specs = _estimator_specs(cfg)
     with _config_errors("n_grid"):
-        for n in n_grid:
-            for _, name, _ in specs:
-                est.require_samples(name, n)
-    dof = float(cfg["dof"]) if cfg.get("dof") is not None else None
-    truth = synth.ar1_kron_truth(dims.p, dims.T,
-                              float(cfg.get("tcoeff", 0.5)),
-                              float(cfg.get("scoeff", 0.95)))
+        for _, name, _ in specs:
+            est.require_samples(name, min(n_grid))
+    truth, sample = _ar1_sampler(cfg)
 
-    values = {(label, n): np.zeros(trials) for label, _, _ in specs for n in n_grid}
-    all_converged = True
-
-    def run_one(args):
-        n, t = args
-        return n, t, _bench_cell(truth, specs, n, trial_seed(seed, n, t), dof)
+    def run_one(job):
+        n, t = job
+        sset = sample(n, trial_seed(seed, n, t))
+        row, converged = {}, True
+        for label, name, ecfg in specs:
+            cov, info = est.fit_by_name(name, sset, ecfg)
+            converged &= bool(info["converged"])
+            row[label] = normalized_mse(cov.entries, truth.sigma.entries,
+                                        est.ESTIMATORS[name].shape)
+        return row, converged
 
     jobs = [(n, t) for n in n_grid for t in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
-    for n, t, (row, conv) in results:
-        all_converged &= conv
-        for label, _, _ in specs:
-            values[(label, n)][t] = row[label]
+    # with one thread the trials run in this one: a pool thread's own malloc arena raises peak RSS
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_one, jobs) if threads > 1 else map(run_one, jobs))
 
     rows = []
     for label, _, _ in specs:
-        for n in n_grid:
-            cell = values[(label, n)]
+        for j, n in enumerate(n_grid):
+            cell = np.array([row[label] for row, _ in results[j * trials:(j + 1) * trials]])
             stderr = float(cell.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
             rows.append((label, n, float(cell.mean()), stderr, cell))
-    return rows, all_converged
+    return rows, all(converged for _, converged in results)
 
 
 def cmd_mse_bench(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -274,43 +279,38 @@ def cmd_mse_bench(cfg: dict, out: Path, threads: int = 1) -> None:
 
 
 def cmd_anomaly(cfg: dict, out: Path, threads: int = 1) -> None:
-    path = Path(_require(cfg, "input", str))
-    if not path.exists():
-        raise ConfigError(f"input file {path} does not exist")
-    with _config_errors("malformed frame CSV"):
-        series = anom.read_frame_csv(path)
-    if series.labels is None:
-        raise ConfigError("anomaly pipeline needs a labeled stream (label column)")
-
-    T = int(_require(cfg, "T"))
-    stride = int(cfg.get("stride", 1))
-    train_range = _require(cfg, "train_range", list)
+    T = _field(cfg, "T", int)
+    stride = _field(cfg, "stride", int, 1)
+    train_range = _field(cfg, "train_range", [int])
     if len(train_range) != 2:
         raise ConfigError("train_range must be [start, stop]")
-    start, stop = int(train_range[0]), int(train_range[1])
+    start, stop = train_range
+    linear = _field(cfg, "detrend_linear", bool, False)
     specs = _estimator_specs(cfg)
+    with _config_errors("input (frame CSV)"):
+        series = anom.read_frame_csv(_field(cfg, "input", str))
+    if series.labels is None:
+        raise ConfigError("anomaly pipeline needs a labeled stream (label column)")
 
     if series.labels[start:stop].any():
         warnings.warn("training range contains anomalous frames; fitting proceeds anyway")
 
     with _config_errors():
-        detrended = anom.detrend(series, (start, stop), linear=bool(cfg.get("detrend_linear", False)))
+        detrended = anom.detrend(series, (start, stop), linear=linear)
         windows = anom.make_windows(detrended, T, stride)
 
     inside = (windows.starts >= start) & (windows.starts + T <= stop)
     outside = (windows.starts + T <= start) | (windows.starts >= stop)
-    train_vectors = windows.vectors[inside]
+    train_set = synth.SampleSet(SpaceTimeDims(series.p, T), int(inside.sum()),
+                                windows.vectors[inside])
     with _config_errors("train_range (windows inside it)"):
         for _, name, _ in specs:
-            est.require_samples(name, train_vectors.shape[0])
-    dims = SpaceTimeDims(series.p, T)
-    train_set = synth.SampleSet(dims, train_vectors.shape[0], train_vectors)
+            est.require_samples(name, train_set.n)
 
     keep = outside & (windows.labels != anom.EXCLUDED)
-    test_vectors = windows.vectors[keep]
     test_labels = windows.labels[keep]
     test_windows = anom.WindowSet(T=T, stride=stride, starts=windows.starts[keep],
-                                  vectors=test_vectors, labels=test_labels)
+                                  vectors=windows.vectors[keep], labels=test_labels)
     n_excluded = int((outside & (windows.labels == anom.EXCLUDED)).sum())
 
     summary = {}
@@ -341,18 +341,14 @@ def cmd_anomaly(cfg: dict, out: Path, threads: int = 1) -> None:
 
 
 def cmd_spectrum(cfg: dict, out: Path, threads: int = 1) -> None:
-    kind = cfg.get("kind", "samples")
-    toeplitz_rows = bool(cfg.get("toeplitz", True))
-    dims = _dims_from_config(cfg)
+    kind = _field(cfg, "kind", str, "samples")
+    toeplitz_rows = _field(cfg, "toeplitz", bool, True)
     if kind == "samples":
         cov = est.scm(_load_samples(cfg))
     elif kind == "covariance":
-        path = Path(_require(cfg, "input", str))
-        if not path.exists():
-            raise ConfigError(f"input file {path} does not exist")
-        entries = read_matrix_binary(path)
-        with _config_errors():
-            cov = DenseCovariance(dims, entries)
+        dims = _dims_from_config(cfg)
+        with _config_errors("input (covariance file)"):
+            cov = DenseCovariance(dims, read_matrix_binary(_field(cfg, "input", str)))
     else:
         raise ConfigError(f'kind must be "samples" or "covariance", got {kind!r}')
 
@@ -404,6 +400,7 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         if args.seed is not None:
             cfg["seed"] = args.seed
+        _field(cfg, "seed", int, None)  # every command records the seed it ran with
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out = Path(args.out)

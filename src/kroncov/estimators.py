@@ -58,17 +58,20 @@ class EstimatorConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        for field in ("r", "max_iter"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{field} must be a positive integer, got {value!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.rho != AUTO and (isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real)
-                                 or not 0.0 <= self.rho <= 1.0):
-            raise ValueError(f'rho must be a number in [0, 1] or "{AUTO}", got {self.rho!r}')
+        def number(v):
+            return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < np.inf
+        count = ("a positive integer",
+                 lambda v: number(v) and isinstance(v, numbers.Integral) and v >= 1)
+        flag = ("true or false", lambda v: isinstance(v, bool))
+        for field, (what, valid) in {
+                "r": count, "max_iter": count, "toeplitz": flag, "diag_correct": flag,
+                "beta": ("a nonnegative number", lambda v: number(v) and v >= 0),
+                "tol": ("a positive number", lambda v: number(v) and v > 0),
+                "rho": (f'a number in [0, 1] or "{AUTO}"',
+                        lambda v: v == AUTO or number(v) and 0 <= v <= 1),
+        }.items():
+            if not valid(getattr(self, field)):
+                raise ValueError(f"{field} must be {what}, got {getattr(self, field)!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ class ShrinkageIntensity:
     """Convex weight pulling an estimate toward a scaled identity."""
 
     rho: float
-    method: str = "explicit"
 
     def __post_init__(self):
         object.__setattr__(self, "rho", float(min(1.0, max(0.0, self.rho))))
@@ -228,8 +230,8 @@ def lw_intensity(samples: SampleSet, plugin: DenseCovariance) -> ShrinkageIntens
     """
     b2bar, d2 = _lw_terms(samples, plugin)
     if d2 == 0.0:
-        return ShrinkageIntensity(1.0, "lw_plugin")
-    return ShrinkageIntensity(min(b2bar, d2) / d2, "lw_plugin")
+        return ShrinkageIntensity(1.0)
+    return ShrinkageIntensity(min(b2bar, d2) / d2)
 
 
 def svt(m: np.ndarray, tau: float, max_rank: int | None = None) -> np.ndarray:
@@ -425,7 +427,7 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
     """
     b2bar, d2 = _lw_terms(samples, kron_cov)
     if d2 == 0.0:
-        return ShrinkageIntensity(1.0, "lw_plugin")
+        return ShrinkageIntensity(1.0)
     rho = min(b2bar * _model_dof_fraction(model), d2) / d2
 
     d = samples.dims.pt
@@ -438,7 +440,7 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
     if lam_min < target < m:
         rho_pd = (target - lam_min) / (m - lam_min)
         rho = max(rho, min(1.0, rho_pd))
-    return ShrinkageIntensity(rho, "lw_plugin")
+    return ShrinkageIntensity(rho)
 
 
 def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = False):
@@ -690,14 +692,14 @@ def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> 
         for gi, rho in enumerate(CV_RHO_GRID):
             cov = fitter(train, rho, cfg)
             scores[gi] += _acg_loglik(held, cov.entries)
-    return ShrinkageIntensity(float(CV_RHO_GRID[int(np.argmax(scores))]), "cv")
+    return ShrinkageIntensity(float(CV_RHO_GRID[int(np.argmax(scores))]))
 
 
 def resolve_rho(cfg: EstimatorConfig, auto: Callable[[], ShrinkageIntensity]) -> ShrinkageIntensity:
     """cfg.rho taken verbatim, or the intensity auto() selects when it is "auto"."""
     if cfg.rho == AUTO:
         return auto()
-    return ShrinkageIntensity(float(cfg.rho), "explicit")
+    return ShrinkageIntensity(float(cfg.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +726,7 @@ def _fit_scm_lw(samples, cfg):
 
 
 def _fit_kronpca(samples, cfg):
-    model = kronpca(scm(samples), dataclasses.replace(cfg, diag_correct=False))
+    model = kronpca(scm(samples), cfg)
     return model.covariance(), {"model": model, "iterations": len(model.objective_trace),
                                 "converged": model.converged}
 
@@ -740,9 +742,7 @@ ESTIMATORS = {
     "kronpca": EstimatorSpec({"toeplitz": False, "diag_correct": False}, _fit_kronpca),
     "dc-kronpca-lw": EstimatorSpec(
         {"toeplitz": True, "diag_correct": True},
-        lambda samples, cfg: dc_kronpca_lw(
-            samples, dataclasses.replace(cfg, diag_correct=True), full_output=True),
-        min_n=2),
+        lambda samples, cfg: dc_kronpca_lw(samples, cfg, full_output=True), min_n=2),
     "chen-tyler": EstimatorSpec(
         {}, lambda samples, cfg: _fit_tyler(samples, cfg, chen_tyler), shape=True),
     "tyler-kronpca": EstimatorSpec(
@@ -757,7 +757,12 @@ def _estimator_spec(name: str) -> EstimatorSpec:
 
 
 def make_config(name: str, overrides: dict | None = None) -> EstimatorConfig:
-    return EstimatorConfig(**{**_estimator_spec(name).defaults, **(overrides or {})})
+    defaults = _estimator_spec(name).defaults
+    cfg = EstimatorConfig(**{**defaults, **(overrides or {})})
+    # a diag_correct default is what tells kronpca and dc-kronpca-lw apart
+    if cfg.diag_correct != defaults.get("diag_correct", cfg.diag_correct):
+        raise ValueError(f"diag_correct={cfg.diag_correct} contradicts the estimator's own value")
+    return cfg
 
 
 def require_samples(name: str, n: int) -> None:

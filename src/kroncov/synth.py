@@ -15,9 +15,6 @@ from scipy.linalg import toeplitz
 
 from .kron_ops import DenseCovariance, SpaceTimeDims, _frozen_array
 
-# conventional degrees of freedom for heavy-tailed benchmark cells
-DEFAULT_HEAVY_TAIL_DOF = 3.0
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -56,10 +53,10 @@ class GroundTruth:
             raise ValueError(f"ground truth is not positive definite (min eig {lam_min:.3e})")
 
 
-def ar1_cov(dim: int, coeff: float) -> np.ndarray:
+def ar1_cov(dim: int, coeff: float, name: str = "coeff") -> np.ndarray:
     """Stationary AR(1) covariance: entry (i, j) = coeff^|i-j|."""
     if not abs(coeff) < 1:
-        raise ValueError(f"AR coefficient must satisfy |coeff| < 1, got {coeff}")
+        raise ValueError(f"AR coefficient {name} must satisfy |{name}| < 1, got {coeff}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return toeplitz(coeff ** np.arange(dim))
@@ -71,7 +68,7 @@ def ar1_kron_truth(p: int = 100, T: int = 10, tcoeff: float = 0.5, scoeff: float
     Defaults give the standard benchmark truth: a 100-variable grid over
     10 frames with AR coefficients 0.5 (time) and 0.95 (space).
     """
-    sigma = np.kron(ar1_cov(T, tcoeff), ar1_cov(p, scoeff))
+    sigma = np.kron(ar1_cov(T, tcoeff, "tcoeff"), ar1_cov(p, scoeff, "scoeff"))
     dims = SpaceTimeDims(p=p, T=T)
     desc = f"AR(1) Kronecker truth: p={p}, T={T}, time coeff {tcoeff}, space coeff {scoeff}"
     return GroundTruth(DenseCovariance(dims, sigma), desc)
@@ -137,10 +134,10 @@ def ar1_frame_stream(p: int, n_frames: int, tcoeff: float = 0.5,
     E[s]^2, diagonal blocks by E[s^2]).
     """
     if not abs(tcoeff) < 1:
-        raise ValueError(f"AR coefficient must satisfy |coeff| < 1, got {tcoeff}")
+        raise ValueError(f"AR coefficient tcoeff must satisfy |tcoeff| < 1, got {tcoeff}")
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    root = _symmetric_sqrt(ar1_cov(p, scoeff))
+    root = _symmetric_sqrt(ar1_cov(p, scoeff, "scoeff"))
     rng = np.random.default_rng(seed)
     innov = rng.standard_normal((n_frames, p)) @ root
     frames = np.empty((n_frames, p))

@@ -1,10 +1,15 @@
 """End-to-end subcommand tests: files, determinism, exit codes."""
+import copy
 import filecmp
 import json
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kroncov import ar1_kron_truth, sample_gaussian
 from kroncov.anomaly import FrameSeries, write_frame_csv
@@ -351,3 +356,175 @@ class TestBadConfigs:
         assert run_cli("synth", cfg, tmp_path / "out", tmp_path,
                        extra=("--threads", threads)) == 2
         assert "--threads" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config schema: every documented field of every subcommand, read by kind
+
+MISSING = object()  # a field value meaning "leave the key out"
+
+
+@pytest.fixture(scope="module")
+def schema_inputs(tmp_path_factory):
+    """A minimal valid config (p, T <= 3) per subcommand, on small input files."""
+    root = tmp_path_factory.mktemp("schema")
+    csv = root / "samples.csv"
+    csv.write_text("x0,x1\n1,0\n-1,2\n0,1\n2,1\n")
+    stream = root / "stream.csv"
+    make_stream_csv(stream, seed=4, n_train=30, n_test=60, p=2)
+    return root, {
+        "synth": {"p": 2, "T": 2, "n": 3, "seed": 1},
+        "estimate": {"input": str(csv), "p": 2, "T": 1, "estimator": "scm"},
+        "mse-bench": {"p": 2, "T": 2, "seed": 1, "trials": 1, "n_grid": [3],
+                      "estimators": [{"name": "scm"}]},
+        "anomaly": {"input": str(stream), "T": 2, "train_range": [0, 30],
+                    "estimators": [{"name": "scm"}]},
+        "spectrum": {"input": str(csv), "p": 2, "T": 1},
+    }
+
+
+def run_config(root, command, cfg):
+    path = root / "config.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path), "--out", str(root / "out")])
+
+
+def with_field(cfg, path, value):
+    """A copy of cfg with the field at path (keys and list indices) set to
+    value, or removed when value is MISSING."""
+    cfg = copy.deepcopy(cfg)
+    inner = cfg
+    for step in path[:-1]:
+        inner = inner[step] if isinstance(inner, list) else inner.setdefault(step, {})
+    if value is MISSING:
+        inner.pop(path[-1], None)
+    else:
+        inner[path[-1]] = value
+    return cfg
+
+
+# (path, kind, default) of every documented field, with the default as in
+# the README: ... for a required field; only a None default accepts null
+ESTIMATOR_ENTRY = [(("estimators", 0, "name"), str, ...),
+                   (("estimators", 0, "label"), str, "the name"),
+                   (("estimators", 0, "config"), dict, {})]
+ESTIMATOR_CONFIG = [(("estimator_config", key), kind, default) for key, kind, default in (
+    ("r", int, 1), ("max_iter", int, 500), ("beta", float, 0.0), ("tol", float, 1e-6),
+    ("rho", "rho", "auto"), ("toeplitz", bool, False), ("diag_correct", bool, False))]
+SCHEMA = {
+    "synth": [(("p",), int, ...), (("T",), int, ...), (("n",), int, ...),
+              (("seed",), int, ...), (("tcoeff",), float, 0.5), (("scoeff",), float, 0.95),
+              (("dof",), float, None)],
+    "estimate": [(("input",), str, ...), (("p",), int, ...), (("T",), int, ...),
+                 (("estimator",), str, ...), (("estimator_config",), dict, {}),
+                 (("seed",), int, None), *ESTIMATOR_CONFIG],
+    "mse-bench": [(("p",), int, ...), (("T",), int, ...), (("seed",), int, ...),
+                  (("trials",), int, ...), (("n_grid",), [int], ...),
+                  (("estimators",), [dict], ...), (("tcoeff",), float, 0.5),
+                  (("scoeff",), float, 0.95), (("dof",), float, None), *ESTIMATOR_ENTRY],
+    "anomaly": [(("input",), str, ...), (("T",), int, ...), (("stride",), int, 1),
+                (("train_range",), [int], ...), (("detrend_linear",), bool, False),
+                (("estimators",), [dict], ...), (("seed",), int, None), *ESTIMATOR_ENTRY],
+    "spectrum": [(("input",), str, ...), (("kind",), str, "samples"), (("p",), int, ...),
+                 (("T",), int, ...), (("toeplitz",), bool, True), (("seed",), int, None)],
+}
+FIELDS = [(command, *field) for command, fields in SCHEMA.items() for field in fields]
+
+texts = st.text(max_size=4)
+lists = st.lists(st.integers(0, 3), max_size=2)
+objects = st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2)
+non_numbers = st.one_of(texts, st.booleans(), lists, objects)
+WRONG = {
+    int: st.one_of(non_numbers, st.integers(max_value=-1),
+                   st.floats().filter(lambda x: not float(x).is_integer())),
+    float: st.one_of(non_numbers, st.sampled_from([math.inf, -math.inf, math.nan])),
+    "rho": st.one_of(texts.filter(lambda t: t != "auto"), st.booleans(), lists, objects),
+    bool: st.one_of(texts, st.integers(), st.floats(), lists, objects),
+    str: st.one_of(st.integers(), st.floats(), st.booleans(), lists, objects),
+    dict: st.one_of(texts, st.integers(), st.booleans(), lists),
+    list: st.one_of(texts, st.integers(), st.booleans(), objects, st.just([])),
+}
+
+
+def wrong_value(kind, default):
+    if isinstance(kind, list):
+        wrong = st.one_of(WRONG[list], st.builds(lambda v: [v], WRONG[kind[0]]))
+    else:
+        wrong = WRONG[kind]
+    if default is ...:
+        return st.one_of(wrong, st.sampled_from([None, MISSING]))
+    return wrong if default is None else st.one_of(wrong, st.none())
+
+
+@st.composite
+def wrongly_typed_configs(draw, base):
+    command, path, kind, default = draw(st.sampled_from(FIELDS))
+    value = draw(wrong_value(kind, default))
+    return command, path, with_field(base[command], path, value)
+
+
+# probes that exited 3, or 0 after a silent coercion, before the typed reader
+PROBES = [
+    ("mse-bench", {"trials": "x"}, "'trials'"),
+    ("mse-bench", {"n_grid": ["a"]}, "'n_grid[0]'"),
+    ("synth", {"tcoeff": "x"}, "'tcoeff'"),
+    ("anomaly", {"T": "x"}, "'T'"),
+    ("anomaly", {"train_range": ["a", 20]}, "'train_range[0]'"),
+    ("mse-bench", {"estimators": [1]}, "'estimators[0]'"),
+    ("anomaly", {"estimators": [1]}, "'estimators[0]'"),
+    ("mse-bench", {"tcoeff": 1.5}, "tcoeff must satisfy"),
+    ("mse-bench", {"seed": -1}, "'seed'"),
+    ("synth", {"tcoeff": 1.5}, "tcoeff must satisfy"),
+    ("synth", {"seed": -1}, "'seed'"),
+    ("synth", {"n": 2.7}, "'n'"),
+    ("synth", {"p": 2.5}, "'p'"),
+    ("anomaly", {"train_range": [0.5, 20.7]}, "'train_range[0]'"),
+    ("spectrum", {"toeplitz": "no"}, "'toeplitz'"),
+    ("anomaly", {"detrend_linear": "no"}, "'detrend_linear'"),
+    ("mse-bench", {"dof": -3}, "'dof'"),
+    ("estimate", {"estimator": "kronpca", "estimator_config": {"diag_correct": True}},
+     "diag_correct=True contradicts"),
+    ("estimate", {"estimator": "dc-kronpca-lw", "estimator_config": {"diag_correct": False}},
+     "diag_correct=False contradicts"),
+    ("mse-bench", {"estimators": [{"name": "kronpca", "config": {"diag_correct": True}}]},
+     "diag_correct=True contradicts"),
+    ("estimate", {"input": "."}, "input"),
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", sorted(SCHEMA))
+    def test_minimal_config_runs(self, schema_inputs, command):
+        root, base = schema_inputs
+        assert run_config(root, command, base[command]) == 0
+
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_kind_exits_2_naming_the_field(self, schema_inputs, capsys, data):
+        root, base = schema_inputs
+        command, path, cfg = data.draw(wrongly_typed_configs(base))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_config(root, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 2, (command, cfg, err)
+        assert re.search(rf"\b{re.escape(path[-1])}\b", err), (command, cfg, err)
+
+    @pytest.mark.parametrize("command, override, named", PROBES, ids=[
+        c + "-" + json.dumps(o, separators=(",", "=")).replace('"', "") for c, o, _ in PROBES])
+    def test_bad_value_exits_2_naming_the_field(self, schema_inputs, capsys,
+                                                 command, override, named):
+        root, base = schema_inputs
+        assert run_config(root, command, {**base[command], **override}) == 2
+        assert named in capsys.readouterr().err
+
+    def test_integral_numbers_read_as_integers(self, schema_inputs, tmp_path):
+        root, base = schema_inputs
+        cfg = {**base["synth"], "p": 2.0, "n": 3.0}
+        for out, config in ((tmp_path / "a", base["synth"]), (tmp_path / "b", cfg)):
+            assert run_cli("synth", config, out, tmp_path) == 0
+        a, b = (np.loadtxt(tmp_path / d / "samples.csv", delimiter=",", skiprows=1)
+                for d in "ab")
+        np.testing.assert_array_equal(a, b)

@@ -30,7 +30,7 @@ from kroncov import (
     soft_impute,
     svt,
 )
-from kroncov.estimators import ESTIMATORS, components_for_energy, fit_by_name
+from kroncov.estimators import ESTIMATORS, components_for_energy, fit_by_name, make_config
 from kroncov.cli import trial_seed
 
 
@@ -544,6 +544,14 @@ class TestConfigValidation:
             EstimatorConfig(rho="sometimes")
         with pytest.raises(ValueError):
             EstimatorConfig(tol=0.0)
+        with pytest.raises(ValueError, match="toeplitz must be true or false"):
+            EstimatorConfig(toeplitz="no")
+        with pytest.raises(ValueError, match="diag_correct must be true or false"):
+            EstimatorConfig(diag_correct=1)
+        with pytest.raises(ValueError, match="beta must be a nonnegative number"):
+            EstimatorConfig(beta="x")
+        with pytest.raises(ValueError, match="tol must be a positive number"):
+            EstimatorConfig(tol=float("inf"))
 
     def test_intensity_clamped(self):
         assert ShrinkageIntensity(1.7).rho == 1.0
@@ -551,6 +559,12 @@ class TestConfigValidation:
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("name, own", [("kronpca", False), ("dc-kronpca-lw", True)])
+    def test_diag_correct_override_must_match_the_estimator(self, name, own):
+        assert make_config(name, {"diag_correct": own}).diag_correct is own
+        with pytest.raises(ValueError, match=f"diag_correct={not own} contradicts"):
+            make_config(name, {"diag_correct": not own})
+
     def test_unknown_name_rejected(self):
         rng = np.random.default_rng(32)
         with pytest.raises(ValueError, match="unknown estimator"):

@@ -9,10 +9,11 @@ label; mixed windows are excluded.
 """
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kron_ops import DenseCovariance, _frozen_array
 
@@ -126,19 +127,13 @@ def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:
     if n < T:
         raise ValueError(f"series of {n} frames is shorter than the window length {T}")
     starts = np.arange(0, n - T + 1, stride)
-    vectors = np.stack([series.values[s:s + T].reshape(-1) for s in starts])
+    windows = sliding_window_view(series.values, (T, series.p))[::stride, 0]
+    vectors = windows.reshape(len(starts), T * series.p)
     frame_labels = series.labels if series.labels is not None else np.zeros(n, dtype=int)
-    labels = []
-    for s in starts:
-        frac = frame_labels[s:s + T].mean()
-        if frac > LABEL_FRACTION:
-            labels.append(ANOMALOUS)
-        elif frac < 1.0 - LABEL_FRACTION:
-            labels.append(NOMINAL)
-        else:
-            labels.append(EXCLUDED)
-    return WindowSet(T=T, stride=stride, starts=starts, vectors=vectors,
-                     labels=np.array(labels))
+    frac = sliding_window_view(frame_labels, T)[::stride].mean(axis=1)
+    labels = np.select([frac > LABEL_FRACTION, frac < 1.0 - LABEL_FRACTION],
+                       [ANOMALOUS, NOMINAL], EXCLUDED)
+    return WindowSet(T=T, stride=stride, starts=starts, vectors=vectors, labels=labels)
 
 
 def mahalanobis_scores(windows: WindowSet, sigma: DenseCovariance) -> np.ndarray:
@@ -195,18 +190,19 @@ def roc(scores, labels) -> RocCurve:
 
 def read_frame_csv(path) -> FrameSeries:
     """Load a frame stream: header row, coordinate columns, optional final
-    `label` column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    `label` column.  Numbers may be quoted; blank lines are skipped."""
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
             raise ValueError(f"{path}: empty file")
-        rows = [row for row in reader if row]
-    has_labels = header[-1].strip().lower() == "label"
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.ndim != 2 or data.shape[1] != len(header):
+        with warnings.catch_warnings():
+            # a header-only file fails the width check below, which names the path
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
+    header = header.split(",")
+    if data.shape[1] != len(header):
         raise ValueError(f"{path}: rows do not match the header width")
-    if has_labels:
+    if header[-1].strip().strip('"').lower() == "label":
         return FrameSeries.from_arrays(data[:, :-1], labels=data[:, -1].astype(int))
     return FrameSeries.from_arrays(data)
 

@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 import sys
 import warnings
@@ -133,13 +134,28 @@ def _ar1_sampler(cfg: dict):
     return truth, sample
 
 
+def _known_keys(cfg: dict, keys) -> None:
+    """Raise a ConfigError naming the first key of cfg that is not in keys."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} (known: {', '.join(sorted(keys))})")
+
+
+# estimator labels name output files (roc_<label>.csv) and mse.csv rows
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
 def _estimator_specs(cfg: dict):
     out = []
     for i, entry in enumerate(_field(cfg, "estimators", [dict])):
         with _config_errors(f"estimators[{i}]"):
+            _known_keys(entry, ("name", "label", "config"))
             name = _field(entry, "name", str)
             ecfg = est.make_config(name, _field(entry, "config", dict, {}))
-            out.append((_field(entry, "label", str, name), name, ecfg))
+            label = _field(entry, "label", str, name)
+            if not _LABEL.fullmatch(label):
+                raise ConfigError(f"config key 'label' must match {_LABEL.pattern}, got {label!r}")
+            out.append((label, name, ecfg))
     if len({label for label, _, _ in out}) != len(out):
         raise ConfigError("estimator labels must be unique (set 'label' to disambiguate)")
     return out
@@ -376,6 +392,14 @@ COMMANDS = {
     "anomaly": cmd_anomaly,
     "spectrum": cmd_spectrum,
 }
+# the config keys each command reads (the README's tables); any other is an error
+CONFIG_KEYS = {
+    "synth": ("p", "T", "n", "seed", "tcoeff", "scoeff", "dof"),
+    "estimate": ("input", "p", "T", "estimator", "estimator_config", "seed"),
+    "mse-bench": ("p", "T", "seed", "trials", "n_grid", "estimators", "tcoeff", "scoeff", "dof"),
+    "anomaly": ("input", "T", "stride", "train_range", "detrend_linear", "estimators", "seed"),
+    "spectrum": ("input", "kind", "p", "T", "toeplitz", "seed"),
+}
 
 
 def main(argv=None) -> int:
@@ -398,6 +422,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
+        _known_keys(cfg, CONFIG_KEYS[args.command])
         if args.seed is not None:
             cfg["seed"] = args.seed
         _field(cfg, "seed", int, None)  # every command records the seed it ran with

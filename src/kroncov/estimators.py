@@ -208,10 +208,9 @@ def _lw_terms(samples: SampleSet, plugin: DenseCovariance):
     x = samples.samples - samples.samples.mean(axis=0)
     m = np.trace(s) / d
     d2 = np.sum((s - m * np.eye(d)) ** 2) / d
-    # ||x x^T - S||^2 = |x|^4 - 2 x^T S x + ||S||^2, avoiding n outer products
+    # sum_i ||x_i x_i^T - S||^2 = sum_i |x_i|^4 - 2 <S, X^T X> + n ||S||^2: no outer products
     sq_norms = np.einsum("ij,ij->i", x, x)
-    quad = np.einsum("ij,jk,ik->i", x, s, x)
-    total = np.sum(sq_norms ** 2 - 2.0 * quad) + n * np.sum(s ** 2)
+    total = np.sum(sq_norms ** 2) - 2.0 * np.sum(s * (x.T @ x)) + n * np.sum(s ** 2)
     b2bar = total / (n * n * d)
     return b2bar, d2
 
@@ -721,7 +720,7 @@ class EstimatorSpec:
 # rebinding of those names (as a tracer does) is seen at call time.
 def _fit_scm_lw(samples, cfg):
     base = scm(samples)
-    rho = lw_intensity(samples, base)
+    rho = resolve_rho(cfg, lambda: lw_intensity(samples, base))
     return shrink(base, rho), {"rho": rho.rho}
 
 

@@ -8,7 +8,7 @@ trial (see the benchmark driver) so aggregates are order independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -42,15 +42,18 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """A known positive definite covariance with a provenance string."""
+    """A known positive definite covariance, its symmetric root and a provenance string."""
 
     sigma: DenseCovariance
     description: str
+    root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam_min = np.linalg.eigvalsh(self.sigma.entries)[0]
-        if lam_min <= 0:
-            raise ValueError(f"ground truth is not positive definite (min eig {lam_min:.3e})")
+        lam, vecs = np.linalg.eigh(self.sigma.entries)
+        if lam[0] <= 0:
+            raise ValueError(f"ground truth is not positive definite (min eig {lam[0]:.3e})")
+        root = (vecs * np.sqrt(lam)) @ vecs.T  # _symmetric_sqrt's arithmetic, so bit-identical
+        object.__setattr__(self, "root", _frozen_array(0.5 * (root + root.T)))
 
 
 def ar1_cov(dim: int, coeff: float, name: str = "coeff") -> np.ndarray:
@@ -92,10 +95,9 @@ def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> SampleSet:
     if n < 1:
         raise ValueError("need at least one sample")
     dims = truth.sigma.dims
-    root = _symmetric_sqrt(truth.sigma.entries)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, dims.pt))
-    return SampleSet(dims, n, z @ root, seed)
+    return SampleSet(dims, n, z @ truth.root, seed)
 
 
 def sample_student_t(truth: GroundTruth, dof: float, n: int, seed: int) -> SampleSet:
@@ -110,12 +112,11 @@ def sample_student_t(truth: GroundTruth, dof: float, n: int, seed: int) -> Sampl
     if n < 1:
         raise ValueError("need at least one sample")
     dims = truth.sigma.dims
-    root = _symmetric_sqrt(truth.sigma.entries)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, dims.pt))
     w = rng.chisquare(dof, size=n)
     scale = np.sqrt(dof / w)
-    return SampleSet(dims, n, (z @ root) * scale[:, None], seed)
+    return SampleSet(dims, n, (z @ truth.root) * scale[:, None], seed)
 
 
 def ar1_frame_stream(p: int, n_frames: int, tcoeff: float = 0.5,

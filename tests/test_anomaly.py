@@ -1,6 +1,10 @@
 """Detrending, windowing, scoring, and ROC tests."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kroncov import (
     ANOMALOUS,
@@ -20,6 +24,18 @@ from kroncov.anomaly import read_frame_csv, write_frame_csv, write_roc_csv
 
 def series_from(values, labels=None):
     return FrameSeries.from_arrays(np.asarray(values, dtype=float), labels=labels)
+
+
+def windows_by_loop(series, T, stride):
+    """Starts, vectors and labels of make_windows, built one window at a time."""
+    starts = np.arange(0, series.n_frames - T + 1, stride)
+    vectors = np.stack([series.values[s:s + T].reshape(-1) for s in starts])
+    frame_labels = np.zeros(series.n_frames, dtype=int) if series.labels is None else series.labels
+    labels = []
+    for s in starts:
+        frac = frame_labels[s:s + T].mean()
+        labels.append(ANOMALOUS if frac > 0.75 else NOMINAL if frac < 0.25 else EXCLUDED)
+    return starts, vectors, np.array(labels)
 
 
 class TestDetrend:
@@ -95,6 +111,22 @@ class TestMakeWindows:
         s = series_from(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             make_windows(s, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_per_window_loop(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        p = data.draw(st.integers(1, 3), label="p")
+        T = data.draw(st.integers(1, min(6, n)), label="T")
+        stride = data.draw(st.integers(1, 4), label="stride")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        labels = rng.integers(0, 2, n) if data.draw(st.booleans(), label="labeled") else None
+        series = series_from(rng.standard_normal((n, p)), labels=labels)
+        out = make_windows(series, T, stride)
+        starts, vectors, want = windows_by_loop(series, T, stride)
+        assert np.array_equal(out.starts, starts)
+        assert np.array_equal(out.vectors, vectors)
+        assert np.array_equal(out.labels, want)
 
 
 class TestMahalanobisScores:
@@ -211,6 +243,32 @@ class TestCsv:
         back = read_frame_csv(path)
         assert back.labels is None
         np.testing.assert_array_equal(back.values, s.values)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, values, labels", [
+        ("c0,c1,label\n1,2,0\n\n3,4,1\n", [[1, 2], [3, 4]], [0, 1]),
+        ('c0,c1\n"1.5",2\n3,"-4e0"\n', [[1.5, 2], [3, -4]], None),
+    ], ids=["blank-line-skipped", "quoted-numbers"])
+    def test_frame_csv_read(self, tmp_path, text, values, labels):
+        path = tmp_path / "frames.csv"
+        path.write_text(text)
+        back = read_frame_csv(path)
+        np.testing.assert_array_equal(back.values, values)
+        assert (back.labels is None) if labels is None else back.labels.tolist() == labels
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, names_path", [
+        ("", True),
+        ("c0,c1,label\n", True),
+        ("c0,c1\n1,2\n3\n", False),
+        ("c0,c1\n1,2\n  \n3,4\n", False),
+        ("c0\n1\n \n2\n", False),
+    ], ids=["empty", "header-only", "short-row", "whitespace-row", "whitespace-row-one-column"])
+    def test_malformed_frame_csv_rejected(self, tmp_path, text, names_path):
+        path = tmp_path / "frames.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path)) if names_path else None):
+            read_frame_csv(path)
 
     def test_roc_csv_written(self, tmp_path):
         curve = roc([0.9, 0.1], [ANOMALOUS, NOMINAL])

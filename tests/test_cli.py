@@ -11,10 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kroncov import ar1_kron_truth, sample_gaussian
+from kroncov import SpaceTimeDims, ar1_kron_truth, sample_gaussian, scm, shrink
+from kroncov import anomaly as anom
+from kroncov import estimators as est
 from kroncov.anomaly import FrameSeries, write_frame_csv
 from kroncov.cli import main, read_matrix_binary, write_matrix_binary
-from kroncov.synth import ar1_frame_stream, inject_anomalies, write_sample_csv
+from kroncov.synth import ar1_frame_stream, inject_anomalies, read_sample_csv, write_sample_csv
 
 
 def run_cli(command, cfg, out, tmp_path, extra=()):
@@ -142,6 +144,18 @@ class TestEstimateCommand:
         assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
         err = capsys.readouterr().err
         assert "input" in err and "needs n >= 2" in err
+
+    def test_explicit_rho_used_by_scm_lw(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        write_sample_csv(csv, sample_gaussian(ar1_kron_truth(2, 2, 0.5, 0.95), 12, 1))
+        cfg = {"input": str(csv), "p": 2, "T": 2, "estimator": "scm-lw",
+               "estimator_config": {"rho": 0.3}}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 0
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["rho"] == 0.3
+        samples = read_sample_csv(csv, SpaceTimeDims(2, 2))
+        assert np.array_equal(read_matrix_binary(tmp_path / "out" / "covariance.bin"),
+                              shrink(scm(samples), 0.3).entries)
 
     def test_numerical_failure_exit_code(self, tmp_path):
         csv = tmp_path / "s.csv"
@@ -281,6 +295,20 @@ class TestAnomalyCommand:
                "estimators": [{"name": "scm-lw"}]}
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
         assert "frame values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["sub/x", "../x", "a,b\nc", ".hidden", "", "x y"])
+    def test_label_that_is_no_file_name_stem_is_config_error(self, tmp_path, capsys,
+                                                             monkeypatch, label):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("input read or estimator fitted before the labels were checked")
+        monkeypatch.setattr(anom, "read_frame_csv", unreachable)
+        monkeypatch.setattr(est, "fit_by_name", unreachable)
+        cfg = {"input": str(tmp_path / "stream.csv"), "T": 2, "train_range": [0, 30],
+               "estimators": [{"name": "scm"}, {"name": "scm", "label": label}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
+        assert "estimators[1]: config key 'label'" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir() if p.suffix != ".json"] == ["out"]
 
     def test_singular_training_covariance_is_numerical_error(self, tmp_path):
         csv = tmp_path / "stream.csv"
@@ -463,7 +491,7 @@ def wrongly_typed_configs(draw, base):
     return command, path, with_field(base[command], path, value)
 
 
-# probes that exited 3, or 0 after a silent coercion, before the typed reader
+# probes that exited 3, or 0 after a silent coercion or a silently ignored key
 PROBES = [
     ("mse-bench", {"trials": "x"}, "'trials'"),
     ("mse-bench", {"n_grid": ["a"]}, "'n_grid[0]'"),
@@ -489,6 +517,14 @@ PROBES = [
     ("mse-bench", {"estimators": [{"name": "kronpca", "config": {"diag_correct": True}}]},
      "diag_correct=True contradicts"),
     ("estimate", {"input": "."}, "input"),
+    ("anomaly", {"estimators": [{"name": "scm", "label": "sub/x"}]},
+     "estimators[0]: config key 'label'"),
+    ("mse-bench", {"estimators": [{"name": "scm", "label": "a,b\nc"}]},
+     "estimators[0]: config key 'label'"),
+    ("anomaly", {"stide": 5}, "'stide'"),
+    ("mse-bench", {"estimators": [{"name": "kronpca", "confg": {"r": 2}}]},
+     "estimators[0]: unknown config key 'confg'"),
+    ("synth", {"dfo": 3}, "'dfo'"),
 ]
 
 
@@ -519,6 +555,19 @@ class TestConfigSchema:
         root, base = schema_inputs
         assert run_config(root, command, {**base[command], **override}) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SCHEMA))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_undocumented_key_exits_2_naming_it(self, schema_inputs, capsys, command, data):
+        root, base = schema_inputs
+        documented = {path[0] for path, _, _ in SCHEMA[command]}
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in documented))
+        value = data.draw(st.one_of(st.none(), st.integers(), texts, lists, objects))
+        capsys.readouterr()
+        assert run_config(root, command, {**base[command], key: value}) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_integral_numbers_read_as_integers(self, schema_inputs, tmp_path):
         root, base = schema_inputs

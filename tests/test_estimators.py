@@ -125,6 +125,19 @@ class TestLwIntensity:
             medians.append(np.median(rhos))
         assert medians[0] > medians[1] > medians[2]
 
+    @pytest.mark.parametrize("plugin", ["scm", "random-spd"])
+    def test_scatter_term_equals_the_sum_over_samples(self, plugin):
+        rng = np.random.default_rng(4)
+        n, d = 60, 6
+        samples = sample_set(rng.standard_normal((n, d)) @ random_spd(rng, d), p=3, T=2)
+        s = scm(samples).entries if plugin == "scm" else random_spd(rng, d, cond=100.0)
+        x = samples.samples - samples.samples.mean(axis=0)
+        b2bar = sum(np.sum((np.outer(xi, xi) - s) ** 2) for xi in x) / (n * n * d)
+        d2 = np.sum((s - np.trace(s) / d * np.eye(d)) ** 2) / d
+        assert b2bar < d2  # rho below 1, so the scatter term sets it
+        rho = lw_intensity(samples, DenseCovariance(samples.dims, s)).rho
+        np.testing.assert_allclose(rho, b2bar / d2, rtol=1e-12)
+
     def test_needs_two_samples(self):
         samples = sample_set([[1.0, 0.0]])
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from kroncov import (
     sample_gaussian,
     sample_student_t,
 )
-from kroncov.synth import ar1_frame_stream, read_sample_csv, write_sample_csv
+from kroncov.synth import _symmetric_sqrt, ar1_frame_stream, read_sample_csv, write_sample_csv
 
 
 class TestAr1Cov:
@@ -75,6 +75,27 @@ class TestGaussianSampler:
         truth = ar1_kron_truth(3, 2, 0.5, 0.95)
         sset = sample_gaussian(truth, 1, 0)
         assert sset.samples.shape == (1, 6)
+
+
+class TestSamplerRoot:
+    def test_samplers_apply_the_symmetric_root_bit_for_bit(self):
+        truth = ar1_kron_truth(4, 3, 0.5, 0.95)
+        root = _symmetric_sqrt(truth.sigma.entries)
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((9, 12))
+        scale = np.sqrt(3.0 / rng.chisquare(3.0, size=9))
+        assert np.array_equal(sample_gaussian(truth, 9, 13).samples, z @ root)
+        assert np.array_equal(sample_student_t(truth, 3.0, 9, 13).samples,
+                              (z @ root) * scale[:, None])
+
+    def test_sampling_runs_no_eigendecomposition(self, monkeypatch):
+        truth = ar1_kron_truth(3, 2, 0.5, 0.95)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler factorized the truth")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert sample_gaussian(truth, 5, 0).samples.shape == (5, 6)
+        assert sample_student_t(truth, 3.0, 5, 0).samples.shape == (5, 6)
 
 
 class TestStudentTSampler:

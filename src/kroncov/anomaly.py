@@ -44,10 +44,13 @@ class FrameSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "timestamps", timestamps)
         if self.labels is not None:
-            labels = _frozen_array(self.labels, dtype=int)
+            labels = np.asarray(self.labels)
             if labels.shape != (values.shape[0],):
                 raise ValueError("labels must align 1:1 with frames")
-            object.__setattr__(self, "labels", labels)
+            bad = labels[~np.isin(labels, (0, 1))]
+            if bad.size:
+                raise ValueError(f"labels must be exactly 0 or 1, found {bad[0]}")
+            object.__setattr__(self, "labels", _frozen_array(labels, dtype=int))
 
     @classmethod
     def from_arrays(cls, values, labels=None, timestamps=None) -> "FrameSeries":
@@ -203,7 +206,7 @@ def read_frame_csv(path) -> FrameSeries:
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: rows do not match the header width")
     if header[-1].strip().strip('"').lower() == "label":
-        return FrameSeries.from_arrays(data[:, :-1], labels=data[:, -1].astype(int))
+        return FrameSeries.from_arrays(data[:, :-1], labels=data[:, -1])
     return FrameSeries.from_arrays(data)
 
 

@@ -28,6 +28,7 @@ from .kron_ops import (
     compress_diagonals,
     diag_mask,
     expand_diagonals,
+    is_symmetric,
     kron_assemble,
     rearrange,
 )
@@ -246,14 +247,32 @@ def _thresholded_svd(m: np.ndarray, tau: float, max_rank: int | None):
     """SVD triples after soft thresholding and rank capping.
 
     Returns (u, s, vt, nuclear) with numerically-zero components dropped.
+    The factorization runs on the short side: with a = m or m^T, whichever
+    has fewer rows, an eigh of the Gram matrix a a^T gives the left vectors
+    u_i of a, each singular value is the Rayleigh-Ritz value ||a^T u_i||
+    and each right vector is a^T u_i / sigma_i.  Values are within about
+    eps * sigma_1 of the exact ones, except that an exact zero reads about
+    eps * sigma_1^2 / sigma_min, sigma_min the smallest nonzero value: when
+    that is below about 1e-4 sigma_1, a rank-deficient input without a rank
+    cap can keep such a spurious component (with a non-orthogonal vector;
+    the reconstruction stays accurate).  Every fit caps the rank at cfg.r.
     """
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=False)
-    s_thr = np.maximum(s - tau, 0.0)
+    m = np.asarray(m, dtype=float)
+    a = m if m.shape[0] <= m.shape[1] else m.T
+    _, left = np.linalg.eigh(a @ a.T)
+    w = left.T @ a
+    s = np.linalg.norm(w, axis=1)
+    order = np.argsort(-s, kind="stable")
+    s_thr = np.maximum(s[order] - tau, 0.0)
     if max_rank is not None:
         s_thr[max_rank:] = 0.0
     top = s_thr[0] if s_thr.size else 0.0
     keep = s_thr > 1e-13 * max(top, 1e-300)
-    return u[:, keep], s_thr[keep], vt[keep], float(s_thr.sum())
+    rows = order[keep]
+    u, vt = left[:, rows], w[rows] / s[rows, None]
+    if a is not m:
+        u, vt = vt.T, u.T
+    return u, s_thr[keep], vt, float(s_thr.sum())
 
 
 def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConfig) -> SoftImputeResult:
@@ -414,6 +433,23 @@ def _model_dof_fraction(model: KronModel) -> float:
     return min(1.0, dof / (T * T * p * p))
 
 
+def _min_eigenvalue(model: KronModel, kron_cov: DenseCovariance) -> float:
+    """Smallest eigenvalue of the model's covariance kron_cov.
+
+    One term w T (x) S + I (x) diag(u) with symmetric factors is
+    block-diagonalized by the eigenvectors of T (x) I into the p x p blocks
+    w lam_t S + diag(u), lam_t the eigenvalues of T: T eigenproblems of
+    size p instead of one of size pT.  A sum of several terms has no such
+    split and takes the dense route.
+    """
+    if len(model.factors) == 1:
+        (w, tm, sm), = model.factors
+        if is_symmetric(tm) and is_symmetric(sm):
+            blocks = w * np.linalg.eigvalsh(tm)[:, None, None] * sm + np.diag(model.u)
+            return float(np.linalg.eigvalsh(blocks).min())
+    return float(np.linalg.eigvalsh(kron_cov.entries)[0])
+
+
 def kron_plugin_intensity(samples: SampleSet, model: KronModel,
                           kron_cov: DenseCovariance) -> ShrinkageIntensity:
     """Plug-in intensity matched to a structured pilot estimate.
@@ -431,7 +467,7 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
 
     d = samples.dims.pt
     m = np.trace(kron_cov.entries) / d
-    lam_min = np.linalg.eigvalsh(kron_cov.entries)[0]
+    lam_min = _min_eigenvalue(model, kron_cov)
     # conditioning floor: lift the spectrum past the pilot's own negative
     # dip (its factor-noise scale) so the shrunk estimate is safely
     # invertible for downstream quadratic forms

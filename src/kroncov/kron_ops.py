@@ -32,6 +32,12 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def is_symmetric(a: np.ndarray) -> bool:
+    """max|a - a^T| is within SYMMETRY_RTOL of max|a|."""
+    scale = np.abs(a).max() if a.size else 0.0
+    return np.abs(a - a.T).max() <= SYMMETRY_RTOL * max(scale, 1e-300)
+
+
 @dataclass(frozen=True)
 class SpaceTimeDims:
     """Grid sizes: p spatial variables per frame, T frames per window."""
@@ -67,12 +73,11 @@ class DenseCovariance:
                 f"covariance shape {entries.shape} does not match dims "
                 f"(p={self.dims.p}, T={self.dims.T}, pT={n})"
             )
-        scale = np.abs(entries).max() if entries.size else 0.0
-        asym = np.abs(entries - entries.T).max()
-        if asym > SYMMETRY_RTOL * max(scale, 1e-300):
+        if not is_symmetric(entries):
+            asym = np.abs(entries - entries.T).max()
             raise ValueError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} "
-                f"exceeds {SYMMETRY_RTOL:.0e} * max|entry| = {SYMMETRY_RTOL * scale:.3e}"
+                f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
+                f"{SYMMETRY_RTOL:.0e} * max|entry| = {SYMMETRY_RTOL * np.abs(entries).max():.3e}"
             )
         object.__setattr__(self, "entries", entries)
 
@@ -169,8 +174,9 @@ def compress_diagonals(rows: np.ndarray, T: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.shape[0] != T * T:
         raise ValueError(f"expected {T * T} rows, got {rows.shape[0]}")
-    out = np.zeros((2 * T - 1, rows.shape[1]))
-    np.add.at(out, row_offsets(T) + T - 1, rows)
+    # row k = j*T + i of rows is block (i, j), so grid[j, i] sits on offset j - i
+    grid = rows.reshape(T, T, rows.shape[1])
+    out = np.array([np.trace(grid, offset=-o) for o in range(-(T - 1), T)])
     return out / diagonal_weights(T)[:, None]
 
 

@@ -224,6 +224,17 @@ class TestFrameSeries:
         with pytest.raises(ValueError, match="frame values must be finite"):
             series_from(values)
 
+    @pytest.mark.parametrize("bad", [0.9, 7, -1, 0.5, np.nan, np.inf])
+    def test_labels_other_than_zero_or_one_rejected(self, bad):
+        with pytest.raises(ValueError, match="labels must be exactly 0 or 1"):
+            series_from(np.zeros((4, 2)), labels=[0.0, 1.0, bad, 0.0])
+
+    def test_label_column_read_unconverted(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        path.write_text("c0,c1,label\n1,2,0\n3,4,0.9\n")
+        with pytest.raises(ValueError, match="labels must be exactly 0 or 1, found 0.9"):
+            read_frame_csv(path)
+
 
 class TestCsv:
     def test_frame_roundtrip_with_labels(self, tmp_path):

@@ -296,6 +296,18 @@ class TestAnomalyCommand:
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
         assert "frame values must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["0.9", "7", "nan"])
+    def test_label_other_than_zero_or_one_is_config_error(self, tmp_path, capsys, bad):
+        csv = tmp_path / "stream.csv"
+        make_stream_csv(csv, seed=4, n_train=30, n_test=60)
+        lines = csv.read_text().splitlines()
+        lines[40] = lines[40].rsplit(",", 1)[0] + "," + bad
+        csv.write_text("\n".join(lines) + "\n")
+        cfg = {"input": str(csv), "T": 5, "train_range": [0, 30],
+               "estimators": [{"name": "scm-lw"}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
+        assert "labels must be exactly 0 or 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("label", ["sub/x", "../x", "a,b\nc", ".hidden", "", "x y"])
     def test_label_that_is_no_file_name_stem_is_config_error(self, tmp_path, capsys,
                                                              monkeypatch, label):

@@ -4,11 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from kroncov import (
     DenseCovariance,
     EstimatorConfig,
+    KronModel,
     SampleSet,
     ShrinkageIntensity,
     SpaceTimeDims,
@@ -30,7 +33,15 @@ from kroncov import (
     soft_impute,
     svt,
 )
-from kroncov.estimators import ESTIMATORS, components_for_energy, fit_by_name, make_config
+from kroncov import estimators as est
+from kroncov.estimators import (
+    ESTIMATORS,
+    _thresholded_svd,
+    components_for_energy,
+    fit_by_name,
+    kron_plugin_intensity,
+    make_config,
+)
 from kroncov.cli import trial_seed
 
 
@@ -164,6 +175,91 @@ class TestSvt:
         sv_in = np.linalg.svd(m, compute_uv=False)
         expected = np.maximum(sv_in[:3] - tau, 0.0).sum()
         assert np.linalg.svd(out, compute_uv=False).sum() == pytest.approx(expected, abs=1e-10)
+
+
+def thresholded_svd_by_lapack(m, tau, max_rank):
+    """_thresholded_svd computed from a LAPACK SVD, kept as its reference."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    s_thr = np.maximum(s - tau, 0.0)
+    if max_rank is not None:
+        s_thr[max_rank:] = 0.0
+    top = s_thr[0] if s_thr.size else 0.0
+    keep = s_thr > 1e-13 * max(top, 1e-300)
+    return u[:, keep], s_thr[keep], vt[keep], float(s_thr.sum())
+
+
+@st.composite
+def svd_inputs(draw):
+    """A matrix of one of five shapes, scaled by 10^-6 .. 10^6, with a
+    threshold tau (a fraction of sigma_1) and an optional rank cap."""
+    kind = draw(st.sampled_from(["wide", "tall", "square", "rank-deficient", "zero"]))
+    short, long = draw(st.integers(2, 12)), draw(st.integers(13, 52))
+    shapes = {"wide": (short, long), "tall": (long, short), "square": (short, short)}
+    rows, cols = shapes.get(kind) or draw(st.permutations([short, long]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if kind == "zero":
+        m = np.zeros((rows, cols))
+    elif kind == "rank-deficient":
+        rank = draw(st.integers(1, short - 1))
+        m = scale * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    else:
+        m = scale * rng.standard_normal((rows, cols))
+    sigma1 = np.linalg.norm(m, 2)
+    tau = draw(st.sampled_from([0.0, 0.1, 0.5, 1.5])) * sigma1
+    max_rank = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return m, tau, max_rank
+
+
+class TestThresholdedSvd:
+    """The Gram-matrix route against a LAPACK SVD of the same matrix."""
+
+    def check_against_lapack(self, m, tau, max_rank):
+        u, s, vt, nuclear = _thresholded_svd(m, tau, max_rank)
+        u_ref, s_ref, vt_ref, nuclear_ref = thresholded_svd_by_lapack(m, tau, max_rank)
+        sv = np.linalg.svd(m, compute_uv=False)
+        tol = 1e-12 * max(sv[0], 1.0)
+        width = max(len(s), len(s_ref))
+        np.testing.assert_allclose(np.pad(s, (0, width - len(s))),
+                                   np.pad(s_ref, (0, width - len(s_ref))), rtol=0, atol=tol)
+        assert nuclear == pytest.approx(nuclear_ref, rel=0, abs=tol * len(sv))
+        assert u.shape == (m.shape[0], len(s)) and vt.shape == (len(s), m.shape[1])
+        np.testing.assert_allclose((u * s) @ vt, (u_ref * s_ref) @ vt_ref, rtol=0, atol=tol)
+        if len(s):
+            # one side comes from eigh, the other is a^T u_i / sigma_i, whose
+            # orthogonality error grows as (sigma_1 / sigma_i)^2
+            ortho_tol = 1e-12 * (sv[0] / (s[-1] + tau)) ** 2
+            for vecs in (u.T @ u, vt @ vt.T):
+                np.testing.assert_allclose(vecs, np.eye(len(s)), rtol=0, atol=ortho_tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(svd_inputs())
+    def test_matches_lapack(self, case):
+        m, tau, max_rank = case
+        sv = np.linalg.svd(m, compute_uv=False)
+        if max_rank is not None and max_rank < len(sv):
+            # a rank cap through a near-tie of kept values has no unique answer
+            kept = sv[max_rank - 1] - tau
+            assume(sv[max_rank - 1] - sv[max_rank] > 1e-3 * sv[0]
+                   or kept < 1e-12 * max(sv[0], 1.0))
+        self.check_against_lapack(m, tau, max_rank)
+
+    @pytest.mark.parametrize("shape", [(19, 10_000), (100, 10_000)],
+                             ids=["compressed-paper-scale", "rearranged-paper-scale"])
+    def test_paper_scale(self, shape):
+        m = np.random.default_rng(11).standard_normal(shape)
+        self.check_against_lapack(m, 0.0, 1)
+        self.check_against_lapack(m.T, 0.5 * np.linalg.norm(m, 2), None)
+
+    def test_graded_rank_deficient_reconstruction(self):
+        # nonzero values far below sigma_1 beside exact zeros: the spurious
+        # components the Gram route may keep still reconstruct the input
+        rng = np.random.default_rng(12)
+        q1, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        q2, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+        m = (q1 * [1.0, 1e-5, 1e-8, 0.0, 0.0, 0.0]) @ q2.T
+        u, s, vt, _ = _thresholded_svd(m, 0.0, None)
+        np.testing.assert_allclose((u * s) @ vt, m, rtol=0, atol=1e-15)
 
 
 class TestSoftImpute:
@@ -364,6 +460,106 @@ class TestDcKronpcaLw:
         cov = dc_kronpca_lw(samples, cfg)
         m = np.trace(cov.entries) / 6
         np.testing.assert_allclose(cov.entries, m * np.eye(6), atol=1e-12)
+
+
+def symmetric_unit(rng, n, toeplitz_form=False):
+    """A random symmetric (optionally Toeplitz) matrix of unit Frobenius norm,
+    mostly positive with eigenvalues that may dip below zero, as a fitted
+    factor's do."""
+    if toeplitz_form:
+        a = toeplitz(rng.uniform(-0.3, 1.0) ** np.arange(n) + 0.3 * rng.standard_normal(n))
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * rng.uniform(-0.3, 1.0, n)) @ q.T
+        a = 0.5 * (a + a.T)
+    return a / np.linalg.norm(a)
+
+
+def kron_model(p, T, terms, u, toeplitz_form=False):
+    dims = SpaceTimeDims(p, T)
+    terms = sorted(terms, key=lambda f: -abs(f[0]))
+    return KronModel(dims, terms, np.asarray(u, dtype=float), [],
+                     EstimatorConfig(r=max(len(terms), 1), toeplitz=toeplitz_form))
+
+
+def dense_min_eigenvalue(model, kron_cov):
+    """The smallest eigenvalue from a dense pT x pT eigvalsh, kept as the reference."""
+    return float(np.linalg.eigvalsh(kron_cov.entries)[0])
+
+
+class TestPluginMinEigenvalue:
+    """kron_plugin_intensity's lambda_min against a dense eigvalsh."""
+
+    def assert_matches_dense(self, model, monkeypatch):
+        samples = sample_gaussian(ar1_kron_truth(model.dims.p, model.dims.T, 0.5, 0.9), 400, 5)
+        kron_cov = model.covariance()
+        lam = est._min_eigenvalue(model, kron_cov)
+        lam_ref = dense_min_eigenvalue(model, kron_cov)
+        assert lam == pytest.approx(lam_ref, rel=0, abs=1e-12 * np.abs(kron_cov.entries).max())
+        rho = kron_plugin_intensity(samples, model, kron_cov).rho
+        with monkeypatch.context() as patch:
+            patch.setattr(est, "_min_eigenvalue", dense_min_eigenvalue)
+            rho_ref = kron_plugin_intensity(samples, model, kron_cov).rho
+        assert rho == pytest.approx(rho_ref, rel=0, abs=1e-12)
+        return rho
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(1, 6), T=st.integers(1, 6), toeplitz_form=st.booleans(),
+           sign=st.sampled_from([1.0, -1.0]), with_u=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_term_matches_dense(self, p, T, toeplitz_form, sign, with_u, seed):
+        rng = np.random.default_rng(seed)
+        tm = symmetric_unit(rng, T, toeplitz_form)
+        if np.trace(tm) < 0:
+            tm = -tm
+        term = (sign * rng.uniform(0.5, 5.0), tm, symmetric_unit(rng, p))
+        u = rng.uniform(0.0, 2.0, p) if with_u else np.zeros(p)
+        # hypothesis's monkeypatch fixture is function-scoped, so take a fresh one
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_matches_dense(kron_model(p, T, [term], u, toeplitz_form), monkeypatch)
+
+    def test_conditioning_floor_case_matches_dense(self, monkeypatch):
+        # a pilot whose lambda_min sets rho through the conditioning floor
+        tm = toeplitz(0.6 ** np.arange(4))
+        sm = np.diag([1.0, 0.5, -0.05])
+        model = kron_model(3, 4, [(2.0, tm / np.linalg.norm(tm), sm / np.linalg.norm(sm))],
+                           np.zeros(3), toeplitz_form=True)
+        kron_cov = model.covariance()
+        lam, m = dense_min_eigenvalue(model, kron_cov), np.trace(kron_cov.entries) / 12
+        assert lam < -lam < m
+        rho = self.assert_matches_dense(model, monkeypatch)
+        assert rho == pytest.approx(-2.0 * lam / (m - lam), rel=1e-12)
+
+    def test_two_terms_match_dense(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        terms = [(3.0, symmetric_unit(rng, 4), symmetric_unit(rng, 3)),
+                 (-1.0, symmetric_unit(rng, 4), symmetric_unit(rng, 3))]
+        self.assert_matches_dense(kron_model(3, 4, terms, rng.uniform(0, 1, 3)), monkeypatch)
+
+    def test_antisymmetric_term_matches_dense(self, monkeypatch):
+        # antisymmetric (x) antisymmetric is a symmetric covariance, but the
+        # eigenvalues of the factors do not split it
+        rng = np.random.default_rng(22)
+        a, b = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
+        tm, sm = a - a.T, b - b.T
+        model = kron_model(4, 3, [(2.0, tm / np.linalg.norm(tm), sm / np.linalg.norm(sm))],
+                           np.full(4, 0.5))
+        self.assert_matches_dense(model, monkeypatch)
+
+    def test_one_term_fit_has_no_dense_eigvalsh(self, monkeypatch):
+        truth = ar1_kron_truth(5, 4, 0.5, 0.95)
+        samples = sample_gaussian(truth, 12, 23)
+        real = np.linalg.eigvalsh
+
+        def refuse_dense(a, *args, **kwargs):
+            assert np.shape(a)[-1] != samples.dims.pt, "dense pT x pT eigvalsh on a one-term fit"
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_dense)
+        cfg = EstimatorConfig(r=1, beta=0.0, toeplitz=True, diag_correct=True)
+        cov, info = dc_kronpca_lw(samples, cfg, full_output=True)
+        assert len(info["model"].factors) == 1
+        assert info["rho"] > 0
 
 
 class TestChenTyler:

@@ -1,6 +1,8 @@
 """Operator tests against loop-based index oracles and exact identities."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kroncov import (
     DenseCovariance,
@@ -15,6 +17,7 @@ from kroncov import (
     toeplitz_embed,
     toeplitz_project,
 )
+from kroncov.kron_ops import compress_diagonals, diagonal_weights, row_offsets
 
 
 def rearrange_oracle(entries, p, T):
@@ -165,6 +168,22 @@ class TestToeplitzProject:
             np.testing.assert_allclose(
                 toeplitz_project(r).entries, project_oracle(rows, p, T), atol=1e-13
             )
+
+
+def compress_by_add_at(rows, T):
+    """The scatter-add form of compress_diagonals, kept as its reference."""
+    out = np.zeros((2 * T - 1, rows.shape[1]))
+    np.add.at(out, row_offsets(T) + T - 1, rows)
+    return out / diagonal_weights(T)[:, None]
+
+
+class TestCompressDiagonals:
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.integers(1, 8), cols=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_scatter_add(self, T, cols, seed):
+        rows = np.random.default_rng(seed).standard_normal((T * T, cols))
+        np.testing.assert_allclose(compress_diagonals(rows, T), compress_by_add_at(rows, T),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestToeplitzEmbed:

@@ -213,7 +213,7 @@ def cmd_estimate(cfg: dict, out: Path, threads: int = 1) -> None:
     if info.get("model") is not None:
         write_json(out / "model.json", info["model"].to_json_dict())
 
-    lam = np.linalg.eigvalsh(cov.entries)
+    lam = cov.eigvalsh()
     trace = info["model"].objective_trace if info.get("model") is not None else []
     diagnostics = {
         "estimator": name,
@@ -328,6 +328,12 @@ def cmd_anomaly(cfg: dict, out: Path, threads: int = 1) -> None:
     test_windows = anom.WindowSet(T=T, stride=stride, starts=windows.starts[keep],
                                   vectors=windows.vectors[keep], labels=test_labels)
     n_excluded = int((outside & (windows.labels == anom.EXCLUDED)).sum())
+    n_anomalous = int((test_labels == anom.ANOMALOUS).sum())
+    n_nominal = int((test_labels == anom.NOMINAL).sum())
+    if not (n_anomalous and n_nominal):
+        raise ConfigError(
+            f"train_range: the windows outside it hold {n_anomalous} anomalous and "
+            f"{n_nominal} nominal windows by the label column; the ROC needs both")
 
     summary = {}
     for label, name, ecfg in specs:
@@ -338,8 +344,8 @@ def cmd_anomaly(cfg: dict, out: Path, threads: int = 1) -> None:
         doc = {
             "estimator": label,
             "auc": curve.auc,
-            "n_anomalous": int((test_labels == anom.ANOMALOUS).sum()),
-            "n_nominal": int((test_labels == anom.NOMINAL).sum()),
+            "n_anomalous": n_anomalous,
+            "n_nominal": n_nominal,
             "n_excluded": n_excluded,
             "converged": bool(info["converged"]),
             "config_hash": config_hash(cfg),

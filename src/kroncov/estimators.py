@@ -24,12 +24,11 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .kron_ops import (
     DenseCovariance,
+    KronCovariance,
     SpaceTimeDims,
     compress_diagonals,
     diag_mask,
     expand_diagonals,
-    is_symmetric,
-    kron_assemble,
     rearrange,
 )
 from .synth import SampleSet
@@ -118,9 +117,8 @@ class KronModel:
                 if np.abs(tm - prof).max() > 1e-12 * max(np.abs(tm).max(), 1e-300):
                     raise ValueError("temporal factor of a Toeplitz fit is not Toeplitz")
 
-    def covariance(self) -> DenseCovariance:
-        pairs = [(w * tm, sm) for w, tm, sm in self.factors]
-        return kron_assemble(self.dims, pairs, self.u)
+    def covariance(self) -> KronCovariance:
+        return KronCovariance(self.dims, [(w * tm, sm) for w, tm, sm in self.factors], self.u)
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,11 +152,15 @@ class KronModel:
 
 @dataclass(frozen=True)
 class SoftImputeResult:
+    """The completion z, its objective trace and stop state, and the
+    thresholded SVD triples (u, s, vt) with z = (u * s) @ vt."""
+
     z: np.ndarray
     objective_trace: list
     converged: bool
     iterations: int
     final_change: float
+    triples: tuple
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -186,12 +188,20 @@ def scm(samples: SampleSet) -> DenseCovariance:
     return DenseCovariance(samples.dims, _sym(x.T @ x / samples.n))
 
 
-def shrink(sigma: DenseCovariance, rho) -> DenseCovariance:
-    """(1 - rho) * sigma + rho * (trace(sigma)/pT) * I; preserves the trace."""
+def shrink(sigma: DenseCovariance | KronCovariance, rho) -> DenseCovariance | KronCovariance:
+    """(1 - rho) * sigma + rho * (trace(sigma)/pT) * I; preserves the trace.
+
+    A KronCovariance stays one: its pairs scale by 1 - rho and the
+    identity goes into its diagonal term.
+    """
     r = _rho_value(rho)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {r}")
     d = sigma.dims.pt
+    if isinstance(sigma, KronCovariance):
+        target = sigma.trace() / d
+        return KronCovariance(sigma.dims, [((1.0 - r) * tm, sm) for tm, sm in sigma.pairs],
+                              (1.0 - r) * sigma.d + r * target)
     target = np.trace(sigma.entries) / d
     out = (1.0 - r) * sigma.entries + (r * target) * np.eye(d)
     return DenseCovariance(sigma.dims, out)
@@ -291,6 +301,7 @@ def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConf
         raise ValueError("beta must be nonnegative")
 
     z = np.zeros_like(b)
+    triples = ()
     trace: list[float] = []
     converged = False
     change = 0.0
@@ -298,6 +309,7 @@ def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConf
     for iterations in range(1, cfg.max_iter + 1):
         filled = mask * b + (1.0 - mask) * z
         u, s, vt, nuclear = _thresholded_svd(filled, beta / 2.0, cfg.r)
+        triples = (u, s, vt)
         z_new = (u * s) @ vt
         obj = float(np.sum((mask * (b - z_new)) ** 2) + beta * nuclear)
         if trace and obj > trace[-1] + 1e-8 * max(1.0, abs(trace[-1])):
@@ -315,7 +327,7 @@ def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConf
             f"soft_impute did not converge in {cfg.max_iter} iterations "
             f"(final relative change {change:.3e})"
         )
-    return SoftImputeResult(z, trace, converged, iterations, change)
+    return SoftImputeResult(z, trace, converged, iterations, change, triples)
 
 
 def _extract_factors(u: np.ndarray, svals: np.ndarray, vt: np.ndarray,
@@ -384,9 +396,12 @@ def set_diag_correction(sigma: DenseCovariance, lowrank: DenseCovariance) -> np.
     floored at zero: u_m = max(0, mean_t [sigma - lowrank]_(t,m),(t,m))."""
     if sigma.dims != lowrank.dims:
         raise ValueError("dims mismatch between covariance and low-rank part")
-    p, T = sigma.dims.p, sigma.dims.T
-    resid = np.diag(sigma.entries - lowrank.entries).reshape(T, p)
-    return np.maximum(resid.mean(axis=0), 0.0)
+    return _floored_time_mean(np.diag(sigma.entries) - np.diag(lowrank.entries), sigma.dims)
+
+
+def _floored_time_mean(resid: np.ndarray, dims: SpaceTimeDims) -> np.ndarray:
+    """max(0, mean over the T frames) of a length-pT diagonal residual."""
+    return np.maximum(resid.reshape(dims.T, dims.p).mean(axis=0), 0.0)
 
 
 def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
@@ -395,7 +410,8 @@ def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     The covariance diagonal is masked out of the rearranged data, the
     remaining entries get a rank-capped nuclear-norm completion (in
     compressed diagonal space when the toeplitz flag is set), and the
-    left-over diagonal goes into the I (x) diag(u) term.
+    left-over diagonal goes into the I (x) diag(u) term: the diagonal of
+    a term w T (x) S is w diag(T) (x) diag(S), so no pT x pT matrix is formed.
     """
     if not cfg.diag_correct:
         raise ValueError("dc_kronpca requires diag_correct=True; use kronpca otherwise")
@@ -403,10 +419,11 @@ def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     mask = diag_mask(dims)
     b = _rearranged(sigma, cfg.toeplitz)
     result = soft_impute(b, mask.compressed if cfg.toeplitz else mask.full, cfg.beta, cfg)
-    u, s, vt, _ = _thresholded_svd(result.z, 0.0, cfg.r)
-    factors = _extract_factors(u, s, vt, dims, cfg.toeplitz)
-    lowrank = kron_assemble(dims, [(w * tm, sm) for w, tm, sm in factors])
-    uvec = set_diag_correction(sigma, lowrank)
+    factors = _extract_factors(*result.triples, dims, cfg.toeplitz)
+    lowrank = np.zeros(dims.pt)
+    for w, tm, sm in factors:
+        lowrank += np.kron(w * np.diag(tm), np.diag(sm))
+    uvec = _floored_time_mean(np.diag(sigma.entries) - lowrank, dims)
     return KronModel(
         dims=dims,
         factors=factors,
@@ -433,25 +450,14 @@ def _model_dof_fraction(model: KronModel) -> float:
     return min(1.0, dof / (T * T * p * p))
 
 
-def _min_eigenvalue(model: KronModel, kron_cov: DenseCovariance) -> float:
-    """Smallest eigenvalue of the model's covariance kron_cov.
-
-    One term w T (x) S + I (x) diag(u) with symmetric factors is
-    block-diagonalized by the eigenvectors of T (x) I into the p x p blocks
-    w lam_t S + diag(u), lam_t the eigenvalues of T: T eigenproblems of
-    size p instead of one of size pT.  A sum of several terms has no such
-    split and takes the dense route.
-    """
-    if len(model.factors) == 1:
-        (w, tm, sm), = model.factors
-        if is_symmetric(tm) and is_symmetric(sm):
-            blocks = w * np.linalg.eigvalsh(tm)[:, None, None] * sm + np.diag(model.u)
-            return float(np.linalg.eigvalsh(blocks).min())
-    return float(np.linalg.eigvalsh(kron_cov.entries)[0])
+def _min_eigenvalue(kron_cov: KronCovariance) -> float:
+    """Smallest eigenvalue of a model's covariance, from T eigenproblems
+    of size p where the covariance splits (:meth:`KronCovariance.eigvalsh`)."""
+    return float(kron_cov.eigvalsh()[0])
 
 
 def kron_plugin_intensity(samples: SampleSet, model: KronModel,
-                          kron_cov: DenseCovariance) -> ShrinkageIntensity:
+                          kron_cov: KronCovariance) -> ShrinkageIntensity:
     """Plug-in intensity matched to a structured pilot estimate.
 
     The plug-in scatter b2bar estimates the variance of the unstructured
@@ -466,8 +472,8 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
     rho = min(b2bar * _model_dof_fraction(model), d2) / d2
 
     d = samples.dims.pt
-    m = np.trace(kron_cov.entries) / d
-    lam_min = _min_eigenvalue(model, kron_cov)
+    m = kron_cov.trace() / d
+    lam_min = _min_eigenvalue(kron_cov)
     # conditioning floor: lift the spectrum past the pilot's own negative
     # dip (its factor-noise scale) so the shrunk estimate is safely
     # invertible for downstream quadratic forms
@@ -484,6 +490,7 @@ def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = 
 
     With rho="auto" the intensity is the structured plug-in of
     :func:`kron_plugin_intensity`; an explicit cfg.rho is used verbatim.
+    The estimate is a KronCovariance: the shrunk factors and diagonal.
     """
     if samples.n < 2:
         raise ValueError("need at least two samples")

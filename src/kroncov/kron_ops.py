@@ -20,6 +20,7 @@ construction so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,10 @@ class DenseCovariance:
                 f"{SYMMETRY_RTOL:.0e} * max|entry| = {SYMMETRY_RTOL * np.abs(entries).max():.3e}"
             )
         object.__setattr__(self, "entries", entries)
+
+    def eigvalsh(self) -> np.ndarray:
+        """All pT eigenvalues in ascending order."""
+        return np.linalg.eigvalsh(self.entries)
 
 
 @dataclass(frozen=True)
@@ -240,6 +245,78 @@ def kron_assemble(dims: SpaceTimeDims, factors, u=None) -> DenseCovariance:
         uvec = np.broadcast_to(np.asarray(u, dtype=float), (p,))
         total += np.kron(np.eye(T), np.diag(uvec))
     return DenseCovariance(dims, total)
+
+
+@dataclass(frozen=True, eq=False)
+class KronCovariance:
+    """sum_i T_i (x) S_i + I (x) diag(d), carried as its factors.
+
+    `pairs` holds (temporal T x T, spatial p x p) pairs with any weight
+    folded into them; `d` is the length-p diagonal of the I (x) diag(d)
+    term.  `entries` assembles the dense matrix through
+    :func:`kron_assemble` on first use and keeps it.
+    """
+
+    dims: SpaceTimeDims
+    pairs: tuple
+    d: np.ndarray
+
+    def __post_init__(self):
+        p, T = self.dims.p, self.dims.T
+        pairs = tuple((_frozen_array(tm), _frozen_array(sm)) for tm, sm in self.pairs)
+        for tm, sm in pairs:
+            if tm.shape != (T, T) or sm.shape != (p, p):
+                raise ValueError(
+                    f"factor shapes {tm.shape}, {sm.shape} do not match dims (T={T}, p={p})"
+                )
+        d = _frozen_array(np.broadcast_to(np.asarray(self.d, dtype=float), (p,)))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "d", d)
+
+    def to_dense(self) -> DenseCovariance:
+        return kron_assemble(self.dims, self.pairs, self.d)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return self.to_dense().entries
+
+    def trace(self) -> float:
+        return float(sum(np.trace(tm) * np.trace(sm) for tm, sm in self.pairs)
+                     + self.dims.T * self.d.sum())
+
+    def _blocks(self):
+        """(V, blocks) with sigma = (V (x) I) blockdiag(blocks) (V (x) I)^T,
+        or None when sigma has no such split.
+
+        One term T (x) S + I (x) diag(d) with symmetric factors is
+        block-diagonalized by the eigenvectors V of T (x) I into the p x p
+        blocks lam_t S + diag(d), lam_t the eigenvalues of T: T eigenproblems
+        of size p instead of one of size pT.  A sum of several terms, or a
+        pair of antisymmetric factors, has no such split.
+        """
+        if len(self.pairs) != 1:
+            return None
+        (tm, sm), = self.pairs
+        if not (is_symmetric(tm) and is_symmetric(sm)):
+            return None
+        lam, vecs = np.linalg.eigh(tm)
+        return vecs, lam[:, None, None] * sm + np.diag(self.d)
+
+    def block_eigh(self):
+        """(V, mu, W) with sigma = (V (x) I) blockdiag_t(W_t diag(mu_t) W_t^T) (V (x) I)^T,
+        from one stacked eigh of the blocks of :meth:`_blocks`, or None."""
+        split = self._blocks()
+        if split is None:
+            return None
+        mu, w = np.linalg.eigh(split[1])
+        return split[0], mu, w
+
+    def eigvalsh(self) -> np.ndarray:
+        """All pT eigenvalues in ascending order."""
+        split = self._blocks()
+        if split is None:
+            return np.linalg.eigvalsh(self.entries)
+        return np.sort(np.linalg.eigvalsh(split[1]), axis=None)
 
 
 def block(sigma: DenseCovariance, i: int, j: int) -> np.ndarray:

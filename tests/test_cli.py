@@ -221,6 +221,21 @@ class TestMseBenchCommand:
         means = {n: mean for _, n, mean, _, _ in rows}
         assert means[50] > means[200] > means[1000]
 
+    def test_factor_form_mse_equals_the_dense_shrink(self):
+        from kroncov.cli import _ar1_sampler, normalized_mse, run_mse_bench, trial_seed
+
+        cfg = {"p": 5, "T": 4, "seed": 3, "trials": 3, "n_grid": [10, 40],
+               "estimators": [{"name": "dc-kronpca-lw", "config": {"r": 1}}]}
+        rows, _ = run_mse_bench(cfg)
+        truth, sample = _ar1_sampler(cfg)
+        for _, n, _, _, values in rows:
+            for t, value in enumerate(values):
+                samples = sample(n, trial_seed(cfg["seed"], n, t))
+                _, info = est.fit_by_name("dc-kronpca-lw", samples, {"r": 1})
+                dense = shrink(info["model"].covariance().to_dense(), info["rho"])
+                ref = normalized_mse(dense.entries, truth.sigma.entries, False)
+                assert value == pytest.approx(ref, rel=1e-12, abs=0)
+
 
 def make_stream_csv(path, seed=3, n_train=120, n_test=800, p=4, magnitude=6.0):
     frames = ar1_frame_stream(p, n_train + n_test, 0.3, 0.9, seed=seed)
@@ -321,6 +336,41 @@ class TestAnomalyCommand:
         assert "estimators[1]: config key 'label'" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
         assert [p.name for p in tmp_path.iterdir() if p.suffix != ".json"] == ["out"]
+
+    @pytest.mark.parametrize("later_label, train_range", [
+        (0, [0, 100]), (1, [0, 100]), (0, [0, 300])])
+    def test_one_class_test_windows_are_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     later_label, train_range):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("estimator fitted before the test windows were checked")
+        monkeypatch.setattr(est, "fit_by_name", unreachable)
+        rng = np.random.default_rng(0)
+        labels = np.r_[np.zeros(100, dtype=int), np.full(200, later_label)]
+        csv = tmp_path / "stream.csv"
+        write_frame_csv(csv, FrameSeries.from_arrays(rng.standard_normal((300, 3)), labels))
+        cfg = {"input": str(csv), "T": 5, "train_range": train_range,
+               "estimators": [{"name": "scm-lw"}, {"name": "dc-kronpca-lw"}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "train_range" in err and "label column" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_dc_kronpca_lw_runs_without_a_dense_eigendecomposition(self, tmp_path,
+                                                                   monkeypatch):
+        p, T = 4, 3
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def refuse_dense(a, *args, _real=real, _name=name, **kwargs):
+                assert np.shape(a)[-1] != p * T, f"dense pT x pT {_name}"
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, refuse_dense)
+        csv = tmp_path / "stream.csv"
+        n_train = make_stream_csv(csv, seed=5, p=p)
+        cfg = {"input": str(csv), "T": T, "train_range": [0, n_train],
+               "estimators": [{"name": "dc-kronpca-lw", "config": {"r": 1}}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+        assert json.loads((tmp_path / "out" / "auc_dc-kronpca-lw.json").read_text())["auc"] > 0.9
 
     def test_singular_training_covariance_is_numerical_error(self, tmp_path):
         csv = tmp_path / "stream.csv"

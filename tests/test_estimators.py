@@ -297,6 +297,15 @@ class TestSoftImpute:
             diffs = np.diff(res.objective_trace)
             assert (diffs <= 1e-9 * max(1.0, res.objective_trace[0])).all()
 
+    def test_triples_are_the_last_iterations_factorization(self):
+        rng = np.random.default_rng(41)
+        b = rng.standard_normal((6, 9))
+        mask = (rng.random(b.shape) > 0.2).astype(float)
+        res = soft_impute(b, mask, 0.3, EstimatorConfig(r=2, beta=0.3))
+        u, s, vt = res.triples
+        assert s.shape == (2,)
+        np.testing.assert_array_equal((u * s) @ vt, res.z)
+
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(10)
         b = rng.standard_normal((6, 6))
@@ -403,6 +412,22 @@ class TestDcKronpca:
         assert err < 1e-6
         np.testing.assert_allclose(model.u, d, atol=1e-5)
 
+    def test_diagonal_correction_from_the_factors(self, monkeypatch):
+        from kroncov import kron_ops
+
+        rng = np.random.default_rng(42)
+        dims = SpaceTimeDims(4, 3)
+        sigma = DenseCovariance(dims, random_spd(rng, 12, cond=20))
+        cfg = EstimatorConfig(r=2, beta=0.0, toeplitz=True, diag_correct=True, max_iter=2000)
+        lowrank = kron_ops.kron_assemble(
+            dims, [(w * tm, sm) for w, tm, sm in dc_kronpca(sigma, cfg).factors])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dc_kronpca assembled a pT x pT matrix")
+        monkeypatch.setattr(kron_ops, "kron_assemble", refuse)
+        model = dc_kronpca(sigma, cfg)
+        np.testing.assert_array_equal(model.u, set_diag_correction(sigma, lowrank))
+
     def test_unconstrained_completion_keeps_observed_entries(self):
         rng = np.random.default_rng(16)
         dims = SpaceTimeDims(2, 2)
@@ -482,7 +507,7 @@ def kron_model(p, T, terms, u, toeplitz_form=False):
                      EstimatorConfig(r=max(len(terms), 1), toeplitz=toeplitz_form))
 
 
-def dense_min_eigenvalue(model, kron_cov):
+def dense_min_eigenvalue(kron_cov):
     """The smallest eigenvalue from a dense pT x pT eigvalsh, kept as the reference."""
     return float(np.linalg.eigvalsh(kron_cov.entries)[0])
 
@@ -493,8 +518,8 @@ class TestPluginMinEigenvalue:
     def assert_matches_dense(self, model, monkeypatch):
         samples = sample_gaussian(ar1_kron_truth(model.dims.p, model.dims.T, 0.5, 0.9), 400, 5)
         kron_cov = model.covariance()
-        lam = est._min_eigenvalue(model, kron_cov)
-        lam_ref = dense_min_eigenvalue(model, kron_cov)
+        lam = est._min_eigenvalue(kron_cov)
+        lam_ref = dense_min_eigenvalue(kron_cov)
         assert lam == pytest.approx(lam_ref, rel=0, abs=1e-12 * np.abs(kron_cov.entries).max())
         rho = kron_plugin_intensity(samples, model, kron_cov).rho
         with monkeypatch.context() as patch:
@@ -525,7 +550,7 @@ class TestPluginMinEigenvalue:
         model = kron_model(3, 4, [(2.0, tm / np.linalg.norm(tm), sm / np.linalg.norm(sm))],
                            np.zeros(3), toeplitz_form=True)
         kron_cov = model.covariance()
-        lam, m = dense_min_eigenvalue(model, kron_cov), np.trace(kron_cov.entries) / 12
+        lam, m = dense_min_eigenvalue(kron_cov), np.trace(kron_cov.entries) / 12
         assert lam < -lam < m
         rho = self.assert_matches_dense(model, monkeypatch)
         assert rho == pytest.approx(-2.0 * lam / (m - lam), rel=1e-12)

@@ -3,20 +3,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from kroncov import (
     DenseCovariance,
+    KronCovariance,
+    NOMINAL,
     RearrangedMatrix,
     SpaceTimeDims,
     ToeplitzCompressed,
+    WindowSet,
     block,
     derearrange,
     diag_mask,
     kron_assemble,
+    mahalanobis_scores,
     rearrange,
+    shrink,
     toeplitz_embed,
     toeplitz_project,
 )
+from kroncov import anomaly
 from kroncov.kron_ops import compress_diagonals, diagonal_weights, row_offsets
 
 
@@ -283,6 +290,120 @@ class TestKronAssemble:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             kron_assemble(SpaceTimeDims(2, 2), [(np.eye(3), np.eye(2))], None)
+
+
+def symmetric_factor(rng, n, toeplitz_form=False, zero_eig=False):
+    """A random symmetric (optionally Toeplitz) factor of unit Frobenius norm
+    whose eigenvalues may dip below zero, as a fitted factor's do; with
+    zero_eig, a singular one with eigenvalues 0 and 1/sqrt(n-1) (the zero
+    matrix when n = 1)."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if zero_eig:
+        lam = np.r_[0.0, np.ones(n - 1)]
+    elif toeplitz_form:
+        a = toeplitz(rng.uniform(-0.3, 1.0) ** np.arange(n) + 0.3 * rng.standard_normal(n))
+        return a / np.linalg.norm(a)
+    else:
+        lam = rng.uniform(-0.3, 1.0, n)
+    a = (q * lam) @ q.T
+    a = 0.5 * (a + a.T)
+    norm = np.linalg.norm(a)
+    return a / norm if norm > 0 else a
+
+
+def windows(rng, n, dims):
+    return WindowSet(T=dims.T, stride=1, starts=np.arange(n),
+                     vectors=rng.standard_normal((n, dims.pt)), labels=[NOMINAL] * n)
+
+
+def assert_close(actual, desired, rtol=1e-10):
+    scale = max(np.abs(desired).max(initial=0.0), 1e-300)
+    np.testing.assert_allclose(actual, desired, rtol=0, atol=rtol * scale)
+
+
+class TestKronCovariance:
+    """The factor form against the dense matrix it stands for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(1, 6), T=st.integers(1, 6), toeplitz_form=st.booleans(),
+           sign=st.sampled_from([1.0, -1.0]), with_u=st.booleans(),
+           rho=st.floats(0.0, 1.0), singular=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_term_matches_dense(self, p, T, toeplitz_form, sign, with_u, rho,
+                                    singular, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        tm = sign * rng.uniform(0.5, 5.0) * symmetric_factor(rng, T, toeplitz_form)
+        sm = symmetric_factor(rng, p, zero_eig=singular)
+        u = rng.uniform(0.0, 2.0, p) if with_u and not singular else np.zeros(p)
+        rho = 0.0 if singular else rho
+        cov = KronCovariance(dims, [(tm, sm)], u)
+        dense = np.kron(tm, sm) + np.kron(np.eye(T), np.diag(u))
+
+        np.testing.assert_array_equal(cov.to_dense().entries,
+                                      kron_assemble(dims, [(tm, sm)], u).entries)
+        assert_close(cov.entries, dense)
+        assert cov.block_eigh() is not None
+        assert_close(cov.eigvalsh(), np.linalg.eigvalsh(dense))
+        assert cov.trace() == pytest.approx(np.trace(dense), rel=1e-12, abs=1e-12)
+
+        shrunk = shrink(cov, rho)
+        assert isinstance(shrunk, KronCovariance)
+        shrunk_dense = shrink(DenseCovariance(dims, dense), rho).entries
+        assert_close(shrunk.entries, shrunk_dense)
+        assert_close(shrunk.eigvalsh(), np.linalg.eigvalsh(shrunk_dense))
+
+        lam = np.linalg.eigvalsh(shrunk_dense)
+        wins = windows(rng, 7, dims)
+        if singular or lam[0] < -1e-9 * np.abs(lam).max():
+            for sigma in (shrunk, DenseCovariance(dims, shrunk_dense)):
+                with pytest.raises(ValueError, match="singular or indefinite"):
+                    mahalanobis_scores(wins, sigma)
+        elif lam[0] > 1e-5 * lam[-1]:
+            assert_close(mahalanobis_scores(wins, shrunk),
+                         mahalanobis_scores(wins, DenseCovariance(dims, shrunk_dense)))
+
+    def test_scores_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        dims = SpaceTimeDims(3, 4)
+        cov = KronCovariance(dims, [(symmetric_factor(rng, 4), symmetric_factor(rng, 3))],
+                             np.full(3, 2.0))
+        wins = windows(rng, 11, dims)
+        whole = mahalanobis_scores(wins, cov)
+        monkeypatch.setattr(anomaly, "SCORE_CHUNK", 4)
+        assert_close(mahalanobis_scores(wins, cov), whole, rtol=1e-14)
+        assert_close(whole, mahalanobis_scores(wins, cov.to_dense()))
+
+    @pytest.mark.parametrize("case", ["two terms", "antisymmetric"])
+    def test_unsplit_cases_take_the_dense_route(self, case):
+        rng = np.random.default_rng(4)
+        dims = SpaceTimeDims(4, 3)
+        if case == "two terms":
+            pairs = [(symmetric_factor(rng, 3), 2.0 * symmetric_factor(rng, 4)),
+                     (symmetric_factor(rng, 3), -symmetric_factor(rng, 4))]
+        else:
+            a, b = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
+            pairs = [(a - a.T, b - b.T)]
+        cov = KronCovariance(dims, pairs, np.full(4, 10.0))
+        assert cov.block_eigh() is None
+        wins = windows(rng, 6, dims)
+        np.testing.assert_array_equal(cov.eigvalsh(), np.linalg.eigvalsh(cov.entries))
+        np.testing.assert_array_equal(mahalanobis_scores(wins, cov),
+                                      mahalanobis_scores(wins, cov.to_dense()))
+
+    def test_shrink_keeps_the_trace_and_reaches_the_scaled_identity(self):
+        rng = np.random.default_rng(5)
+        dims = SpaceTimeDims(3, 2)
+        cov = KronCovariance(dims, [(symmetric_factor(rng, 2), symmetric_factor(rng, 3))],
+                             rng.uniform(0, 1, 3))
+        np.testing.assert_array_equal(shrink(cov, 0.0).entries, cov.entries)
+        full = shrink(cov, 1.0)
+        np.testing.assert_array_equal(full.entries, cov.trace() / 6 * np.eye(6))
+        assert shrink(cov, 0.3).trace() == pytest.approx(cov.trace(), rel=1e-14)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="do not match dims"):
+            KronCovariance(SpaceTimeDims(2, 2), [(np.eye(3), np.eye(2))], np.zeros(2))
 
 
 class TestBlock:

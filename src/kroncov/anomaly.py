@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kron_ops import DenseCovariance, KronCovariance, _frozen_array
+from .kron_ops import DenseCovariance, KronCovariance, _frozen_array, inverse_quad_forms
 
 ANOMALOUS = "anomalous"
 NOMINAL = "nominal"
@@ -157,7 +157,8 @@ def mahalanobis_scores(windows: WindowSet, sigma: DenseCovariance | KronCovarian
     A KronCovariance that :meth:`KronCovariance.block_eigh` splits is
     scored in its block eigenbasis: each window, as a T x p array X, maps
     to V^T X and then row t to W_t^T row t, in chunks of SCORE_CHUNK
-    windows.  Anything else takes a dense pT x pT eigh.
+    windows.  Anything else is checked by its dense eigenvalues and then
+    scored by a Cholesky solve (:func:`kron_ops.inverse_quad_forms`).
     """
     p, T = sigma.dims.p, sigma.dims.T
     if windows.vectors.shape[1] != p * T:
@@ -167,11 +168,9 @@ def mahalanobis_scores(windows: WindowSet, sigma: DenseCovariance | KronCovarian
         )
     split = sigma.block_eigh() if isinstance(sigma, KronCovariance) else None
     if split is None:
-        lam, vecs = np.linalg.eigh(sigma.entries)
+        lam = sigma.eigvalsh()
         _require_usable(lam[0], lam[-1])
-        whitened = windows.vectors @ vecs
-        whitened /= np.sqrt(lam)  # in place: one n x pT temporary, not two
-        return np.einsum("ij,ij->i", whitened, whitened)
+        return inverse_quad_forms(sigma.entries, windows.vectors)[0]
     v, mu, w = split
     _require_usable(mu.min(), mu.max())
     w_scaled = w / np.sqrt(mu)[:, None, :]

@@ -206,7 +206,7 @@ def cmd_estimate(cfg: dict, out: Path, threads: int = 1) -> None:
     with _config_errors(f"estimator {name!r}"):
         ecfg = est.make_config(name, _field(cfg, "estimator_config", dict, {}))
     with _config_errors("input"):
-        est.require_samples(name, samples.n)
+        est.require_samples(name, samples.n, samples)
 
     cov, info = est.fit_by_name(name, samples, ecfg)
     write_matrix_binary(out / "covariance.bin", cov.entries)
@@ -321,7 +321,7 @@ def cmd_anomaly(cfg: dict, out: Path, threads: int = 1) -> None:
                                 windows.vectors[inside])
     with _config_errors("train_range (windows inside it)"):
         for _, name, _ in specs:
-            est.require_samples(name, train_set.n)
+            est.require_samples(name, train_set.n, train_set)
 
     keep = outside & (windows.labels != anom.EXCLUDED)
     test_labels = windows.labels[keep]

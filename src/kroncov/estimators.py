@@ -29,6 +29,7 @@ from .kron_ops import (
     compress_diagonals,
     diag_mask,
     expand_diagonals,
+    inverse_quad_forms,
     rearrange,
 )
 from .synth import SampleSet
@@ -288,15 +289,19 @@ def _thresholded_svd(m: np.ndarray, tau: float, max_rank: int | None):
 def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConfig) -> SoftImputeResult:
     """Rank-capped nuclear-norm completion of the masked entries of b.
 
-    Iterates Z <- svt(mask*b + (1-mask)*Z, beta/2, r) from Z = 0 until the
-    relative Frobenius change drops below cfg.tol.  The recorded objective
-    ||mask*(b - Z)||_F^2 + beta*||Z||_* must never increase; a violation
-    raises immediately since it indicates a broken proximal step.
+    Iterates Z <- svt(b where mask is 1, Z where it is 0; beta/2, r) from
+    Z = 0 until the relative Frobenius change drops below cfg.tol.  The
+    objective ||mask*(b - Z)||_F^2 + beta*||Z||_* must never increase; a
+    violation raises immediately since it indicates a broken proximal step.
     """
     b = np.asarray(b, dtype=float)
-    mask = np.asarray(mask, dtype=float)
+    mask = np.asarray(mask)
     if b.shape != mask.shape:
         raise ValueError(f"data shape {b.shape} and mask shape {mask.shape} differ")
+    observed = mask == 1
+    stray = mask[~observed & (mask != 0)]
+    if stray.size:
+        raise ValueError(f"mask entries must be exactly 0 or 1, found {stray[0]}")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
 
@@ -307,11 +312,10 @@ def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConf
     change = 0.0
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        filled = mask * b + (1.0 - mask) * z
-        u, s, vt, nuclear = _thresholded_svd(filled, beta / 2.0, cfg.r)
+        u, s, vt, nuclear = _thresholded_svd(np.where(observed, b, z), beta / 2.0, cfg.r)
         triples = (u, s, vt)
         z_new = (u * s) @ vt
-        obj = float(np.sum((mask * (b - z_new)) ** 2) + beta * nuclear)
+        obj = float(np.sum(np.where(observed, b - z_new, 0.0) ** 2) + beta * nuclear)
         if trace and obj > trace[-1] + 1e-8 * max(1.0, abs(trace[-1])):
             raise AssertionError(
                 f"soft_impute objective increased: {trace[-1]:.12e} -> {obj:.12e}"
@@ -508,33 +512,33 @@ def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = 
 def _normalized_directions(samples: SampleSet) -> np.ndarray:
     x = samples.samples
     sq = np.einsum("ij,ij->i", x, x)
-    if np.any(sq == 0.0):
-        raise ValueError("a zero sample cannot be normalized to the unit sphere")
+    zero = np.flatnonzero(sq == 0.0)
+    if zero.size:
+        raise ValueError(f"a zero sample (row {zero[0]}) cannot be normalized to the unit sphere")
     return x / np.sqrt(sq)[:, None]
 
 
-def _tyler_quad(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """s_i^T sigma^{-1} s_i for every row s_i of s."""
-    return np.einsum("ij,ji->i", s, cho_solve(cho_factor(sigma), s.T))
-
-
-def _tyler_average(s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """(d/n) * sum_i s_i s_i^T / (s_i^T sigma^{-1} s_i), symmetrized."""
-    n, d = s.shape
-    q = _tyler_quad(s, sigma)
-    if not np.all(q > 0):
-        raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
-    return _sym((d / n) * (s.T @ (s / q[:, None])))
-
-
-def _shrunk_tyler_step(scatter: np.ndarray, sigma: np.ndarray, r: float):
-    """(1 - r) * (d / trace(scatter)) * scatter + r * I for r in (0, 1], and
-    its relative Frobenius change from the previous iterate sigma."""
+def _tyler_iterations(s: np.ndarray, sigma: np.ndarray, r: float, cfg: EstimatorConfig,
+                      project: Callable[[np.ndarray], np.ndarray]):
+    """Shrunk Tyler steps Sigma <- (1 - r) (d / trace B) B + r I, r in (0, 1],
+    with B = project(A) and A = (d/n) sum_i s_i s_i^T / (s_i^T Sigma^{-1} s_i)
+    over the unit rows s_i of s, from sigma until the relative Frobenius
+    change falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
     if not 0.0 < r <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {r}")
-    d = scatter.shape[0]
-    new = (1.0 - r) * (d / np.trace(scatter)) * scatter + r * np.eye(d)
-    return new, np.linalg.norm(new - sigma) / np.linalg.norm(sigma)
+    n, d = s.shape
+    for steps in range(1, cfg.max_iter + 1):
+        q, _ = inverse_quad_forms(sigma, s)
+        if not np.all(q > 0):
+            raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
+        average = _sym((d / n) * (s.T @ (s / q[:, None])))
+        b = project(average)
+        new = (1.0 - r) * (d / np.trace(b)) * b + r * np.eye(d)
+        rel = np.linalg.norm(new - sigma) / np.linalg.norm(sigma)
+        sigma = new
+        if rel < cfg.tol:
+            return sigma, average, steps, True
+    return sigma, average, cfg.max_iter, False
 
 
 def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
@@ -552,15 +556,8 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
-    s = _normalized_directions(samples)
-    sigma = np.eye(samples.dims.pt)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        sigma, rel = _shrunk_tyler_step(_tyler_average(s, sigma), sigma, r)
-        if rel < cfg.tol:
-            converged = True
-            break
+    sigma, _, iterations, converged = _tyler_iterations(
+        _normalized_directions(samples), np.eye(samples.dims.pt), r, cfg, lambda a: a)
     if not converged:
         warnings.warn(f"chen_tyler did not converge in {cfg.max_iter} iterations")
     cov = DenseCovariance(samples.dims, sigma)
@@ -639,38 +636,26 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     dims = samples.dims
     s = _normalized_directions(samples)
 
-    sigma_hat = chen_tyler(samples, r, cfg).entries.copy()
+    sigma_hat = chen_tyler(samples, r, cfg).entries
     sigma_tilde = sigma_hat
     t_prev = None
     converged = False
-    outer = 0
     inner_total = 0
     for outer in range(1, cfg.max_iter + 1):
-        t_hat = kronpca_T(DenseCovariance(dims, _sym(sigma_tilde)))
-        if t_prev is not None:
-            rel_t = np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev)
-            if rel_t < cfg.tol:
-                converged = True
-                break
+        t_hat = kronpca_T(DenseCovariance(dims, sigma_tilde))
+        if t_prev is not None and np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev) < cfg.tol:
+            converged = True
+            break
         t_prev = t_hat
-        for _ in range(cfg.max_iter):
-            inner_total += 1
-            sigma_tilde = _tyler_average(s, sigma_hat)
-            kron = np.kron(t_hat, flipflop_S(sigma_tilde, t_hat))
-            sigma_hat, rel = _shrunk_tyler_step(kron, sigma_hat, r)
-            if rel < cfg.tol:
-                break
+        sigma_hat, sigma_tilde, steps, _ = _tyler_iterations(
+            s, sigma_hat, r, cfg, lambda a: np.kron(t_hat, flipflop_S(a, t_hat)))
+        inner_total += steps
     if not converged:
         warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")
-    cov = DenseCovariance(dims, _sym(sigma_hat))
+    cov = DenseCovariance(dims, sigma_hat)
     if full_output:
-        info = {
-            "iterations": outer,
-            "inner_iterations": inner_total,
-            "converged": converged,
-            "rho": r,
-        }
-        return cov, info
+        return cov, {"iterations": outer, "inner_iterations": inner_total,
+                     "converged": converged, "rho": r}
     return cov
 
 
@@ -706,12 +691,11 @@ def components_for_energy(spectrum: np.ndarray, fraction: float = 0.95) -> int:
 def _acg_loglik(directions: np.ndarray, sigma: np.ndarray) -> float:
     """Angular log-likelihood of unit vectors under a shape matrix
     (additive constants dropped)."""
-    d = sigma.shape[0]
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
+    try:
+        q, logdet = inverse_quad_forms(sigma, directions)
+    except np.linalg.LinAlgError:  # not positive definite
         return -np.inf
-    q = _tyler_quad(directions, sigma)
-    return float(-0.5 * directions.shape[0] * logdet - 0.5 * d * np.sum(np.log(q)))
+    return float(-0.5 * directions.shape[0] * logdet - 0.5 * sigma.shape[0] * np.sum(np.log(q)))
 
 
 def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> ShrinkageIntensity:
@@ -807,11 +791,15 @@ def make_config(name: str, overrides: dict | None = None) -> EstimatorConfig:
     return cfg
 
 
-def require_samples(name: str, n: int) -> None:
-    """Raise ValueError when n is below the named estimator's minimum."""
-    need = _estimator_spec(name).min_n
-    if n < need:
-        raise ValueError(f"estimator {name!r} needs n >= {need} samples, got n={n}")
+def require_samples(name: str, n: int, samples: SampleSet | None = None) -> None:
+    """Raise ValueError when n is below the named estimator's minimum, or
+    when it is a shape estimator, which fits the directions x_i / |x_i|,
+    and a row of samples is zero."""
+    spec = _estimator_spec(name)
+    if n < spec.min_n:
+        raise ValueError(f"estimator {name!r} needs n >= {spec.min_n} samples, got n={n}")
+    if spec.shape and samples is not None:
+        _normalized_directions(samples)
 
 
 def fit_by_name(name: str, samples: SampleSet, cfg: EstimatorConfig | dict | None = None):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 SYMMETRY_RTOL = 1e-12
 
@@ -317,6 +318,15 @@ class KronCovariance:
         if split is None:
             return np.linalg.eigvalsh(self.entries)
         return np.sort(np.linalg.eigvalsh(split[1]), axis=None)
+
+
+def inverse_quad_forms(a: np.ndarray, x: np.ndarray):
+    """(q, log det a) with q_i = x_i^T a^{-1} x_i = ||L^{-1} x_i||^2 for each
+    row x_i of x, from one lower Cholesky a = L L^T (log det a = 2 sum_i
+    log L_ii) and one triangular solve.  LinAlgError unless a is PD."""
+    chol = np.linalg.cholesky(a)
+    y = solve_triangular(chol, x.T, lower=True)
+    return np.einsum("ij,ij->j", y, y), float(2.0 * np.log(np.diagonal(chol)).sum())
 
 
 def block(sigma: DenseCovariance, i: int, j: int) -> np.ndarray:

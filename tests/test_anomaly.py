@@ -165,6 +165,16 @@ class TestMahalanobisScores:
             np.sum(x ** 2, axis=1), rtol=1e-12,
         )
 
+    def test_dense_scores_match_a_linear_solve(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((12, 12))
+        spd = a @ a.T + 0.5 * np.eye(12)
+        x = rng.standard_normal((9, 12))
+        expect = np.einsum("ij,ji->i", x, np.linalg.solve(spd, x.T))
+        scores = mahalanobis_scores(self.windows_of(x, T=3),
+                                    DenseCovariance(SpaceTimeDims(4, 3), spd))
+        np.testing.assert_allclose(scores, expect, rtol=1e-10)
+
     def test_singular_covariance_rejected(self):
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="singular"):

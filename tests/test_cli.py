@@ -157,12 +157,29 @@ class TestEstimateCommand:
         assert np.array_equal(read_matrix_binary(tmp_path / "out" / "covariance.bin"),
                               shrink(scm(samples), 0.3).entries)
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    @staticmethod
+    def _zero_row_csv(tmp_path):
+        x = np.random.default_rng(14).standard_normal((30, 6))
+        x[7] = 0.0
         csv = tmp_path / "s.csv"
-        csv.write_text("x0,x1\n1,0\n0,0\n")  # zero sample breaks normalization
-        cfg = {"input": str(csv), "p": 2, "T": 1, "estimator": "chen-tyler",
-               "estimator_config": {"rho": 0.1}}
-        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 3
+        np.savetxt(csv, x, delimiter=",", header=",".join(f"x{i}" for i in range(6)),
+                   comments="")
+        return csv
+
+    def test_zero_sample_for_a_tyler_estimator_is_config_error(self, tmp_path, capsys):
+        csv = self._zero_row_csv(tmp_path)
+        for name in ("chen-tyler", "tyler-kronpca"):
+            cfg = {"input": str(csv), "p": 3, "T": 2, "estimator": name,
+                   "estimator_config": {"rho": 0.1}}
+            assert run_cli("estimate", cfg, tmp_path / name, tmp_path) == 2
+            assert "input: a zero sample (row 7)" in capsys.readouterr().err
+            assert list((tmp_path / name).iterdir()) == []
+
+    def test_zero_sample_is_accepted_by_scm_lw(self, tmp_path):
+        cfg = {"input": str(self._zero_row_csv(tmp_path)), "p": 3, "T": 2,
+               "estimator": "scm-lw"}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 0
+        assert (tmp_path / "out" / "covariance.bin").exists()
 
 
 class TestMseBenchCommand:
@@ -371,6 +388,26 @@ class TestAnomalyCommand:
                "estimators": [{"name": "dc-kronpca-lw", "config": {"r": 1}}]}
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
         assert json.loads((tmp_path / "out" / "auc_dc-kronpca-lw.json").read_text())["auc"] > 0.9
+
+    def test_zero_training_window_for_a_tyler_estimator_is_config_error(self, tmp_path,
+                                                                         capsys):
+        # integer training frames summing to zero per column: the training
+        # mean is exactly 0, so frames 10 and 11 stay zero after detrending
+        rng = np.random.default_rng(15)
+        train = rng.integers(-3, 4, size=(40, 3)).astype(float)
+        train[10:12] = 0.0
+        train[-1] -= train.sum(axis=0)
+        values = np.vstack([train, rng.standard_normal((60, 3))])
+        labels = np.r_[np.zeros(70, dtype=int), np.ones(10, dtype=int), np.zeros(20, dtype=int)]
+        csv = tmp_path / "stream.csv"
+        write_frame_csv(csv, FrameSeries.from_arrays(values, labels))
+        cfg = {"input": str(csv), "T": 2, "train_range": [0, 40],
+               "estimators": [{"name": "scm-lw"}, {"name": "chen-tyler", "config": {"rho": 0.1}}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
+        assert "train_range (windows inside it): a zero sample (row 10)" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+        cfg["estimators"] = cfg["estimators"][:1]
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
 
     def test_singular_training_covariance_is_numerical_error(self, tmp_path):
         csv = tmp_path / "stream.csv"

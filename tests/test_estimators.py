@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from kroncov import (
     DenseCovariance,
@@ -305,6 +305,36 @@ class TestSoftImpute:
         u, s, vt = res.triples
         assert s.shape == (2,)
         np.testing.assert_array_equal((u * s) @ vt, res.z)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fill_and_objective_equal_the_mask_arithmetic(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):  # criterion 3's masks
+            b = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(2, 16))))
+            mask = (rng.random(b.shape) > rng.uniform(0.05, 0.5)).astype(float)
+            beta = float(rng.uniform(0.0, 1.0))
+            cfg = EstimatorConfig(r=int(rng.integers(1, 5)), beta=beta,
+                                  max_iter=int(rng.integers(5, 200)))
+            z, trace = np.zeros_like(b), []
+            for _ in range(cfg.max_iter):
+                u, s, vt, nuclear = _thresholded_svd(mask * b + (1.0 - mask) * z, beta / 2.0, cfg.r)
+                z_new = (u * s) @ vt
+                trace.append(float(np.sum((mask * (b - z_new)) ** 2) + beta * nuclear))
+                change = np.linalg.norm(z_new - z) / max(np.linalg.norm(z), 1e-30)
+                z = z_new
+                if change < cfg.tol:
+                    break
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = soft_impute(b, mask, beta, cfg)
+            np.testing.assert_array_equal(res.z, z)
+            assert res.objective_trace == trace
+
+    def test_mask_entry_other_than_zero_or_one_rejected(self):
+        mask = np.ones((3, 4))
+        mask[1, 2] = 0.5
+        with pytest.raises(ValueError, match="mask entries must be exactly 0 or 1, found 0.5"):
+            soft_impute(np.ones((3, 4)), mask, 0.1, EstimatorConfig())
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(10)
@@ -725,6 +755,110 @@ class TestRobustKronpca:
         out = robust_kronpca(ss, 0.2)
         assert np.trace(out.entries) == pytest.approx(9.0, abs=1e-9)
         assert np.linalg.eigvalsh(out.entries)[0] >= 0.2 - 1e-10
+
+
+# the Tyler loops as first written: cho_factor/cho_solve quadratic forms, a
+# separate shrunk step, and one hand-written loop per estimator
+
+def reference_tyler_average(s, sigma):
+    n, d = s.shape
+    q = np.einsum("ij,ji->i", s, cho_solve(cho_factor(sigma), s.T))
+    a = (d / n) * (s.T @ (s / q[:, None]))
+    return 0.5 * (a + a.T)
+
+
+def reference_shrunk_step(scatter, sigma, r):
+    d = scatter.shape[0]
+    new = (1.0 - r) * (d / np.trace(scatter)) * scatter + r * np.eye(d)
+    return new, np.linalg.norm(new - sigma) / np.linalg.norm(sigma)
+
+
+def reference_directions(samples):
+    x = samples.samples
+    return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+
+
+def reference_chen_tyler(samples, r, cfg):
+    s = reference_directions(samples)
+    sigma = np.eye(samples.dims.pt)
+    for iterations in range(1, cfg.max_iter + 1):
+        sigma, rel = reference_shrunk_step(reference_tyler_average(s, sigma), sigma, r)
+        if rel < cfg.tol:
+            break
+    return sigma, iterations
+
+
+def reference_robust_kronpca(samples, r, cfg):
+    s = reference_directions(samples)
+    sigma_hat, _ = reference_chen_tyler(samples, r, cfg)
+    sigma_tilde, t_prev, inner = sigma_hat, None, 0
+    for outer in range(1, cfg.max_iter + 1):
+        t_hat = kronpca_T(DenseCovariance(samples.dims, sigma_tilde))
+        if t_prev is not None and rel_diff(t_hat, t_prev) < cfg.tol:
+            break
+        t_prev = t_hat
+        for _ in range(cfg.max_iter):
+            inner += 1
+            sigma_tilde = reference_tyler_average(s, sigma_hat)
+            kron = np.kron(t_hat, flipflop_S(sigma_tilde, t_hat))
+            sigma_hat, rel = reference_shrunk_step(kron, sigma_hat, r)
+            if rel < cfg.tol:
+                break
+    return sigma_hat, outer, inner
+
+
+def reference_acg_loglik(directions, sigma):
+    sign, logdet = np.linalg.slogdet(sigma)
+    if sign <= 0:
+        return -np.inf
+    q = np.einsum("ij,ji->i", directions, cho_solve(cho_factor(sigma), directions.T))
+    return -0.5 * directions.shape[0] * logdet - 0.5 * sigma.shape[0] * np.sum(np.log(q))
+
+
+def reference_cv_rho(samples, fitter, cfg):
+    n = samples.n
+    folds = max(2, min(est.CV_FOLDS, n))
+    directions = reference_directions(samples)
+    scores = np.zeros(len(est.CV_RHO_GRID))
+    for k in range(folds):
+        hold = np.zeros(n, dtype=bool)
+        hold[k::folds] = True
+        train = SampleSet(samples.dims, int((~hold).sum()), samples.samples[~hold])
+        for gi, rho in enumerate(est.CV_RHO_GRID):
+            scores[gi] += reference_acg_loglik(directions[hold], fitter(train, rho, cfg)[0])
+    return est.CV_RHO_GRID[int(np.argmax(scores))]
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestTylerLoopMatchesTheReference:
+    @pytest.fixture(params=[51, 52])
+    def samples(self, request):
+        return sample_student_t(ar1_kron_truth(3, 3, 0.5, 0.95), 3.0, 45, request.param)
+
+    def test_chen_tyler(self, samples):
+        cfg = EstimatorConfig()
+        cov, info = chen_tyler(samples, 0.1, cfg, full_output=True)
+        sigma, iterations = reference_chen_tyler(samples, 0.1, cfg)
+        assert rel_diff(cov.entries, sigma) <= 1e-12
+        assert info["iterations"] == iterations
+
+    def test_robust_kronpca(self, samples):
+        cfg = EstimatorConfig()
+        cov, info = robust_kronpca(samples, 0.1, cfg, full_output=True)
+        sigma, outer, inner = reference_robust_kronpca(samples, 0.1, cfg)
+        assert rel_diff(cov.entries, sigma) <= 1e-12
+        assert (info["iterations"], info["inner_iterations"]) == (outer, inner)
+
+    @pytest.mark.parametrize("fitter, reference", [
+        (chen_tyler, reference_chen_tyler), (robust_kronpca, reference_robust_kronpca)
+    ])
+    def test_cv_picks_the_same_rho(self, samples, fitter, reference):
+        cfg = EstimatorConfig()
+        chosen = est.cv_shrinkage_intensity(samples, fitter, cfg).rho
+        assert chosen == reference_cv_rho(samples, reference, cfg)
 
 
 class TestKronSpectrum:

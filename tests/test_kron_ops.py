@@ -24,7 +24,12 @@ from kroncov import (
     toeplitz_project,
 )
 from kroncov import anomaly
-from kroncov.kron_ops import compress_diagonals, diagonal_weights, row_offsets
+from kroncov.kron_ops import (
+    compress_diagonals,
+    diagonal_weights,
+    inverse_quad_forms,
+    row_offsets,
+)
 
 
 def rearrange_oracle(entries, p, T):
@@ -404,6 +409,27 @@ class TestKronCovariance:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="do not match dims"):
             KronCovariance(SpaceTimeDims(2, 2), [(np.eye(3), np.eye(2))], np.zeros(2))
+
+
+class TestInverseQuadForms:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 8), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_solve_and_slogdet(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        spd = (q_mat * rng.uniform(0.05, 20.0, d)) @ q_mat.T
+        spd = 0.5 * (spd + spd.T)
+        x = rng.standard_normal((n, d))
+        q, logdet = inverse_quad_forms(spd, x)
+        expect = np.einsum("ij,ji->i", x, np.linalg.solve(spd, x.T))
+        np.testing.assert_allclose(q, expect, rtol=1e-10)
+        sign, expect_logdet = np.linalg.slogdet(spd)
+        assert sign == 1.0
+        assert logdet == pytest.approx(expect_logdet, rel=1e-10, abs=1e-10)
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse_quad_forms(np.diag([2.0, -1.0, 3.0]), np.ones((2, 3)))
 
 
 class TestBlock:

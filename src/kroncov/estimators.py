@@ -702,17 +702,18 @@ def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> 
     """Pick rho from CV_RHO_GRID by held-out direction likelihood.
 
     `fitter(samples, rho, cfg)` must return a DenseCovariance.  Folds are
-    deterministic stride splits, so selection is reproducible.
+    deterministic stride splits, so selection is reproducible; with n >= 2
+    every fold has a training and a held-out sample.
     """
     n = samples.n
-    folds = max(2, min(CV_FOLDS, n))
+    if n < 2:
+        raise ValueError(f"cross-validating rho needs n >= 2 samples, got n={n}")
+    folds = min(CV_FOLDS, n)
     directions = _normalized_directions(samples)
     scores = np.zeros(len(CV_RHO_GRID))
     for k in range(folds):
         hold = np.zeros(n, dtype=bool)
         hold[k::folds] = True
-        if hold.all() or not hold.any():
-            continue
         train = SampleSet(samples.dims, int((~hold).sum()), samples.samples[~hold])
         held = directions[hold]
         for gi, rho in enumerate(CV_RHO_GRID):
@@ -770,9 +771,9 @@ ESTIMATORS = {
         {"toeplitz": True, "diag_correct": True},
         lambda samples, cfg: dc_kronpca_lw(samples, cfg, full_output=True), min_n=2),
     "chen-tyler": EstimatorSpec(
-        {}, lambda samples, cfg: _fit_tyler(samples, cfg, chen_tyler), shape=True),
+        {}, lambda samples, cfg: _fit_tyler(samples, cfg, chen_tyler), shape=True, min_n=2),
     "tyler-kronpca": EstimatorSpec(
-        {}, lambda samples, cfg: _fit_tyler(samples, cfg, robust_kronpca), shape=True),
+        {}, lambda samples, cfg: _fit_tyler(samples, cfg, robust_kronpca), shape=True, min_n=2),
 }
 
 
@@ -783,11 +784,15 @@ def _estimator_spec(name: str) -> EstimatorSpec:
 
 
 def make_config(name: str, overrides: dict | None = None) -> EstimatorConfig:
-    defaults = _estimator_spec(name).defaults
-    cfg = EstimatorConfig(**{**defaults, **(overrides or {})})
+    spec = _estimator_spec(name)
+    cfg = EstimatorConfig(**{**spec.defaults, **(overrides or {})})
     # a diag_correct default is what tells kronpca and dc-kronpca-lw apart
-    if cfg.diag_correct != defaults.get("diag_correct", cfg.diag_correct):
+    if cfg.diag_correct != spec.defaults.get("diag_correct", cfg.diag_correct):
         raise ValueError(f"diag_correct={cfg.diag_correct} contradicts the estimator's own value")
+    # a shrunk Tyler step needs rho > 0 to keep its iterate positive definite
+    if spec.shape and cfg.rho == 0:
+        raise ValueError(
+            f'rho must be a number in (0, 1] or "{AUTO}" for {name!r}, got {cfg.rho!r}')
     return cfg
 
 

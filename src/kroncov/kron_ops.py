@@ -35,9 +35,10 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 
 
 def is_symmetric(a: np.ndarray) -> bool:
-    """max|a - a^T| is within SYMMETRY_RTOL of max|a|."""
+    """Every entry is finite and max|a - a^T| is within SYMMETRY_RTOL of max|a|."""
     scale = np.abs(a).max() if a.size else 0.0
-    return np.abs(a - a.T).max() <= SYMMETRY_RTOL * max(scale, 1e-300)
+    return bool(np.isfinite(scale)) and (
+        np.abs(a - a.T).max() <= SYMMETRY_RTOL * max(scale, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ class SpaceTimeDims:
 class DenseCovariance:
     """A pT x pT symmetric matrix in space-fastest, time-slowest order.
 
-    Construction rejects asymmetric input (beyond 1e-12 relative) instead
-    of symmetrizing it, so pipeline bugs surface where they happen.
+    Construction rejects NaN or inf entries and asymmetric input (beyond
+    1e-12 relative) instead of symmetrizing it, so pipeline bugs surface
+    where they happen.
     """
 
     dims: SpaceTimeDims
@@ -76,6 +78,8 @@ class DenseCovariance:
                 f"(p={self.dims.p}, T={self.dims.T}, pT={n})"
             )
         if not is_symmetric(entries):
+            if not np.isfinite(entries).all():
+                raise ValueError("covariance entries must be finite (found NaN or inf)")
             asym = np.abs(entries - entries.T).max()
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
@@ -244,7 +248,7 @@ def kron_assemble(dims: SpaceTimeDims, factors, u=None) -> DenseCovariance:
         total += np.kron(tm, sm)
     if u is not None:
         uvec = np.broadcast_to(np.asarray(u, dtype=float), (p,))
-        total += np.kron(np.eye(T), np.diag(uvec))
+        total.flat[::dims.pt + 1] += np.tile(uvec, T)  # the diagonal of I (x) diag(u)
     return DenseCovariance(dims, total)
 
 

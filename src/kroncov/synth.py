@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .kron_ops import DenseCovariance, SpaceTimeDims, _frozen_array
+from .kron_ops import KronCovariance, SpaceTimeDims, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,22 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """A known positive definite covariance, its symmetric root and a provenance string."""
+    """A positive definite T (x) S held as its factors (a one-term KronCovariance
+    with d = 0), its symmetric root root(T) (x) root(S) and a provenance string."""
 
-    sigma: DenseCovariance
+    sigma: KronCovariance
     description: str
     root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam, vecs = np.linalg.eigh(self.sigma.entries)
-        if lam[0] <= 0:
-            raise ValueError(f"ground truth is not positive definite (min eig {lam[0]:.3e})")
-        root = (vecs * np.sqrt(lam)) @ vecs.T  # _symmetric_sqrt's arithmetic, so bit-identical
-        object.__setattr__(self, "root", _frozen_array(0.5 * (root + root.T)))
+        if len(self.sigma.pairs) != 1 or self.sigma.d.any():
+            raise ValueError("ground truth must be one Kronecker term T (x) S with d = 0")
+        lam_min = self.sigma.eigvalsh()[0]
+        if not lam_min > 0:
+            raise ValueError(f"ground truth is not positive definite (min eig {lam_min:.3e})")
+        (tm, sm), = self.sigma.pairs
+        root = np.kron(_symmetric_sqrt(tm), _symmetric_sqrt(sm))
+        object.__setattr__(self, "root", _frozen_array(root))
 
 
 def ar1_cov(dim: int, coeff: float, name: str = "coeff") -> np.ndarray:
@@ -71,16 +75,14 @@ def ar1_kron_truth(p: int = 100, T: int = 10, tcoeff: float = 0.5, scoeff: float
     Defaults give the standard benchmark truth: a 100-variable grid over
     10 frames with AR coefficients 0.5 (time) and 0.95 (space).
     """
-    sigma = np.kron(ar1_cov(T, tcoeff, "tcoeff"), ar1_cov(p, scoeff, "scoeff"))
-    dims = SpaceTimeDims(p=p, T=T)
+    pair = (ar1_cov(T, tcoeff, "tcoeff"), ar1_cov(p, scoeff, "scoeff"))
     desc = f"AR(1) Kronecker truth: p={p}, T={T}, time coeff {tcoeff}, space coeff {scoeff}"
-    return GroundTruth(DenseCovariance(dims, sigma), desc)
+    return GroundTruth(KronCovariance(SpaceTimeDims(p=p, T=T), [pair], 0.0), desc)
 
 
 def _symmetric_sqrt(entries: np.ndarray) -> np.ndarray:
     lam, vecs = np.linalg.eigh(entries)
-    lmax = lam[-1] if lam.size else 0.0
-    if lam[0] < -1e-10 * max(lmax, 1.0):
+    if lam[0] < -1e-10 * max(lam[-1], 1.0):
         raise ValueError(f"covariance is not positive semidefinite (min eig {lam[0]:.3e})")
     root = (vecs * np.sqrt(np.maximum(lam, 0.0))) @ vecs.T
     return 0.5 * (root + root.T)
@@ -94,10 +96,9 @@ def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> SampleSet:
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    dims = truth.sigma.dims
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, dims.pt))
-    return SampleSet(dims, n, z @ truth.root, seed)
+    z = rng.standard_normal((n, truth.sigma.dims.pt))
+    return SampleSet(truth.sigma.dims, n, z @ truth.root, seed)
 
 
 def sample_student_t(truth: GroundTruth, dof: float, n: int, seed: int) -> SampleSet:
@@ -111,12 +112,10 @@ def sample_student_t(truth: GroundTruth, dof: float, n: int, seed: int) -> Sampl
         raise ValueError("degrees of freedom must be positive")
     if n < 1:
         raise ValueError("need at least one sample")
-    dims = truth.sigma.dims
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, dims.pt))
-    w = rng.chisquare(dof, size=n)
-    scale = np.sqrt(dof / w)
-    return SampleSet(dims, n, (z @ truth.root) * scale[:, None], seed)
+    z = rng.standard_normal((n, truth.sigma.dims.pt))
+    scale = np.sqrt(dof / rng.chisquare(dof, size=n))
+    return SampleSet(truth.sigma.dims, n, (z @ truth.root) * scale[:, None], seed)
 
 
 def ar1_frame_stream(p: int, n_frames: int, tcoeff: float = 0.5,

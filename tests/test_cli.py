@@ -439,6 +439,18 @@ class TestSpectrumCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["kron_components_95"] == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_input_is_config_error(self, tmp_path, capsys, bad):
+        entries = np.eye(6)
+        entries[1, 4] = bad
+        bin_path = tmp_path / "bad.bin"
+        write_matrix_binary(bin_path, entries)
+        cfg = {"input": str(bin_path), "kind": "covariance", "p": 2, "T": 3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("spectrum", cfg, tmp_path / "out", tmp_path) == 2
+        assert "entries must be finite" in capsys.readouterr().err
+
     def test_identity_covariance_needs_one_component(self, tmp_path):
         bin_path = tmp_path / "eye.bin"
         write_matrix_binary(bin_path, np.eye(6))
@@ -624,6 +636,12 @@ PROBES = [
     ("mse-bench", {"estimators": [{"name": "kronpca", "confg": {"r": 2}}]},
      "estimators[0]: unknown config key 'confg'"),
     ("synth", {"dfo": 3}, "'dfo'"),
+    ("estimate", {"estimator": "chen-tyler", "estimator_config": {"rho": 0}},
+     "rho must be a number in (0, 1]"),
+    ("mse-bench", {"estimators": [{"name": "tyler-kronpca", "config": {"rho": 0}}]},
+     "estimators[0]: rho must be a number in (0, 1]"),
+    ("mse-bench", {"n_grid": [1], "estimators": [{"name": "chen-tyler"}]},
+     "needs n >= 2 samples, got n=1"),
 ]
 
 

@@ -1,4 +1,6 @@
 """Operator tests against loop-based index oracles and exact identities."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,21 @@ class TestKronAssemble:
         with pytest.raises(ValueError):
             kron_assemble(SpaceTimeDims(2, 2), [(np.eye(3), np.eye(2))], None)
 
+    def test_diagonal_term_bit_identical_to_a_dense_kron(self):
+        def dense_route(dims, factors, u):
+            total = np.zeros((dims.pt, dims.pt))
+            for tm, sm in factors:
+                total += np.kron(tm, sm)
+            return total + np.kron(np.eye(dims.T), np.diag(u))
+
+        rng = np.random.default_rng(21)
+        for p, T, r in ((1, 1, 1), (3, 2, 1), (4, 3, 2), (2, 5, 3)):
+            dims = SpaceTimeDims(p, T)
+            factors = [(random_symmetric(rng, T), random_symmetric(rng, p)) for _ in range(r)]
+            for u in (rng.uniform(0.1, 2.0, p), -rng.uniform(0.1, 2.0, p), rng.standard_normal(p)):
+                assert np.array_equal(kron_assemble(dims, factors, u).entries,
+                                      dense_route(dims, factors, u))
+
 
 def symmetric_factor(rng, n, toeplitz_form=False, zero_eig=False):
     """A random symmetric (optionally Toeplitz) factor of unit Frobenius norm
@@ -465,6 +482,16 @@ class TestValidation:
         bad = np.array([[1.0, 2.0], [2.1, 1.0]])
         with pytest.raises(ValueError, match="not symmetric"):
             DenseCovariance(SpaceTimeDims(1, 2), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entries_rejected_without_a_warning(self, bad, where):
+        entries = np.eye(2)
+        entries[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="entries must be finite"):
+                DenseCovariance(SpaceTimeDims(1, 2), entries)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

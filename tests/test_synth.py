@@ -1,10 +1,12 @@
 """Generator tests: formulas, determinism, and distributional sanity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kroncov import (
-    DenseCovariance,
     GroundTruth,
+    KronCovariance,
     SampleSet,
     SpaceTimeDims,
     ar1_cov,
@@ -53,8 +55,45 @@ class TestPaperTruth:
         assert truth.sigma.dims == SpaceTimeDims(100, 10)
 
     def test_positive_definite_enforced(self):
+        zero = KronCovariance(SpaceTimeDims(1, 2), [(np.zeros((2, 2)), np.zeros((1, 1)))], 0.0)
         with pytest.raises(ValueError, match="positive definite"):
-            GroundTruth(DenseCovariance(SpaceTimeDims(1, 2), np.zeros((2, 2))), "zero")
+            GroundTruth(zero, "zero")
+
+    @pytest.mark.parametrize("pairs, d", [
+        ([(np.eye(2), np.eye(1))] * 2, 0.0), ([(np.eye(2), np.eye(1))], 1.0)])
+    def test_only_one_term_without_a_diagonal_accepted(self, pairs, d):
+        with pytest.raises(ValueError, match="one Kronecker term"):
+            GroundTruth(KronCovariance(SpaceTimeDims(1, 2), pairs, d), "not separable")
+
+    def test_truth_is_carried_as_its_factors(self):
+        truth = ar1_kron_truth(4, 3, 0.5, 0.95)
+        (tm, sm), = truth.sigma.pairs
+        np.testing.assert_array_equal(tm, ar1_cov(3, 0.5))
+        np.testing.assert_array_equal(sm, ar1_cov(4, 0.95))
+        np.testing.assert_array_equal(truth.sigma.d, np.zeros(4))
+
+    def test_paper_scale_truth_factorizes_only_small_matrices(self, monkeypatch):
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def small_only(a, *args, _real=real, _name=name, **kwargs):
+                if np.shape(a)[-1] > 100:
+                    raise AssertionError(f"{_name} of a {np.shape(a)} input")
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, small_only)
+        truth = ar1_kron_truth(100, 10)
+        assert truth.root.shape == (1000, 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 8), T=st.integers(1, 6),
+       tcoeff=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+       scoeff=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True))
+def test_truth_root_is_the_symmetric_square_root(p, T, tcoeff, scoeff):
+    truth = ar1_kron_truth(p, T, tcoeff, scoeff)
+    sigma = truth.sigma.entries
+    np.testing.assert_array_equal(truth.root, truth.root.T)
+    assert np.abs(truth.root @ truth.root - sigma).max() <= 1e-12 * np.abs(sigma).max()
 
 
 class TestGaussianSampler:
@@ -80,7 +119,11 @@ class TestGaussianSampler:
 class TestSamplerRoot:
     def test_samplers_apply_the_symmetric_root_bit_for_bit(self):
         truth = ar1_kron_truth(4, 3, 0.5, 0.95)
-        root = _symmetric_sqrt(truth.sigma.entries)
+        root = truth.root
+        assert np.array_equal(root, np.kron(_symmetric_sqrt(ar1_cov(3, 0.5)),
+                                            _symmetric_sqrt(ar1_cov(4, 0.95))))
+        dense_root = _symmetric_sqrt(truth.sigma.entries)
+        assert np.abs(root - dense_root).max() <= 1e-12 * np.abs(dense_root).max()
         rng = np.random.default_rng(13)
         z = rng.standard_normal((9, 12))
         scale = np.sqrt(3.0 / rng.chisquare(3.0, size=9))

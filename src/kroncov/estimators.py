@@ -204,25 +204,38 @@ def shrink(sigma: DenseCovariance | KronCovariance, rho) -> DenseCovariance | Kr
         return KronCovariance(sigma.dims, [((1.0 - r) * tm, sm) for tm, sm in sigma.pairs],
                               (1.0 - r) * sigma.d + r * target)
     target = np.trace(sigma.entries) / d
-    out = (1.0 - r) * sigma.entries + (r * target) * np.eye(d)
+    out = (1.0 - r) * sigma.entries
+    out.flat[::d + 1] += r * target
     return DenseCovariance(sigma.dims, out)
 
 
-def _lw_terms(samples: SampleSet, plugin: DenseCovariance):
-    """Dispersion d2 and raw sample-scatter b2bar of the plug-in formula."""
+def _lw_terms(samples: SampleSet, plugin: DenseCovariance | KronCovariance):
+    """Dispersion d2 and raw sample-scatter b2bar of the plug-in formula.
+
+    A KronCovariance pilot gives its terms from the factors: ||S - m I||^2
+    is the squared norm of S with m taken off its diagonal term, and
+    <S, X^T X> = sum_i x_i^T S x_i, so no pT x pT matrix is formed.
+    """
     if samples.n < 2:
         raise ValueError("intensity estimation needs at least two samples")
     d = samples.dims.pt
     if plugin.dims != samples.dims:
         raise ValueError("plugin dims do not match the sample set")
-    s = plugin.entries
     n = samples.n
     x = samples.samples - samples.samples.mean(axis=0)
-    m = np.trace(s) / d
-    d2 = np.sum((s - m * np.eye(d)) ** 2) / d
+    if isinstance(plugin, KronCovariance):
+        m = plugin.trace() / d
+        spread = dataclasses.replace(plugin, d=plugin.d - m).frobenius_sq()
+        cross, s_sq = plugin.quad_sum(x), plugin.frobenius_sq()
+    else:
+        s = plugin.entries
+        m = np.trace(s) / d
+        spread = np.sum((s - m * np.eye(d)) ** 2)
+        cross, s_sq = np.sum(s * (x.T @ x)), np.sum(s ** 2)
+    d2 = spread / d
     # sum_i ||x_i x_i^T - S||^2 = sum_i |x_i|^4 - 2 <S, X^T X> + n ||S||^2: no outer products
     sq_norms = np.einsum("ij,ij->i", x, x)
-    total = np.sum(sq_norms ** 2) - 2.0 * np.sum(s * (x.T @ x)) + n * np.sum(s ** 2)
+    total = np.sum(sq_norms ** 2) - 2.0 * cross + n * s_sq
     b2bar = total / (n * n * d)
     return b2bar, d2
 
@@ -488,17 +501,19 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
     return ShrinkageIntensity(rho)
 
 
-def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = False):
+def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = False,
+                  sigma: DenseCovariance | None = None):
     """Diagonally corrected Kronecker fit of the SCM, shrunk toward a
     scaled identity.
 
     With rho="auto" the intensity is the structured plug-in of
     :func:`kron_plugin_intensity`; an explicit cfg.rho is used verbatim.
     The estimate is a KronCovariance: the shrunk factors and diagonal.
+    sigma is the SCM of samples when the caller already has it.
     """
     if samples.n < 2:
         raise ValueError("need at least two samples")
-    model = dc_kronpca(scm(samples), cfg)
+    model = dc_kronpca(scm(samples) if sigma is None else sigma, cfg)
     kron_cov = model.covariance()
     rho = resolve_rho(cfg, lambda: kron_plugin_intensity(samples, model, kron_cov))
     cov = shrink(kron_cov, rho)
@@ -735,8 +750,9 @@ def resolve_rho(cfg: EstimatorConfig, auto: Callable[[], ShrinkageIntensity]) ->
 @dataclass(frozen=True)
 class EstimatorSpec:
     """A named estimator: config defaults applied before user overrides,
-    fit(samples, cfg) -> (covariance, info), whether the output is a
-    trace-normalized shape, and the smallest sample count fit accepts."""
+    fit(samples, cfg, sample_cov) -> (covariance, info) with sample_cov()
+    giving the SCM of samples, whether the output is a trace-normalized
+    shape, and the smallest sample count fit accepts."""
 
     defaults: dict
     fit: Callable
@@ -746,14 +762,14 @@ class EstimatorSpec:
 
 # The fits name the module-level estimators inside their bodies, so a
 # rebinding of those names (as a tracer does) is seen at call time.
-def _fit_scm_lw(samples, cfg):
-    base = scm(samples)
+def _fit_scm_lw(samples, cfg, sample_cov):
+    base = sample_cov()
     rho = resolve_rho(cfg, lambda: lw_intensity(samples, base))
     return shrink(base, rho), {"rho": rho.rho}
 
 
-def _fit_kronpca(samples, cfg):
-    model = kronpca(scm(samples), cfg)
+def _fit_kronpca(samples, cfg, sample_cov):
+    model = kronpca(sample_cov(), cfg)
     return model.covariance(), {"model": model, "iterations": len(model.objective_trace),
                                 "converged": model.converged}
 
@@ -764,16 +780,18 @@ def _fit_tyler(samples, cfg, fitter):
 
 
 ESTIMATORS = {
-    "scm": EstimatorSpec({}, lambda samples, cfg: (scm(samples), {})),
+    "scm": EstimatorSpec({}, lambda samples, cfg, sample_cov: (sample_cov(), {})),
     "scm-lw": EstimatorSpec({}, _fit_scm_lw, min_n=2),
     "kronpca": EstimatorSpec({"toeplitz": False, "diag_correct": False}, _fit_kronpca),
     "dc-kronpca-lw": EstimatorSpec(
         {"toeplitz": True, "diag_correct": True},
-        lambda samples, cfg: dc_kronpca_lw(samples, cfg, full_output=True), min_n=2),
+        lambda samples, cfg, sample_cov: dc_kronpca_lw(samples, cfg, full_output=True,
+                                                       sigma=sample_cov()), min_n=2),
     "chen-tyler": EstimatorSpec(
-        {}, lambda samples, cfg: _fit_tyler(samples, cfg, chen_tyler), shape=True, min_n=2),
+        {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, chen_tyler), shape=True, min_n=2),
     "tyler-kronpca": EstimatorSpec(
-        {}, lambda samples, cfg: _fit_tyler(samples, cfg, robust_kronpca), shape=True, min_n=2),
+        {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, robust_kronpca),
+        shape=True, min_n=2),
 }
 
 
@@ -807,17 +825,21 @@ def require_samples(name: str, n: int, samples: SampleSet | None = None) -> None
         _normalized_directions(samples)
 
 
-def fit_by_name(name: str, samples: SampleSet, cfg: EstimatorConfig | dict | None = None):
+def fit_by_name(name: str, samples: SampleSet, cfg: EstimatorConfig | dict | None = None,
+                sample_cov: Callable[[], DenseCovariance] | None = None):
     """Run a named estimator; returns (covariance, info dict).
 
     info carries iterations, convergence, the resolved shrinkage
     intensity where one applies, and the fitted KronModel for the
-    Kronecker methods.
+    Kronecker methods.  sample_cov() gives the SCM of samples to the fits
+    that start from it; a caller fitting several estimators to one sample
+    set passes one cached callable so the SCM is built once.  By default
+    each call builds its own.
     """
     if not isinstance(cfg, EstimatorConfig):
         cfg = make_config(name, cfg)
     require_samples(name, samples.n)
-    cov, fit_info = ESTIMATORS[name].fit(samples, cfg)
+    cov, fit_info = ESTIMATORS[name].fit(samples, cfg, sample_cov or (lambda: scm(samples)))
     info = {"estimator": name, "iterations": 0, "converged": True,
             "rho": None, "model": None, **fit_info}
     return cov, info

@@ -19,7 +19,7 @@ construction so values can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,13 +63,15 @@ class DenseCovariance:
 
     Construction rejects NaN or inf entries and asymmetric input (beyond
     1e-12 relative) instead of symmetrizing it, so pipeline bugs surface
-    where they happen.
+    where they happen.  ``check_symmetry=False`` keeps only the shape
+    check, for :func:`derearrange`, whose output need not be symmetric.
     """
 
     dims: SpaceTimeDims
     entries: np.ndarray
+    check_symmetry: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check_symmetry):
         entries = _frozen_array(self.entries)
         n = self.dims.pt
         if entries.shape != (n, n):
@@ -77,7 +79,7 @@ class DenseCovariance:
                 f"covariance shape {entries.shape} does not match dims "
                 f"(p={self.dims.p}, T={self.dims.T}, pT={n})"
             )
-        if not is_symmetric(entries):
+        if check_symmetry and not is_symmetric(entries):
             if not np.isfinite(entries).all():
                 raise ValueError("covariance entries must be finite (found NaN or inf)")
             asym = np.abs(entries - entries.T).max()
@@ -90,6 +92,19 @@ class DenseCovariance:
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self.entries)
+
+    def trace(self) -> float:
+        return float(np.trace(self.entries))
+
+    def frobenius_sq(self) -> float:
+        return float(np.vdot(self.entries, self.entries))
+
+    def inner_kron(self, tm: np.ndarray, sm: np.ndarray) -> float:
+        """<sigma, tm (x) sm>_F: one contraction of the T x p x T x p blocks
+        with the two factors, no pT x pT product formed."""
+        p, T = self.dims.p, self.dims.T
+        blocks = self.entries.reshape(T, p, T, p)
+        return float(np.vdot(tm, np.einsum("tmsl,ml->ts", blocks, sm)))
 
 
 @dataclass(frozen=True)
@@ -171,12 +186,7 @@ def derearrange(r: RearrangedMatrix) -> DenseCovariance:
     p, T = r.dims.p, r.dims.T
     grid = r.entries.reshape(T, T, p, p)
     entries = grid.transpose(1, 3, 0, 2).reshape(T * p, T * p)
-    # bypass the symmetry gate: derearrangement of a generic matrix need not
-    # be symmetric, and the contract explicitly allows that
-    obj = object.__new__(DenseCovariance)
-    object.__setattr__(obj, "dims", r.dims)
-    object.__setattr__(obj, "entries", _frozen_array(entries))
-    return obj
+    return DenseCovariance(r.dims, entries, check_symmetry=False)
 
 
 def compress_diagonals(rows: np.ndarray, T: int) -> np.ndarray:
@@ -288,6 +298,29 @@ class KronCovariance:
     def trace(self) -> float:
         return float(sum(np.trace(tm) * np.trace(sm) for tm, sm in self.pairs)
                      + self.dims.T * self.d.sum())
+
+    def inner_kron(self, tm: np.ndarray, sm: np.ndarray) -> float:
+        """<sigma, tm (x) sm>_F from the factors, by <A (x) B, C (x) D> =
+        <A, C><B, D> (Van Loan & Pitsianis, 1993): sum_i <T_i, tm><S_i, sm>
+        plus tr(tm) <d, diag(sm)> for the I (x) diag(d) term."""
+        return float(sum(np.vdot(ti, tm) * np.vdot(si, sm) for ti, si in self.pairs)
+                     + np.trace(tm) * (self.d @ np.diagonal(sm)))
+
+    def frobenius_sq(self) -> float:
+        """||sigma||_F^2 = sum of <sigma, term> over its own terms, the
+        diagonal one being I (x) diag(d)."""
+        terms = (*self.pairs, (np.eye(self.dims.T), np.diag(self.d)))
+        return float(sum(self.inner_kron(tm, sm) for tm, sm in terms))
+
+    def quad_sum(self, x: np.ndarray) -> float:
+        """sum_k x_k^T sigma x_k over the rows x_k of x (n x pT).  A row read
+        as its T x p frame matrix X gives x^T (A (x) B) x = <X, A X B^T>, so
+        each term costs O(n T p (T + p)) and no pT x pT matrix is formed."""
+        frames = np.asarray(x, dtype=float).reshape(-1, self.dims.T, self.dims.p)
+        total = np.einsum("ktm,ktm->m", frames, frames) @ self.d
+        for tm, sm in self.pairs:
+            total += np.vdot(frames, tm @ (frames @ sm.T))
+        return float(total)
 
     def _blocks(self):
         """(V, blocks) with sigma = (V (x) I) blockdiag(blocks) (V (x) I)^T,

@@ -1,6 +1,7 @@
 """End-to-end subcommand tests: files, determinism, exit codes."""
 import copy
 import filecmp
+import inspect
 import json
 import math
 import re
@@ -15,7 +16,7 @@ from kroncov import SpaceTimeDims, ar1_kron_truth, sample_gaussian, scm, shrink
 from kroncov import anomaly as anom
 from kroncov import estimators as est
 from kroncov.anomaly import FrameSeries, write_frame_csv
-from kroncov.cli import main, read_matrix_binary, write_matrix_binary
+from kroncov.cli import COMMANDS, main, read_matrix_binary, write_matrix_binary
 from kroncov.synth import ar1_frame_stream, inject_anomalies, read_sample_csv, write_sample_csv
 
 
@@ -252,6 +253,56 @@ class TestMseBenchCommand:
                 dense = shrink(info["model"].covariance().to_dense(), info["rho"])
                 ref = normalized_mse(dense.entries, truth.sigma.entries, False)
                 assert value == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+    def test_every_estimator_error_equals_the_dense_mse(self):
+        from kroncov.cli import _ar1_sampler, kron_truth_error, normalized_mse, run_mse_bench, trial_seed
+
+        names = sorted(est.ESTIMATORS)
+        cfg = {"p": 4, "T": 3, "seed": 5, "trials": 2, "n_grid": [9], "dof": 5,
+               "estimators": [{"name": name} for name in names]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows, _ = run_mse_bench(cfg)
+            truth, sample = _ar1_sampler(cfg)
+            error = kron_truth_error(truth)
+            cells = {label: values for label, _, _, _, values in rows}
+            for t in range(cfg["trials"]):
+                samples = sample(9, trial_seed(cfg["seed"], 9, t))
+                for name in names:
+                    cov, _ = est.fit_by_name(name, samples)
+                    dense = {shape: normalized_mse(cov.entries, truth.sigma.entries, shape)
+                             for shape in (False, True)}
+                    assert cells[name][t] == pytest.approx(
+                        dense[est.ESTIMATORS[name].shape], rel=1e-10, abs=0)
+                    for shape in (False, True):
+                        assert error(cov, shape) == pytest.approx(dense[shape], rel=1e-10, abs=0)
+
+    def test_factor_form_fits_are_scored_without_assembly(self, monkeypatch):
+        from kroncov import kron_ops
+        from kroncov.cli import run_mse_bench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mse-bench assembled a pT x pT matrix")
+        monkeypatch.setattr(kron_ops, "kron_assemble", refuse)
+        cfg = {"p": 5, "T": 4, "seed": 2, "trials": 2, "n_grid": [10, 30],
+               "estimators": [{"name": "kronpca"}, {"name": "dc-kronpca-lw"}]}
+        rows, _ = run_mse_bench(cfg)
+        assert all(np.isfinite(values).all() for _, _, _, _, values in rows)
+
+    def test_one_sample_covariance_per_trial(self, monkeypatch):
+        from kroncov.cli import run_mse_bench
+
+        calls = []
+        real_scm = est.scm
+        monkeypatch.setattr(est, "scm", lambda samples: calls.append(1) or real_scm(samples))
+        cfg = {"p": 3, "T": 2, "seed": 4, "trials": 3, "n_grid": [6],
+               "estimators": [{"name": name} for name in ("scm", "scm-lw", "kronpca",
+                                                          "dc-kronpca-lw", "chen-tyler")]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_mse_bench(cfg)
+        assert len(calls) == 3
 
 
 def make_stream_csv(path, seed=3, n_train=120, n_test=800, p=4, magnitude=6.0):
@@ -495,6 +546,16 @@ class TestBadConfigs:
         assert run_cli("synth", cfg, tmp_path / "out", tmp_path,
                        extra=("--threads", threads)) == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_threads_below_one_is_config_error_for_every_command(self, tmp_path, capsys,
+                                                                 command):
+        assert run_cli(command, {}, tmp_path / "out", tmp_path, extra=("--threads", "0")) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_only_mse_bench_takes_threads(self):
+        for name, command in COMMANDS.items():
+            assert ("threads" in inspect.signature(command).parameters) == (name == "mse-bench")
 
 
 # ---------------------------------------------------------------------------

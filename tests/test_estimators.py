@@ -11,6 +11,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from kroncov import (
     DenseCovariance,
     EstimatorConfig,
+    KronCovariance,
     KronModel,
     SampleSet,
     ShrinkageIntensity,
@@ -88,6 +89,18 @@ class TestShrink:
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([3.0, 1.0]))
         np.testing.assert_allclose(shrink(sigma, 0.5).entries, np.diag([2.5, 1.5]))
 
+    def test_dense_branch_bit_identical_to_adding_a_scaled_identity(self):
+        rng = np.random.default_rng(2)
+        sigma = DenseCovariance(SpaceTimeDims(4, 3), random_spd(rng, 12) - 3.0 * np.eye(12))
+        target = np.trace(sigma.entries) / 12
+        for rho in (0.0, 1e-3, 0.3, 0.5, 0.97, 1.0):
+            old = (1.0 - rho) * sigma.entries + (rho * target) * np.eye(12)
+            new = shrink(sigma, rho).entries
+            if rho < 1.0:
+                assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+            else:  # 0 * a negative entry is -0.0, which the old sum turned into +0.0
+                assert np.array_equal(new, old)
+
     def test_trace_preserved_and_spectrum_affine(self):
         rng = np.random.default_rng(1)
         sigma = DenseCovariance(SpaceTimeDims(3, 2), random_spd(rng, 6))
@@ -155,6 +168,19 @@ class TestLwIntensity:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 lw_intensity(samples, scm(samples))
+
+    def test_factor_form_terms_equal_the_dense_formula(self):
+        rng = np.random.default_rng(9)
+        dims = SpaceTimeDims(5, 4)
+        samples = sample_gaussian(ar1_kron_truth(5, 4, 0.5, 0.95), 12, 9)
+        fitted = dc_kronpca(scm(samples), EstimatorConfig(r=1, toeplitz=True, diag_correct=True))
+        skewed = KronCovariance(dims, [(rng.standard_normal((4, 4)), rng.standard_normal((5, 5)))
+                                       for _ in range(3)], rng.standard_normal(5))
+        for pilot in (fitted.covariance(), skewed):
+            entries = sum(np.kron(tm, sm) for tm, sm in pilot.pairs) + np.diag(np.tile(pilot.d, 4))
+            dense = DenseCovariance(dims, entries, check_symmetry=False)
+            np.testing.assert_allclose(est._lw_terms(samples, pilot),
+                                       est._lw_terms(samples, dense), rtol=1e-12, atol=0)
 
 
 class TestSvt:

@@ -427,6 +427,30 @@ class TestKronCovariance:
         with pytest.raises(ValueError, match="do not match dims"):
             KronCovariance(SpaceTimeDims(2, 2), [(np.eye(3), np.eye(2))], np.zeros(2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(1, 6), T=st.integers(1, 6), r=st.integers(1, 3),
+           n=st.integers(1, 8), d_scale=st.sampled_from([0.0, 1.0, 10.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reductions_match_the_dense_matrix(self, p, T, r, n, d_scale, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        pairs = [(rng.standard_normal((T, T)), rng.standard_normal((p, p))) for _ in range(r)]
+        d = d_scale * rng.standard_normal(p)
+        cov = KronCovariance(dims, pairs, d)
+        dense = sum(np.kron(tm, sm) for tm, sm in pairs) + np.kron(np.eye(T), np.diag(d))
+        tm, sm = rng.standard_normal((T, T)), rng.standard_normal((p, p))
+        x = rng.standard_normal((n, dims.pt))
+        # bound on ||sigma||_F from the factors, so near-cancelling sums are judged fairly
+        bound = sum(np.linalg.norm(a) * np.linalg.norm(b) for a, b in pairs) + np.sqrt(T) * np.linalg.norm(d)
+        unchecked = DenseCovariance(dims, dense, check_symmetry=False)
+        for form in (cov, unchecked):
+            assert abs(form.frobenius_sq() - np.sum(dense ** 2)) <= 1e-12 * bound ** 2
+            assert abs(form.inner_kron(tm, sm) - np.sum(dense * np.kron(tm, sm))) <= (
+                1e-12 * bound * np.linalg.norm(tm) * np.linalg.norm(sm))
+            assert abs(form.trace() - np.trace(dense)) <= 1e-12 * bound * np.sqrt(dims.pt)
+        assert abs(cov.quad_sum(x) - np.einsum("ki,ij,kj->", x, dense, x)) <= (
+            1e-12 * bound * np.sum(x ** 2))
+
 
 class TestInverseQuadForms:
     @settings(max_examples=150, deadline=None)

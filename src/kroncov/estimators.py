@@ -179,14 +179,20 @@ def scm(samples: SampleSet) -> DenseCovariance:
 
     A single sample centers to zero and yields the zero matrix (with a
     warning) so degenerate pipelines fail loudly downstream rather than
-    here.
+    here.  numpy computes x^T x as one symmetric rank-k update, so the
+    Gram is exactly symmetric and is handed over without a symmetry scan;
+    by |g_ij| <= sqrt(g_ii g_jj) a finite diagonal means no entry overflowed.
     """
     if samples.n < 1:
         raise ValueError("sample set is empty")
     x = samples.samples - samples.samples.mean(axis=0)
     if samples.n == 1:
         warnings.warn("sample covariance of a single sample is the zero matrix")
-    return DenseCovariance(samples.dims, _sym(x.T @ x / samples.n))
+    gram = x.T @ x
+    gram /= samples.n
+    if not np.isfinite(np.diagonal(gram)).all():
+        raise ValueError("covariance entries must be finite (found NaN or inf)")
+    return DenseCovariance.adopt(samples.dims, gram)
 
 
 def shrink(sigma: DenseCovariance | KronCovariance, rho) -> DenseCovariance | KronCovariance:
@@ -421,6 +427,36 @@ def _floored_time_mean(resid: np.ndarray, dims: SpaceTimeDims) -> np.ndarray:
     return np.maximum(resid.reshape(dims.T, dims.p).mean(axis=0), 0.0)
 
 
+def _reduced_completion(b: np.ndarray, mask: np.ndarray, cfg: EstimatorConfig):
+    """soft_impute of b under mask, run on a matrix with the same Gram.
+
+    The columns of b that hold no hidden entry (b_rest) enter every
+    iteration only through b_rest b_rest^T, so they are replaced by the
+    lower-trapezoidal K = R^T of an economic QR b_rest^T = Q R, which has
+    min(rows, rest columns) columns and K K^T = b_rest b_rest^T.  As
+    b = [K | b_J] blockdiag(Q^T, I) up to a column order, with Q
+    orthonormal, every iteration on [K | b_J] has in exact arithmetic the
+    same singular values, left vectors, hidden entries, objective and
+    relative change as on b, hence the same iteration count.  The right
+    vectors are lifted once at the end: on the hidden columns J they are
+    the reduced ones, on the rest u^T b_rest / (s + beta/2), the raw
+    singular values of the last iterate (its rest columns are b_rest).
+
+    Returns (the reduced run's SoftImputeResult, (u, s, vt) of the full width).
+    """
+    hidden = (mask == 0).any(axis=0)
+    b_rest = b[:, ~hidden]
+    k_factor = np.linalg.qr(b_rest.T, mode="r").T
+    width = k_factor.shape[1]
+    result = soft_impute(np.hstack([k_factor, b[:, hidden]]),
+                         np.hstack([np.ones_like(k_factor), mask[:, hidden]]), cfg.beta, cfg)
+    u, s, vt_reduced = result.triples
+    vt = np.empty((s.size, b.shape[1]))
+    vt[:, hidden] = vt_reduced[:, width:]
+    vt[:, ~hidden] = (u.T @ b_rest) / (s + cfg.beta / 2.0)[:, None]
+    return result, (u, s, vt)
+
+
 def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     """Diagonally corrected Kronecker fit.
 
@@ -429,14 +465,16 @@ def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     compressed diagonal space when the toeplitz flag is set), and the
     left-over diagonal goes into the I (x) diag(u) term: the diagonal of
     a term w T (x) S is w diag(T) (x) diag(S), so no pT x pT matrix is formed.
+    The completion runs on a reduced matrix with the same Gram
+    (:func:`_reduced_completion`).
     """
     if not cfg.diag_correct:
         raise ValueError("dc_kronpca requires diag_correct=True; use kronpca otherwise")
     dims = sigma.dims
     mask = diag_mask(dims)
     b = _rearranged(sigma, cfg.toeplitz)
-    result = soft_impute(b, mask.compressed if cfg.toeplitz else mask.full, cfg.beta, cfg)
-    factors = _extract_factors(*result.triples, dims, cfg.toeplitz)
+    result, triples = _reduced_completion(b, mask.compressed if cfg.toeplitz else mask.full, cfg)
+    factors = _extract_factors(*triples, dims, cfg.toeplitz)
     lowrank = np.zeros(dims.pt)
     for w, tm, sm in factors:
         lowrank += np.kron(w * np.diag(tm), np.diag(sm))

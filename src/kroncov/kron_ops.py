@@ -89,6 +89,21 @@ class DenseCovariance:
             )
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def adopt(cls, dims: SpaceTimeDims, entries: np.ndarray) -> "DenseCovariance":
+        """Wrap a freshly computed float array whose producer guarantees
+        symmetry, without the constructor's copy and symmetry scan: the
+        internal-hop counterpart of the validating constructor.  The array
+        becomes read-only; the caller must hold no writable alias to it."""
+        if entries.dtype != np.float64 or entries.shape != (dims.pt, dims.pt):
+            raise ValueError(f"cannot adopt a {entries.dtype} array of shape {entries.shape} "
+                             f"for dims (p={dims.p}, T={dims.T})")
+        entries.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order."""
         return np.linalg.eigvalsh(self.entries)

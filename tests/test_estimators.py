@@ -19,6 +19,7 @@ from kroncov import (
     chen_tyler,
     dc_kronpca,
     dc_kronpca_lw,
+    diag_mask,
     flipflop_S,
     kron_spectrum,
     kronpca,
@@ -74,6 +75,24 @@ class TestScm:
         rng = np.random.default_rng(0)
         out = scm(sample_set(rng.standard_normal((20, 6)), p=3, T=2))
         assert np.linalg.eigvalsh(out.entries)[0] >= -1e-12
+
+    @pytest.mark.parametrize("p, T, n", [(3, 2, 1), (3, 2, 7), (100, 10, 10), (100, 10, 50),
+                                         (100, 10, 400)])
+    def test_entries_equal_the_symmetrized_quotient_bit_for_bit(self, p, T, n):
+        rng = np.random.default_rng(n)
+        samples = sample_set(rng.standard_normal((n, p * T)), p=p, T=T)
+        x = samples.samples - samples.samples.mean(axis=0)
+        quotient = x.T @ x / n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n = 1
+            out = scm(samples)
+        np.testing.assert_array_equal(out.entries, 0.5 * (quotient + quotient.T))
+        np.testing.assert_array_equal(out.entries, out.entries.T)
+        assert not out.entries.flags.writeable
+
+    def test_overflowing_gram_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+            scm(sample_set([[1e200, 0.0], [-1e200, 0.0]]))
 
 
 class TestShrink:
@@ -515,6 +534,58 @@ class TestDcKronpca:
             off = ~np.eye(9, dtype=bool)
             errs.append(np.linalg.norm((rec - sigma.entries)[off]))
         assert errs[0] >= errs[1] - 1e-9 and errs[1] >= errs[2] - 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 8), T=st.integers(1, 6), toeplitz_rows=st.booleans(),
+           beta=st.sampled_from([0.0, 0.1, 1e6]), r=st.integers(1, 3),
+           below_rows=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_reduced_completion_equals_the_full_one(self, p, T, toeplitz_rows, beta, r,
+                                                    below_rows, seed):
+        # beta = 1e6 thresholds every component away; r = 3 exceeds the rank
+        # of b when p = 1 or n is small
+        rows = 2 * T - 1 if toeplitz_rows else T * T
+        rng = np.random.default_rng(seed)
+        if below_rows and rows > 2:
+            n = int(rng.integers(2, rows))
+        else:
+            n = int(rng.integers(rows + 1, 2 * rows + 4))
+        sigma = scm(sample_gaussian(ar1_kron_truth(p, T, 0.5, 0.95), n, seed))
+        cfg = EstimatorConfig(r=r, beta=beta, toeplitz=toeplitz_rows, diag_correct=True)
+        b = est._rearranged(sigma, toeplitz_rows)
+        mask = diag_mask(sigma.dims)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full = soft_impute(b, mask.compressed if toeplitz_rows else mask.full, beta, cfg)
+            model = dc_kronpca(sigma, cfg)
+        lowrank = sum((np.kron(w * tm, sm) for w, tm, sm in
+                       est._extract_factors(*full.triples, sigma.dims, toeplitz_rows)),
+                      np.zeros((p * T, p * T)))
+        u = np.maximum((np.diag(sigma.entries) - np.diag(lowrank)).reshape(T, p).mean(axis=0), 0.0)
+        assert len(model.objective_trace) == full.iterations
+        assert model.converged == full.converged
+        # ||b||^2 is the objective at Z = 0: a residual that cancels to rounding
+        # level is judged against it, not against itself
+        np.testing.assert_allclose(model.objective_trace, full.objective_trace,
+                                   rtol=1e-12, atol=1e-12 * np.sum(b ** 2))
+        reference = lowrank + np.kron(np.eye(T), np.diag(u))
+        assert np.abs(model.covariance().entries - reference).max() <= (
+            1e-10 * np.abs(sigma.entries).max())
+
+    def test_paper_scale_completion_runs_on_the_reduced_matrix(self, monkeypatch):
+        sigma = scm(sample_gaussian(ar1_kron_truth(100, 10, 0.5, 0.95), 10, 5))
+        shapes = []
+        real = est.soft_impute
+
+        def record(b, mask, beta, cfg):
+            shapes.append(np.shape(b))
+            return real(b, mask, beta, cfg)
+        monkeypatch.setattr(est, "soft_impute", record)
+        hidden = 100  # the columns of the p diagonal entries of a spatial block
+        for toeplitz_rows, rows in ((True, 19), (False, 100)):
+            dc_kronpca(sigma, EstimatorConfig(r=1, toeplitz=toeplitz_rows, diag_correct=True))
+            assert shapes[-1][0] == rows
+            assert shapes[-1][1] <= min(rows, 100 ** 2 - hidden) + hidden
+        assert len(shapes) == 2
 
 
 class TestDcKronpcaLw:

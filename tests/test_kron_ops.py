@@ -529,3 +529,16 @@ class TestValidation:
         sigma = DenseCovariance(SpaceTimeDims(1, 2), np.eye(2))
         with pytest.raises(ValueError):
             sigma.entries[0, 0] = 5.0
+
+    def test_adopt_keeps_the_array_and_makes_it_read_only(self):
+        entries = np.array([[2.0, 1.0], [1.0, 3.0]])
+        sigma = DenseCovariance.adopt(SpaceTimeDims(1, 2), entries)
+        assert sigma.entries is entries and not entries.flags.writeable
+        assert sigma.dims == SpaceTimeDims(1, 2)
+        with pytest.raises(ValueError):
+            sigma.entries[0, 0] = 5.0
+
+    @pytest.mark.parametrize("entries", [np.eye(3), np.eye(2, dtype=np.float32)])
+    def test_adopt_rejects_a_wrong_shape_or_dtype(self, entries):
+        with pytest.raises(ValueError, match="cannot adopt"):
+            DenseCovariance.adopt(SpaceTimeDims(1, 2), entries)

@@ -414,19 +414,6 @@ def kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     )
 
 
-def set_diag_correction(sigma: DenseCovariance, lowrank: DenseCovariance) -> np.ndarray:
-    """Time-averaged diagonal residual of sigma against a low-rank part,
-    floored at zero: u_m = max(0, mean_t [sigma - lowrank]_(t,m),(t,m))."""
-    if sigma.dims != lowrank.dims:
-        raise ValueError("dims mismatch between covariance and low-rank part")
-    return _floored_time_mean(np.diag(sigma.entries) - np.diag(lowrank.entries), sigma.dims)
-
-
-def _floored_time_mean(resid: np.ndarray, dims: SpaceTimeDims) -> np.ndarray:
-    """max(0, mean over the T frames) of a length-pT diagonal residual."""
-    return np.maximum(resid.reshape(dims.T, dims.p).mean(axis=0), 0.0)
-
-
 def _reduced_completion(b: np.ndarray, mask: np.ndarray, cfg: EstimatorConfig):
     """soft_impute of b under mask, run on a matrix with the same Gram.
 
@@ -463,8 +450,9 @@ def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     The covariance diagonal is masked out of the rearranged data, the
     remaining entries get a rank-capped nuclear-norm completion (in
     compressed diagonal space when the toeplitz flag is set), and the
-    left-over diagonal goes into the I (x) diag(u) term: the diagonal of
-    a term w T (x) S is w diag(T) (x) diag(S), so no pT x pT matrix is formed.
+    left-over diagonal, averaged over the T frames and floored at zero,
+    goes into the I (x) diag(u) term: the diagonal of a term w T (x) S is
+    w diag(T) (x) diag(S), so no pT x pT matrix is formed.
     The completion runs on a reduced matrix with the same Gram
     (:func:`_reduced_completion`).
     """
@@ -478,7 +466,8 @@ def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     lowrank = np.zeros(dims.pt)
     for w, tm, sm in factors:
         lowrank += np.kron(w * np.diag(tm), np.diag(sm))
-    uvec = _floored_time_mean(np.diag(sigma.entries) - lowrank, dims)
+    resid = (np.diag(sigma.entries) - lowrank).reshape(dims.T, dims.p)
+    uvec = np.maximum(resid.mean(axis=0), 0.0)
     return KronModel(
         dims=dims,
         factors=factors,
@@ -619,37 +608,29 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     return cov
 
 
-def _toeplitz_average(m: np.ndarray) -> np.ndarray:
-    """Average a symmetric matrix along its diagonals (Toeplitz projection)."""
-    T = m.shape[0]
-    prof = np.array([
-        0.5 * (np.diagonal(m, o).mean() + np.diagonal(m, -o).mean())
-        for o in range(T)
-    ])
-    return toeplitz(prof)
-
-
 def kronpca_T(sigma: DenseCovariance) -> np.ndarray:
     """Leading Toeplitz temporal factor of a covariance, repaired to be
     positive definite and normalized to trace T.
 
-    The factor comes from a rank-1 block Toeplitz fit; eigenvalues are
-    clipped from below at 1e-8 of the largest, one diagonal-averaging pass
+    The factor is the leading left vector of the compressed rearranged
+    matrix (:func:`_thresholded_svd` at rank 1), expanded to T x T and
+    signed to nonnegative trace.  Its eigenvalues are clipped from below
+    at 1e-8 of the largest, the Toeplitz projection expand . compress
     restores exact Toeplitz structure, and an identity ridge absorbs any
-    negative curvature the averaging reintroduced.
+    negative curvature the projection reintroduced.
     """
     T = sigma.dims.T
-    cfg = EstimatorConfig(r=1, beta=0.0, toeplitz=True, diag_correct=False)
-    model = kronpca(sigma, cfg)
-    if not model.factors:
+    u = _thresholded_svd(_rearranged(sigma, True), 0.0, 1)[0]
+    if not u.shape[1]:
         raise ValueError("zero covariance has no temporal factor")
-    _, tm, _ = model.factors[0]
-    lam, vecs = np.linalg.eigh(_sym(tm))
+    tm = expand_diagonals(u, T).reshape(T, T, order="F")
+    lam, vecs = np.linalg.eigh(_sym(tm if np.trace(tm) >= 0 else -tm))
     if lam[-1] <= 0:
         raise ValueError("temporal factor has no positive curvature")
     floor = 1e-8 * lam[-1]
     clipped = _sym((vecs * np.maximum(lam, floor)) @ vecs.T)
-    out = _toeplitz_average(clipped)
+    out = expand_diagonals(compress_diagonals(clipped.reshape(T * T, 1, order="F"), T), T)
+    out = out.reshape(T, T, order="F")
     lam_min = np.linalg.eigvalsh(out)[0]
     if lam_min < floor:
         out = out + (floor - lam_min) * np.eye(T)
@@ -683,6 +664,11 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     temporal (x) spatial form via the closed-form spatial update.  The
     inner loop stops on the relative change of the shrunk estimate, the
     outer loop on the relative change of the temporal factor.
+
+    The estimate is the last shrunk iterate in its own form, a
+    KronCovariance c T (x) S + rho I with T the temporal factor it was
+    built from, S = flipflop_S(last Tyler average, T) and
+    c = (1 - rho) pT / (tr T tr S): trace pT, minimum eigenvalue >= rho.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
@@ -695,7 +681,7 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     converged = False
     inner_total = 0
     for outer in range(1, cfg.max_iter + 1):
-        t_hat = kronpca_T(DenseCovariance(dims, sigma_tilde))
+        t_hat = kronpca_T(DenseCovariance.adopt(dims, sigma_tilde))
         if t_prev is not None and np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev) < cfg.tol:
             converged = True
             break
@@ -705,7 +691,10 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
         inner_total += steps
     if not converged:
         warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")
-    cov = DenseCovariance(dims, sigma_hat)
+    # t_prev built the last inner iterate: the outer loop stops before replacing it
+    s_hat = flipflop_S(sigma_tilde, t_prev)
+    c = (1.0 - r) * dims.pt / (np.trace(t_prev) * np.trace(s_hat))
+    cov = KronCovariance(dims, [(c * t_prev, s_hat)], r)
     if full_output:
         return cov, {"iterations": outer, "inner_iterations": inner_total,
                      "converged": converged, "rho": r}
@@ -754,7 +743,8 @@ def _acg_loglik(directions: np.ndarray, sigma: np.ndarray) -> float:
 def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> ShrinkageIntensity:
     """Pick rho from CV_RHO_GRID by held-out direction likelihood.
 
-    `fitter(samples, rho, cfg)` must return a DenseCovariance.  Folds are
+    `fitter(samples, rho, cfg)` must return a covariance with `entries`
+    (a DenseCovariance or a KronCovariance).  Folds are
     deterministic stride splits, so selection is reproducible; with n >= 2
     every fold has a training and a held-out sample.
     """

@@ -43,11 +43,12 @@ class SampleSet:
 @dataclass(frozen=True)
 class GroundTruth:
     """A positive definite T (x) S held as its factors (a one-term KronCovariance
-    with d = 0), its symmetric root root(T) (x) root(S) and a provenance string."""
+    with d = 0), a provenance string, and the symmetric root of T (x) S as the
+    pair (root(T), root(S)): root(T) (x) root(S) is never formed."""
 
     sigma: KronCovariance
     description: str
-    root: np.ndarray = field(init=False, repr=False, compare=False)
+    root: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sigma.pairs) != 1 or self.sigma.d.any():
@@ -56,8 +57,14 @@ class GroundTruth:
         if not lam_min > 0:
             raise ValueError(f"ground truth is not positive definite (min eig {lam_min:.3e})")
         (tm, sm), = self.sigma.pairs
-        root = np.kron(_symmetric_sqrt(tm), _symmetric_sqrt(sm))
-        object.__setattr__(self, "root", _frozen_array(root))
+        root = (_frozen_array(_symmetric_sqrt(tm)), _frozen_array(_symmetric_sqrt(sm)))
+        object.__setattr__(self, "root", root)
+
+    def correlate(self, z: np.ndarray) -> np.ndarray:
+        """z @ (root(T) (x) root(S)) for the rows z_k of z (n x pT): each row
+        read as its T x p frame matrix Z maps to root(T) Z root(S)."""
+        (root_t, root_s), dims = self.root, self.sigma.dims
+        return (root_t @ z.reshape(-1, dims.T, dims.p) @ root_s).reshape(z.shape)
 
 
 def ar1_cov(dim: int, coeff: float, name: str = "coeff") -> np.ndarray:
@@ -91,14 +98,15 @@ def _symmetric_sqrt(entries: np.ndarray) -> np.ndarray:
 def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> SampleSet:
     """Draw n iid zero-mean Gaussian vectors with the given covariance.
 
-    Uses the symmetric square root of the covariance applied to standard
-    normal draws; identical seeds reproduce the set bit for bit.
+    Applies the symmetric square root of the covariance to standard normal
+    draws frame by frame (:meth:`GroundTruth.correlate`); identical seeds
+    reproduce the set bit for bit.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, truth.sigma.dims.pt))
-    return SampleSet(truth.sigma.dims, n, z @ truth.root, seed)
+    return SampleSet(truth.sigma.dims, n, truth.correlate(z), seed)
 
 
 def sample_student_t(truth: GroundTruth, dof: float, n: int, seed: int) -> SampleSet:
@@ -115,7 +123,7 @@ def sample_student_t(truth: GroundTruth, dof: float, n: int, seed: int) -> Sampl
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, truth.sigma.dims.pt))
     scale = np.sqrt(dof / rng.chisquare(dof, size=n))
-    return SampleSet(truth.sigma.dims, n, (z @ truth.root) * scale[:, None], seed)
+    return SampleSet(truth.sigma.dims, n, truth.correlate(z) * scale[:, None], seed)
 
 
 def ar1_frame_stream(p: int, n_frames: int, tcoeff: float = 0.5,

@@ -12,14 +12,18 @@ from kroncov import (
     NOMINAL,
     DenseCovariance,
     FrameSeries,
+    KronCovariance,
+    SampleSet,
     SpaceTimeDims,
     WindowSet,
     detrend,
+    fit_by_name,
     mahalanobis_scores,
     make_windows,
     roc,
 )
 from kroncov.anomaly import read_frame_csv, write_frame_csv, write_roc_csv
+from kroncov.synth import ar1_frame_stream, inject_anomalies
 
 
 def series_from(values, labels=None):
@@ -179,6 +183,27 @@ class TestMahalanobisScores:
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="singular"):
             mahalanobis_scores(self.windows_of([[1.0, 1.0]]), sigma)
+
+    def test_tyler_kronpca_is_scored_from_its_blocks(self, monkeypatch):
+        p, T = 4, 3
+        frames = ar1_frame_stream(p, 400, 0.3, 0.9, seed=6, dof=3.0)
+        shifted, labels = inject_anomalies(frames[100:], rate=0.1, magnitude=4.0, seed=7)
+        train = make_windows(series_from(frames[:100]), T)
+        test = make_windows(series_from(shifted, labels), T)
+        samples = SampleSet(SpaceTimeDims(p, T), len(train.vectors), train.vectors)
+        cov, _ = fit_by_name("tyler-kronpca", samples, {"rho": 0.1})
+        assert isinstance(cov, KronCovariance)
+        dense_auc = roc(mahalanobis_scores(test, DenseCovariance(cov.dims, cov.entries)),
+                        test.labels).auc
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def refuse_dense(a, *args, _real=real, _name=name, **kwargs):
+                assert np.shape(a)[-1] != p * T, f"dense pT x pT {_name}"
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, refuse_dense)
+        block_auc = roc(mahalanobis_scores(test, cov), test.labels).auc
+        assert block_auc == pytest.approx(dense_auc, rel=0, abs=1e-12)
 
 
 class TestRoc:

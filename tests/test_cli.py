@@ -440,6 +440,23 @@ class TestAnomalyCommand:
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
         assert json.loads((tmp_path / "out" / "auc_dc-kronpca-lw.json").read_text())["auc"] > 0.9
 
+    def test_tyler_kronpca_is_scored_without_a_dense_eigendecomposition(self, tmp_path,
+                                                                        monkeypatch):
+        p, T = 4, 3
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def refuse_dense(a, *args, _real=real, _name=name, **kwargs):
+                assert np.shape(a)[-1] != p * T, f"dense pT x pT {_name}"
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, refuse_dense)
+        csv = tmp_path / "stream.csv"
+        n_train = make_stream_csv(csv, seed=5, p=p)
+        cfg = {"input": str(csv), "T": T, "train_range": [0, n_train],
+               "estimators": [{"name": "tyler-kronpca", "config": {"rho": 0.1}}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+        assert json.loads((tmp_path / "out" / "auc_tyler-kronpca.json").read_text())["auc"] > 0.9
+
     def test_zero_training_window_for_a_tyler_estimator_is_config_error(self, tmp_path,
                                                                          capsys):
         # integer training frames summing to zero per column: the training

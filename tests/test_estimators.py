@@ -30,7 +30,6 @@ from kroncov import (
     sample_gaussian,
     sample_student_t,
     scm,
-    set_diag_correction,
     shrink,
     soft_impute,
     svt,
@@ -449,27 +448,6 @@ class TestKronpca:
                     )
 
 
-class TestSetDiagCorrection:
-    def test_equal_inputs_give_zero(self):
-        sigma = DenseCovariance(SpaceTimeDims(2, 2), np.eye(4))
-        np.testing.assert_array_equal(set_diag_correction(sigma, sigma), np.zeros(2))
-
-    def test_additive_identity_case(self):
-        rng = np.random.default_rng(14)
-        low = random_spd(rng, 6)
-        d = np.array([0.5, 1.5, 0.0])
-        dims = SpaceTimeDims(3, 2)
-        full = DenseCovariance(dims, low + np.kron(np.eye(2), np.diag(d)))
-        lowrank = DenseCovariance(dims, low)
-        np.testing.assert_allclose(set_diag_correction(full, lowrank), d, atol=1e-12)
-
-    def test_negative_residual_floored(self):
-        dims = SpaceTimeDims(2, 2)
-        sigma = DenseCovariance(dims, np.zeros((4, 4)))
-        lowrank = DenseCovariance(dims, np.eye(4))
-        np.testing.assert_array_equal(set_diag_correction(sigma, lowrank), np.zeros(2))
-
-
 class TestDcKronpca:
     def test_plant_and_recover(self):
         rng = np.random.default_rng(15)
@@ -495,13 +473,14 @@ class TestDcKronpca:
         sigma = DenseCovariance(dims, random_spd(rng, 12, cond=20))
         cfg = EstimatorConfig(r=2, beta=0.0, toeplitz=True, diag_correct=True, max_iter=2000)
         lowrank = kron_ops.kron_assemble(
-            dims, [(w * tm, sm) for w, tm, sm in dc_kronpca(sigma, cfg).factors])
+            dims, [(w * tm, sm) for w, tm, sm in dc_kronpca(sigma, cfg).factors]).entries
 
         def refuse(*args, **kwargs):
             raise AssertionError("dc_kronpca assembled a pT x pT matrix")
         monkeypatch.setattr(kron_ops, "kron_assemble", refuse)
         model = dc_kronpca(sigma, cfg)
-        np.testing.assert_array_equal(model.u, set_diag_correction(sigma, lowrank))
+        resid = (np.diag(sigma.entries) - np.diag(lowrank)).reshape(dims.T, dims.p)
+        np.testing.assert_array_equal(model.u, np.maximum(resid.mean(axis=0), 0.0))
 
     def test_unconstrained_completion_keeps_observed_entries(self):
         rng = np.random.default_rng(16)
@@ -852,6 +831,18 @@ class TestRobustKronpca:
         out = robust_kronpca(ss, 0.2)
         assert np.trace(out.entries) == pytest.approx(9.0, abs=1e-9)
         assert np.linalg.eigvalsh(out.entries)[0] >= 0.2 - 1e-10
+
+    @pytest.mark.parametrize("rho", [0.05, 0.3, "auto"])
+    def test_estimate_is_one_pair_of_symmetric_factors_plus_rho(self, rho):
+        ss = sample_student_t(ar1_kron_truth(3, 4, 0.5, 0.95), 3.0, 30, 8)
+        cov, info = fit_by_name("tyler-kronpca", ss, {"rho": rho})
+        assert isinstance(cov, KronCovariance)
+        (tm, sm), = cov.pairs
+        np.testing.assert_array_equal(tm, tm.T)
+        np.testing.assert_array_equal(sm, sm.T)
+        np.testing.assert_array_equal(cov.d, np.full(3, info["rho"]))
+        np.testing.assert_allclose(tm, toeplitz(tm[:, 0]), rtol=0, atol=1e-12 * np.abs(tm).max())
+        assert cov.trace() == pytest.approx(12.0, rel=1e-12)
 
 
 # the Tyler loops as first written: cho_factor/cho_solve quadratic forms, a

@@ -82,7 +82,7 @@ class TestPaperTruth:
                 return _real(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, small_only)
         truth = ar1_kron_truth(100, 10)
-        assert truth.root.shape == (1000, 1000)
+        assert [r.shape for r in truth.root] == [(10, 10), (100, 100)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,9 +91,9 @@ class TestPaperTruth:
        scoeff=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True))
 def test_truth_root_is_the_symmetric_square_root(p, T, tcoeff, scoeff):
     truth = ar1_kron_truth(p, T, tcoeff, scoeff)
-    sigma = truth.sigma.entries
-    np.testing.assert_array_equal(truth.root, truth.root.T)
-    assert np.abs(truth.root @ truth.root - sigma).max() <= 1e-12 * np.abs(sigma).max()
+    for root, factor in zip(truth.root, truth.sigma.pairs[0]):
+        np.testing.assert_array_equal(root, root.T)
+        assert np.abs(root @ root - factor).max() <= 1e-12 * np.abs(factor).max()
 
 
 class TestGaussianSampler:
@@ -117,19 +117,38 @@ class TestGaussianSampler:
 
 
 class TestSamplerRoot:
-    def test_samplers_apply_the_symmetric_root_bit_for_bit(self):
-        truth = ar1_kron_truth(4, 3, 0.5, 0.95)
-        root = truth.root
-        assert np.array_equal(root, np.kron(_symmetric_sqrt(ar1_cov(3, 0.5)),
-                                            _symmetric_sqrt(ar1_cov(4, 0.95))))
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.integers(1, 8), T=st.integers(1, 8), n=st.sampled_from([1, 2, 9, 40]),
+           dof=st.sampled_from([1.0, 3.0, 30.0]), seed=st.integers(0, 2 ** 16))
+    def test_samplers_apply_the_symmetric_root_bit_for_bit(self, p, T, n, dof, seed):
+        truth = ar1_kron_truth(p, T, 0.5, 0.95)
+        root_t, root_s = truth.root
+        np.testing.assert_array_equal(root_t, _symmetric_sqrt(ar1_cov(T, 0.5)))
+        np.testing.assert_array_equal(root_s, _symmetric_sqrt(ar1_cov(p, 0.95)))
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, p * T))
+        scale = np.sqrt(dof / rng.chisquare(dof, size=n))
+        # per frame, bit for bit: root(T) Z root(S) for each row read as T x p
+        frames = (root_t @ z.reshape(n, T, p) @ root_s).reshape(n, p * T)
+        gauss = sample_gaussian(truth, n, seed).samples
+        heavy = sample_student_t(truth, dof, n, seed).samples
+        assert np.array_equal(gauss, frames)
+        assert np.array_equal(heavy, frames * scale[:, None])
+        # the same map as the dense root root(T) (x) root(S), the symmetric root of sigma
+        kron_root = np.kron(root_t, root_s)
         dense_root = _symmetric_sqrt(truth.sigma.entries)
-        assert np.abs(root - dense_root).max() <= 1e-12 * np.abs(dense_root).max()
-        rng = np.random.default_rng(13)
-        z = rng.standard_normal((9, 12))
-        scale = np.sqrt(3.0 / rng.chisquare(3.0, size=9))
-        assert np.array_equal(sample_gaussian(truth, 9, 13).samples, z @ root)
-        assert np.array_equal(sample_student_t(truth, 3.0, 9, 13).samples,
-                              (z @ root) * scale[:, None])
+        assert np.abs(kron_root - dense_root).max() <= 1e-12 * np.abs(dense_root).max()
+        dense = z @ kron_root
+        for out, ref in ((gauss, dense), (heavy, dense * scale[:, None])):
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_paper_scale_sampling_forms_no_kronecker_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.kron called")
+        monkeypatch.setattr(np, "kron", refuse)
+        truth = ar1_kron_truth(100, 10)
+        assert sample_gaussian(truth, 3, 0).samples.shape == (3, 1000)
+        assert sample_student_t(truth, 3.0, 3, 0).samples.shape == (3, 1000)
 
     def test_sampling_runs_no_eigendecomposition(self, monkeypatch):
         truth = ar1_kron_truth(3, 2, 0.5, 0.95)

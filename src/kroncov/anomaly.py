@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kron_ops import DenseCovariance, KronCovariance, _frozen_array, inverse_quad_forms
+from .kron_ops import DenseCovariance, KronCovariance, _frozen_array
 
 ANOMALOUS = "anomalous"
 NOMINAL = "nominal"
 EXCLUDED = "excluded"
 
 LABEL_FRACTION = 0.75  # strict on both sides
-# windows whitened at once in the block route of mahalanobis_scores: at
-# p=100, T=10 a chunk's temporaries stay in cache (0.5 MB each)
-SCORE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -148,17 +145,12 @@ def _require_usable(lo: float, hi: float) -> None:
 
 
 def mahalanobis_scores(windows: WindowSet, sigma: DenseCovariance | KronCovariance) -> np.ndarray:
-    """x^T Sigma^{-1} x per window via a symmetric factorization.
+    """x^T Sigma^{-1} x per window, from the covariance's own
+    :meth:`inverse_quad_forms` (blocks or a Cholesky).
 
     Requires a usable covariance: minimum eigenvalue above 1e-12 of the
     maximum.  A singular input is exactly the failure mode the structured
     estimators exist to avoid, so it is an error here, not a warning.
-
-    A KronCovariance that :meth:`KronCovariance.block_eigh` splits is
-    scored in its block eigenbasis: each window, as a T x p array X, maps
-    to V^T X and then row t to W_t^T row t, in chunks of SCORE_CHUNK
-    windows.  Anything else is checked by its dense eigenvalues and then
-    scored by a Cholesky solve (:func:`kron_ops.inverse_quad_forms`).
     """
     p, T = sigma.dims.p, sigma.dims.T
     if windows.vectors.shape[1] != p * T:
@@ -166,21 +158,9 @@ def mahalanobis_scores(windows: WindowSet, sigma: DenseCovariance | KronCovarian
             f"window length {windows.vectors.shape[1]} does not match covariance "
             f"dimension {p * T}"
         )
-    split = sigma.block_eigh() if isinstance(sigma, KronCovariance) else None
-    if split is None:
-        lam = sigma.eigvalsh()
-        _require_usable(lam[0], lam[-1])
-        return inverse_quad_forms(sigma.entries, windows.vectors)[0]
-    v, mu, w = split
-    _require_usable(mu.min(), mu.max())
-    w_scaled = w / np.sqrt(mu)[:, None, :]
-    scores = np.empty(len(windows.vectors))
-    for lo in range(0, len(scores), SCORE_CHUNK):
-        x = windows.vectors[lo:lo + SCORE_CHUNK].reshape(-1, T, p).transpose(1, 0, 2)
-        y = (v.T @ x.reshape(T, -1)).reshape(T, -1, p)  # (T, chunk, p)
-        z = np.matmul(y, w_scaled)
-        scores[lo:lo + SCORE_CHUNK] = np.einsum("tij,tij->i", z, z)
-    return scores
+    lam = sigma.eigvalsh()
+    _require_usable(lam[0], lam[-1])
+    return sigma.inverse_quad_forms(windows.vectors)[0]
 
 
 def roc(scores, labels) -> RocCurve:

@@ -212,15 +212,15 @@ def shrink(sigma: DenseCovariance | KronCovariance, rho) -> DenseCovariance | Kr
     target = np.trace(sigma.entries) / d
     out = (1.0 - r) * sigma.entries
     out.flat[::d + 1] += r * target
-    return DenseCovariance(sigma.dims, out)
+    return DenseCovariance.adopt(sigma.dims, out)
 
 
 def _lw_terms(samples: SampleSet, plugin: DenseCovariance | KronCovariance):
     """Dispersion d2 and raw sample-scatter b2bar of the plug-in formula.
 
-    A KronCovariance pilot gives its terms from the factors: ||S - m I||^2
-    is the squared norm of S with m taken off its diagonal term, and
-    <S, X^T X> = sum_i x_i^T S x_i, so no pT x pT matrix is formed.
+    Any pilot answers through trace, frobenius_sq and quad_sum
+    (<S, X^T X> = sum_i x_i^T S x_i), and ||S - m I||^2 = ||S||^2 - pT m^2,
+    floored at 0 so a numerically scaled-identity pilot keeps d2 >= 0.
     """
     if samples.n < 2:
         raise ValueError("intensity estimation needs at least two samples")
@@ -229,19 +229,12 @@ def _lw_terms(samples: SampleSet, plugin: DenseCovariance | KronCovariance):
         raise ValueError("plugin dims do not match the sample set")
     n = samples.n
     x = samples.samples - samples.samples.mean(axis=0)
-    if isinstance(plugin, KronCovariance):
-        m = plugin.trace() / d
-        spread = dataclasses.replace(plugin, d=plugin.d - m).frobenius_sq()
-        cross, s_sq = plugin.quad_sum(x), plugin.frobenius_sq()
-    else:
-        s = plugin.entries
-        m = np.trace(s) / d
-        spread = np.sum((s - m * np.eye(d)) ** 2)
-        cross, s_sq = np.sum(s * (x.T @ x)), np.sum(s ** 2)
-    d2 = spread / d
+    m = plugin.trace() / d
+    s_sq = plugin.frobenius_sq()
+    d2 = max(s_sq - d * m * m, 0.0) / d
     # sum_i ||x_i x_i^T - S||^2 = sum_i |x_i|^4 - 2 <S, X^T X> + n ||S||^2: no outer products
     sq_norms = np.einsum("ij,ij->i", x, x)
-    total = np.sum(sq_norms ** 2) - 2.0 * cross + n * s_sq
+    total = np.sum(sq_norms ** 2) - 2.0 * plugin.quad_sum(x) + n * s_sq
     b2bar = total / (n * n * d)
     return b2bar, d2
 
@@ -494,12 +487,6 @@ def _model_dof_fraction(model: KronModel) -> float:
     return min(1.0, dof / (T * T * p * p))
 
 
-def _min_eigenvalue(kron_cov: KronCovariance) -> float:
-    """Smallest eigenvalue of a model's covariance, from T eigenproblems
-    of size p where the covariance splits (:meth:`KronCovariance.eigvalsh`)."""
-    return float(kron_cov.eigvalsh()[0])
-
-
 def kron_plugin_intensity(samples: SampleSet, model: KronModel,
                           kron_cov: KronCovariance) -> ShrinkageIntensity:
     """Plug-in intensity matched to a structured pilot estimate.
@@ -517,7 +504,7 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
 
     d = samples.dims.pt
     m = kron_cov.trace() / d
-    lam_min = _min_eigenvalue(kron_cov)
+    lam_min = kron_cov.eigvalsh()[0]
     # conditioning floor: lift the spectrum past the pilot's own negative
     # dip (its factor-noise scale) so the shrunk estimate is safely
     # invertible for downstream quadratic forms
@@ -730,23 +717,25 @@ def components_for_energy(spectrum: np.ndarray, fraction: float = 0.95) -> int:
 # ---------------------------------------------------------------------------
 # shrinkage intensity selection for the robust estimators
 
-def _acg_loglik(directions: np.ndarray, sigma: np.ndarray) -> float:
-    """Angular log-likelihood of unit vectors under a shape matrix
-    (additive constants dropped)."""
+def _acg_loglik(directions: np.ndarray, cov: DenseCovariance | KronCovariance) -> float:
+    """Angular log-likelihood of unit vectors under a shape covariance
+    (additive constants dropped), from its own solve."""
     try:
-        q, logdet = inverse_quad_forms(sigma, directions)
+        q, logdet = cov.inverse_quad_forms(directions)
     except np.linalg.LinAlgError:  # not positive definite
         return -np.inf
-    return float(-0.5 * directions.shape[0] * logdet - 0.5 * sigma.shape[0] * np.sum(np.log(q)))
+    return float(-0.5 * directions.shape[0] * logdet - 0.5 * cov.dims.pt * np.sum(np.log(q)))
 
 
 def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> ShrinkageIntensity:
     """Pick rho from CV_RHO_GRID by held-out direction likelihood.
 
-    `fitter(samples, rho, cfg)` must return a covariance with `entries`
-    (a DenseCovariance or a KronCovariance).  Folds are
-    deterministic stride splits, so selection is reproducible; with n >= 2
-    every fold has a training and a held-out sample.
+    `fitter(samples, rho, cfg)` must return a DenseCovariance or a
+    KronCovariance; each scores the held-out directions through its own
+    :meth:`inverse_quad_forms`, so a factor-form fit that splits is scored
+    from its blocks, never assembled.
+    Folds are deterministic stride splits, so selection is reproducible;
+    with n >= 2 every fold has a training and a held-out sample.
     """
     n = samples.n
     if n < 2:
@@ -761,7 +750,7 @@ def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> 
         held = directions[hold]
         for gi, rho in enumerate(CV_RHO_GRID):
             cov = fitter(train, rho, cfg)
-            scores[gi] += _acg_loglik(held, cov.entries)
+            scores[gi] += _acg_loglik(held, cov)
     return ShrinkageIntensity(float(CV_RHO_GRID[int(np.argmax(scores))]))
 
 

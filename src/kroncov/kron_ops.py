@@ -19,13 +19,15 @@ construction so values can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 SYMMETRY_RTOL = 1e-12
+# rows whitened at once by KronCovariance's block solve: 0.5 MB temporaries at p=100, T=10
+SCORE_CHUNK = 64
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -63,15 +65,13 @@ class DenseCovariance:
 
     Construction rejects NaN or inf entries and asymmetric input (beyond
     1e-12 relative) instead of symmetrizing it, so pipeline bugs surface
-    where they happen.  ``check_symmetry=False`` keeps only the shape
-    check, for :func:`derearrange`, whose output need not be symmetric.
+    where they happen.
     """
 
     dims: SpaceTimeDims
     entries: np.ndarray
-    check_symmetry: InitVar[bool] = True
 
-    def __post_init__(self, check_symmetry):
+    def __post_init__(self):
         entries = _frozen_array(self.entries)
         n = self.dims.pt
         if entries.shape != (n, n):
@@ -79,7 +79,7 @@ class DenseCovariance:
                 f"covariance shape {entries.shape} does not match dims "
                 f"(p={self.dims.p}, T={self.dims.T}, pT={n})"
             )
-        if check_symmetry and not is_symmetric(entries):
+        if not is_symmetric(entries):
             if not np.isfinite(entries).all():
                 raise ValueError("covariance entries must be finite (found NaN or inf)")
             asym = np.abs(entries - entries.T).max()
@@ -91,10 +91,10 @@ class DenseCovariance:
 
     @classmethod
     def adopt(cls, dims: SpaceTimeDims, entries: np.ndarray) -> "DenseCovariance":
-        """Wrap a freshly computed float array whose producer guarantees
-        symmetry, without the constructor's copy and symmetry scan: the
-        internal-hop counterpart of the validating constructor.  The array
-        becomes read-only; the caller must hold no writable alias to it."""
+        """Wrap a freshly computed float array without the constructor's copy
+        and symmetry scan (dtype and shape only: it is as symmetric as its
+        producer made it).  The array becomes read-only; the caller must
+        hold no writable alias to it."""
         if entries.dtype != np.float64 or entries.shape != (dims.pt, dims.pt):
             raise ValueError(f"cannot adopt a {entries.dtype} array of shape {entries.shape} "
                              f"for dims (p={dims.p}, T={dims.T})")
@@ -120,6 +120,14 @@ class DenseCovariance:
         p, T = self.dims.p, self.dims.T
         blocks = self.entries.reshape(T, p, T, p)
         return float(np.vdot(tm, np.einsum("tmsl,ml->ts", blocks, sm)))
+
+    def quad_sum(self, x: np.ndarray) -> float:
+        """sum_k x_k^T sigma x_k over the rows x_k of x, as <sigma, X^T X>."""
+        return float(np.vdot(self.entries, x.T @ x))
+
+    def inverse_quad_forms(self, x: np.ndarray):
+        """(q, log det sigma) from the Cholesky kernel :func:`inverse_quad_forms`."""
+        return inverse_quad_forms(self.entries, x)
 
 
 @dataclass(frozen=True)
@@ -201,7 +209,7 @@ def derearrange(r: RearrangedMatrix) -> DenseCovariance:
     p, T = r.dims.p, r.dims.T
     grid = r.entries.reshape(T, T, p, p)
     entries = grid.transpose(1, 3, 0, 2).reshape(T * p, T * p)
-    return DenseCovariance(r.dims, entries, check_symmetry=False)
+    return DenseCovariance.adopt(r.dims, entries)
 
 
 def compress_diagonals(rows: np.ndarray, T: int) -> np.ndarray:
@@ -355,21 +363,38 @@ class KronCovariance:
         lam, vecs = np.linalg.eigh(tm)
         return vecs, lam[:, None, None] * sm + np.diag(self.d)
 
-    def block_eigh(self):
-        """(V, mu, W) with sigma = (V (x) I) blockdiag_t(W_t diag(mu_t) W_t^T) (V (x) I)^T,
-        from one stacked eigh of the blocks of :meth:`_blocks`, or None."""
-        split = self._blocks()
-        if split is None:
-            return None
-        mu, w = np.linalg.eigh(split[1])
-        return split[0], mu, w
-
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order."""
         split = self._blocks()
         if split is None:
             return np.linalg.eigvalsh(self.entries)
         return np.sort(np.linalg.eigvalsh(split[1]), axis=None)
+
+    def inverse_quad_forms(self, x: np.ndarray):
+        """(q, log det sigma) with q_k = x_k^T sigma^{-1} x_k for each row x_k
+        of x (n x pT).  LinAlgError unless sigma is positive definite.
+
+        Where :meth:`_blocks` splits sigma, a stacked eigh gives the blocks
+        as W_t diag(mu_t) W_t^T and log det sigma = sum log mu; each row, as
+        a T x p array X, maps to V^T X and then row t to mu_t^(-1/2) W_t^T
+        row t, SCORE_CHUNK rows at once.  Otherwise the Cholesky kernel.
+        """
+        split = self._blocks()
+        if split is None:
+            return inverse_quad_forms(self.entries, x)
+        v, blocks = split
+        mu, w = np.linalg.eigh(blocks)
+        if not mu.min() > 0:
+            raise np.linalg.LinAlgError("covariance is not positive definite")
+        p, T = self.dims.p, self.dims.T
+        w_scaled = w / np.sqrt(mu)[:, None, :]
+        q = np.empty(len(x))
+        for lo in range(0, len(q), SCORE_CHUNK):
+            frames = x[lo:lo + SCORE_CHUNK].reshape(-1, T, p).transpose(1, 0, 2)
+            y = (v.T @ frames.reshape(T, -1)).reshape(T, -1, p)  # (T, chunk, p)
+            z = np.matmul(y, w_scaled)
+            q[lo:lo + SCORE_CHUNK] = np.einsum("tij,tij->i", z, z)
+        return q, float(np.log(mu).sum())
 
 
 def inverse_quad_forms(a: np.ndarray, x: np.ndarray):

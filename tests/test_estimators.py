@@ -187,6 +187,18 @@ class TestLwIntensity:
                 warnings.simplefilter("ignore")
                 lw_intensity(samples, scm(samples))
 
+    @pytest.mark.parametrize("form", ["dense", "factor pair", "diagonal term"])
+    @pytest.mark.parametrize("p, T", [(3, 1), (7, 1), (5, 3), (10, 10)])
+    def test_scaled_identity_pilot_gives_exactly_one(self, p, T, form):
+        # ||S||^2 - pT m^2 of 0.1 I may round below zero; d2 is floored at 0
+        dims = SpaceTimeDims(p, T)
+        samples = SampleSet(dims, 10, np.random.default_rng(p * T).standard_normal((10, p * T)))
+        pilot = {"dense": DenseCovariance(dims, 0.1 * np.eye(p * T)),
+                 "factor pair": KronCovariance(dims, [(np.eye(T), 0.1 * np.eye(p))], 0.0),
+                 "diagonal term": KronCovariance(dims, [], 0.1)}[form]
+        assert est._lw_terms(samples, pilot)[1] >= 0.0
+        assert lw_intensity(samples, pilot).rho == 1.0
+
     def test_factor_form_terms_equal_the_dense_formula(self):
         rng = np.random.default_rng(9)
         dims = SpaceTimeDims(5, 4)
@@ -196,7 +208,7 @@ class TestLwIntensity:
                                        for _ in range(3)], rng.standard_normal(5))
         for pilot in (fitted.covariance(), skewed):
             entries = sum(np.kron(tm, sm) for tm, sm in pilot.pairs) + np.diag(np.tile(pilot.d, 4))
-            dense = DenseCovariance(dims, entries, check_symmetry=False)
+            dense = DenseCovariance.adopt(dims, entries)
             np.testing.assert_allclose(est._lw_terms(samples, pilot),
                                        est._lw_terms(samples, dense), rtol=1e-12, atol=0)
 
@@ -613,9 +625,9 @@ def kron_model(p, T, terms, u, toeplitz_form=False):
                      EstimatorConfig(r=max(len(terms), 1), toeplitz=toeplitz_form))
 
 
-def dense_min_eigenvalue(kron_cov):
-    """The smallest eigenvalue from a dense pT x pT eigvalsh, kept as the reference."""
-    return float(np.linalg.eigvalsh(kron_cov.entries)[0])
+def dense_eigvalsh(kron_cov):
+    """The eigenvalues from a dense pT x pT eigvalsh, kept as the reference."""
+    return np.linalg.eigvalsh(kron_cov.entries)
 
 
 class TestPluginMinEigenvalue:
@@ -624,12 +636,12 @@ class TestPluginMinEigenvalue:
     def assert_matches_dense(self, model, monkeypatch):
         samples = sample_gaussian(ar1_kron_truth(model.dims.p, model.dims.T, 0.5, 0.9), 400, 5)
         kron_cov = model.covariance()
-        lam = est._min_eigenvalue(kron_cov)
-        lam_ref = dense_min_eigenvalue(kron_cov)
+        lam = kron_cov.eigvalsh()[0]
+        lam_ref = dense_eigvalsh(kron_cov)[0]
         assert lam == pytest.approx(lam_ref, rel=0, abs=1e-12 * np.abs(kron_cov.entries).max())
         rho = kron_plugin_intensity(samples, model, kron_cov).rho
         with monkeypatch.context() as patch:
-            patch.setattr(est, "_min_eigenvalue", dense_min_eigenvalue)
+            patch.setattr(KronCovariance, "eigvalsh", dense_eigvalsh)
             rho_ref = kron_plugin_intensity(samples, model, kron_cov).rho
         assert rho == pytest.approx(rho_ref, rel=0, abs=1e-12)
         return rho
@@ -656,7 +668,7 @@ class TestPluginMinEigenvalue:
         model = kron_model(3, 4, [(2.0, tm / np.linalg.norm(tm), sm / np.linalg.norm(sm))],
                            np.zeros(3), toeplitz_form=True)
         kron_cov = model.covariance()
-        lam, m = dense_min_eigenvalue(kron_cov), np.trace(kron_cov.entries) / 12
+        lam, m = dense_eigvalsh(kron_cov)[0], np.trace(kron_cov.entries) / 12
         assert lam < -lam < m
         rho = self.assert_matches_dense(model, monkeypatch)
         assert rho == pytest.approx(-2.0 * lam / (m - lam), rel=1e-12)
@@ -947,6 +959,17 @@ class TestTylerLoopMatchesTheReference:
         cfg = EstimatorConfig()
         chosen = est.cv_shrinkage_intensity(samples, fitter, cfg).rho
         assert chosen == reference_cv_rho(samples, reference, cfg)
+
+    def test_factor_form_cv_assembles_nothing(self, samples, monkeypatch):
+        from kroncov import kron_ops
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cross-validated tyler-kronpca fit assembled its covariance")
+        monkeypatch.setattr(kron_ops, "kron_assemble", refuse)
+        cfg = make_config("tyler-kronpca", {"rho": "auto"})
+        cov, info = fit_by_name("tyler-kronpca", samples, cfg)
+        assert isinstance(cov, KronCovariance)
+        assert info["rho"] == reference_cv_rho(samples, reference_robust_kronpca, cfg)
 
 
 class TestKronSpectrum:

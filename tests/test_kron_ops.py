@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -25,7 +25,7 @@ from kroncov import (
     toeplitz_embed,
     toeplitz_project,
 )
-from kroncov import anomaly
+from kroncov import kron_ops
 from kroncov.kron_ops import (
     compress_diagonals,
     diagonal_weights,
@@ -333,6 +333,13 @@ def symmetric_factor(rng, n, toeplitz_form=False, zero_eig=False):
     return a / norm if norm > 0 else a
 
 
+def spd_factor(rng, n):
+    """A random symmetric factor with eigenvalues in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * rng.uniform(0.5, 2.0, n)) @ q.T
+    return 0.5 * (a + a.T)
+
+
 def windows(rng, n, dims):
     return WindowSet(T=dims.T, stride=1, starts=np.arange(n),
                      vectors=rng.standard_normal((n, dims.pt)), labels=[NOMINAL] * n)
@@ -365,7 +372,7 @@ class TestKronCovariance:
         np.testing.assert_array_equal(cov.to_dense().entries,
                                       kron_assemble(dims, [(tm, sm)], u).entries)
         assert_close(cov.entries, dense)
-        assert cov.block_eigh() is not None
+        assert cov._blocks() is not None
         assert_close(cov.eigvalsh(), np.linalg.eigvalsh(dense))
         assert cov.trace() == pytest.approx(np.trace(dense), rel=1e-12, abs=1e-12)
 
@@ -392,7 +399,7 @@ class TestKronCovariance:
                              np.full(3, 2.0))
         wins = windows(rng, 11, dims)
         whole = mahalanobis_scores(wins, cov)
-        monkeypatch.setattr(anomaly, "SCORE_CHUNK", 4)
+        monkeypatch.setattr(kron_ops, "SCORE_CHUNK", 4)
         assert_close(mahalanobis_scores(wins, cov), whole, rtol=1e-14)
         assert_close(whole, mahalanobis_scores(wins, cov.to_dense()))
 
@@ -407,7 +414,7 @@ class TestKronCovariance:
             a, b = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
             pairs = [(a - a.T, b - b.T)]
         cov = KronCovariance(dims, pairs, np.full(4, 10.0))
-        assert cov.block_eigh() is None
+        assert cov._blocks() is None
         wins = windows(rng, 6, dims)
         np.testing.assert_array_equal(cov.eigvalsh(), np.linalg.eigvalsh(cov.entries))
         np.testing.assert_array_equal(mahalanobis_scores(wins, cov),
@@ -442,14 +449,52 @@ class TestKronCovariance:
         x = rng.standard_normal((n, dims.pt))
         # bound on ||sigma||_F from the factors, so near-cancelling sums are judged fairly
         bound = sum(np.linalg.norm(a) * np.linalg.norm(b) for a, b in pairs) + np.sqrt(T) * np.linalg.norm(d)
-        unchecked = DenseCovariance(dims, dense, check_symmetry=False)
+        unchecked = DenseCovariance.adopt(dims, dense.copy())
         for form in (cov, unchecked):
             assert abs(form.frobenius_sq() - np.sum(dense ** 2)) <= 1e-12 * bound ** 2
             assert abs(form.inner_kron(tm, sm) - np.sum(dense * np.kron(tm, sm))) <= (
                 1e-12 * bound * np.linalg.norm(tm) * np.linalg.norm(sm))
             assert abs(form.trace() - np.trace(dense)) <= 1e-12 * bound * np.sqrt(dims.pt)
-        assert abs(cov.quad_sum(x) - np.einsum("ki,ij,kj->", x, dense, x)) <= (
-            1e-12 * bound * np.sum(x ** 2))
+            assert abs(form.quad_sum(x) - np.einsum("ki,ij,kj->", x, dense, x)) <= (
+                1e-12 * bound * np.sum(x ** 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(1, 6), T=st.integers(1, 6), n=st.integers(1, 8),
+           case=st.sampled_from(["one term", "two terms", "antisymmetric"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_inverse_quad_forms_match_the_dense_kernel(self, p, T, n, case, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        if case == "antisymmetric":
+            assume(min(p, T) >= 2)  # a 1 x 1 antisymmetric factor is zero, which splits
+            # antisymmetric (x) antisymmetric is symmetric and indefinite;
+            # a diagonal term above its spectral norm makes it positive definite
+            a, b = rng.standard_normal((T, T)), rng.standard_normal((p, p))
+            pairs = [(a - a.T, b - b.T)]
+            top = np.linalg.norm(a - a.T, 2) * np.linalg.norm(b - b.T, 2)
+            d = np.full(p, rng.uniform(1.5, 3.0) * top + 0.1)
+        else:
+            terms = 1 if case == "one term" else 2
+            pairs = [(spd_factor(rng, T), spd_factor(rng, p)) for _ in range(terms)]
+            d = rng.uniform(0.0, 2.0, p)
+        cov = KronCovariance(dims, pairs, d)
+        assert (cov._blocks() is not None) == (case == "one term")
+        x = rng.standard_normal((n, dims.pt))
+        q, logdet = cov.inverse_quad_forms(x)
+        q_ref, logdet_ref = inverse_quad_forms(cov.entries, x)
+        np.testing.assert_allclose(q, q_ref, rtol=1e-10, atol=0)
+        assert abs(logdet - logdet_ref) <= 1e-10
+
+    @pytest.mark.parametrize("defect", [0.0, -0.5], ids=["singular", "indefinite"])
+    @pytest.mark.parametrize("case", ["one term", "two terms"])
+    def test_inverse_quad_forms_need_a_positive_definite_covariance(self, case, defect):
+        dims = SpaceTimeDims(3, 2)
+        tm, sm = toeplitz([1.0, 0.5]), np.diag([1.0, defect, 2.0])
+        pairs = [(tm, sm)] if case == "one term" else [(tm, 0.5 * sm), (np.eye(2), 0.5 * sm)]
+        cov = KronCovariance(dims, pairs, np.zeros(3))
+        assert (cov._blocks() is not None) == (case == "one term")
+        with pytest.raises(np.linalg.LinAlgError):
+            cov.inverse_quad_forms(np.ones((2, 6)))
 
 
 class TestInverseQuadForms:

@@ -272,23 +272,24 @@ def _thresholded_svd(m: np.ndarray, tau: float, max_rank: int | None):
     Returns (u, s, vt, nuclear) with numerically-zero components dropped.
     The factorization runs on the short side: with a = m or m^T, whichever
     has fewer rows, an eigh of the Gram matrix a a^T gives the left vectors
-    u_i of a, each singular value is the Rayleigh-Ritz value ||a^T u_i||
-    and each right vector is a^T u_i / sigma_i.  Values are within about
-    eps * sigma_1 of the exact ones, except that an exact zero reads about
-    eps * sigma_1^2 / sigma_min, sigma_min the smallest nonzero value: when
-    that is below about 1e-4 sigma_1, a rank-deficient input without a rank
-    cap can keep such a spurious component (with a non-orthogonal vector;
-    the reconstruction stays accurate).  Every fit caps the rank at cfg.r.
+    u_i of a, of which only the max_rank leading ones are lifted: sigma_i is
+    the Rayleigh-Ritz value ||a^T u_i||, the right vector a^T u_i / sigma_i.
+    Values are within about eps * sigma_1 of the exact ones, except that an
+    exact zero reads about eps * sigma_1^2 / sigma_min, sigma_min the
+    smallest nonzero value: when that is below about 1e-4 sigma_1, lifting
+    more vectors than the input's rank can keep such a spurious component
+    (with a non-orthogonal vector; the reconstruction stays accurate).
+    Every fit lifts at most cfg.r.
     """
     m = np.asarray(m, dtype=float)
     a = m if m.shape[0] <= m.shape[1] else m.T
-    _, left = np.linalg.eigh(a @ a.T)
+    _, left = np.linalg.eigh(a @ a.T)  # ascending: the leading vectors come last
+    if max_rank is not None:
+        left = left[:, max(left.shape[1] - max_rank, 0):]
     w = left.T @ a
     s = np.linalg.norm(w, axis=1)
     order = np.argsort(-s, kind="stable")
     s_thr = np.maximum(s[order] - tau, 0.0)
-    if max_rank is not None:
-        s_thr[max_rank:] = 0.0
     top = s_thr[0] if s_thr.size else 0.0
     keep = s_thr > 1e-13 * max(top, 1e-300)
     rows = order[keep]
@@ -387,33 +388,32 @@ def kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
 
     With the toeplitz flag the thresholding happens in the compressed
     diagonal space, which makes every temporal factor exactly Toeplitz.
-    No diagonal correction: u = 0.
+    No diagonal correction: u = 0.  With s_i = sigma_i - beta/2 the kept
+    values of the fitted matrix base, the objective ||base - fit||_F^2 +
+    beta ||fit||_* reduces to ||base||_F^2 - sum_i s_i^2.
     """
     if cfg.diag_correct:
         raise ValueError("kronpca does not fit a diagonal correction; use dc_kronpca")
     dims = sigma.dims
     base = _rearranged(sigma, cfg.toeplitz)
-    u, s, vt, nuclear = _thresholded_svd(base, cfg.beta / 2.0, cfg.r)
-    factors = _extract_factors(u, s, vt, dims, cfg.toeplitz)
-    fit = (u * s) @ vt
-    obj = float(np.sum((base - fit) ** 2) + cfg.beta * nuclear)
+    u, s, vt, _ = _thresholded_svd(base, cfg.beta / 2.0, cfg.r)
     return KronModel(
         dims=dims,
-        factors=factors,
+        factors=_extract_factors(u, s, vt, dims, cfg.toeplitz),
         u=np.zeros(dims.p),
-        objective_trace=[obj],
+        objective_trace=[max(float(np.vdot(base, base) - s @ s), 0.0)],
         config=cfg,
-        converged=True,
     )
 
 
-def _reduced_completion(b: np.ndarray, mask: np.ndarray, cfg: EstimatorConfig):
-    """soft_impute of b under mask, run on a matrix with the same Gram.
+def _reduced_completion(b: np.ndarray, rows, cols, cfg: EstimatorConfig):
+    """soft_impute of b with the entries b[rows][:, cols] hidden, run on a
+    matrix with the same Gram.
 
     The columns of b that hold no hidden entry (b_rest) enter every
     iteration only through b_rest b_rest^T, so they are replaced by the
     lower-trapezoidal K = R^T of an economic QR b_rest^T = Q R, which has
-    min(rows, rest columns) columns and K K^T = b_rest b_rest^T.  As
+    min(row count, rest columns) columns and K K^T = b_rest b_rest^T.  As
     b = [K | b_J] blockdiag(Q^T, I) up to a column order, with Q
     orthonormal, every iteration on [K | b_J] has in exact arithmetic the
     same singular values, left vectors, hidden entries, objective and
@@ -424,25 +424,27 @@ def _reduced_completion(b: np.ndarray, mask: np.ndarray, cfg: EstimatorConfig):
 
     Returns (the reduced run's SoftImputeResult, (u, s, vt) of the full width).
     """
-    hidden = (mask == 0).any(axis=0)
-    b_rest = b[:, ~hidden]
+    rest = np.setdiff1d(np.arange(b.shape[1]), cols)
+    b_rest = b[:, rest]
     k_factor = np.linalg.qr(b_rest.T, mode="r").T
     width = k_factor.shape[1]
-    result = soft_impute(np.hstack([k_factor, b[:, hidden]]),
-                         np.hstack([np.ones_like(k_factor), mask[:, hidden]]), cfg.beta, cfg)
+    mask = np.ones((b.shape[0], width + len(cols)))
+    mask[rows, width:] = 0.0
+    result = soft_impute(np.hstack([k_factor, b[:, cols]]), mask, cfg.beta, cfg)
     u, s, vt_reduced = result.triples
     vt = np.empty((s.size, b.shape[1]))
-    vt[:, hidden] = vt_reduced[:, width:]
-    vt[:, ~hidden] = (u.T @ b_rest) / (s + cfg.beta / 2.0)[:, None]
+    vt[:, cols] = vt_reduced[:, width:]
+    vt[:, rest] = (u.T @ b_rest) / (s + cfg.beta / 2.0)[:, None]
     return result, (u, s, vt)
 
 
 def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     """Diagonally corrected Kronecker fit.
 
-    The covariance diagonal is masked out of the rearranged data, the
-    remaining entries get a rank-capped nuclear-norm completion (in
-    compressed diagonal space when the toeplitz flag is set), and the
+    The covariance diagonal, whose rearranged positions :func:`diag_mask`
+    gives by index, is hidden from the rearranged data, the remaining
+    entries get a rank-capped nuclear-norm completion (in compressed
+    diagonal space when the toeplitz flag is set), and the
     left-over diagonal, averaged over the T frames and floored at zero,
     goes into the I (x) diag(u) term: the diagonal of a term w T (x) S is
     w diag(T) (x) diag(S), so no pT x pT matrix is formed.
@@ -452,9 +454,9 @@ def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
     if not cfg.diag_correct:
         raise ValueError("dc_kronpca requires diag_correct=True; use kronpca otherwise")
     dims = sigma.dims
-    mask = diag_mask(dims)
+    rows, cols = diag_mask(dims)
     b = _rearranged(sigma, cfg.toeplitz)
-    result, triples = _reduced_completion(b, mask.compressed if cfg.toeplitz else mask.full, cfg)
+    result, triples = _reduced_completion(b, [dims.T - 1] if cfg.toeplitz else rows, cols, cfg)
     factors = _extract_factors(*triples, dims, cfg.toeplitz)
     lowrank = np.zeros(dims.pt)
     for w, tm, sm in factors:
@@ -766,11 +768,13 @@ def resolve_rho(cfg: EstimatorConfig, auto: Callable[[], ShrinkageIntensity]) ->
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """A named estimator: config defaults applied before user overrides,
-    fit(samples, cfg, sample_cov) -> (covariance, info) with sample_cov()
-    giving the SCM of samples, whether the output is a trace-normalized
-    shape, and the smallest sample count fit accepts."""
+    """A named estimator: the config fields its fit reads, the only ones a
+    user may override, defaults applied before the overrides, fit(samples,
+    cfg, sample_cov) -> (covariance, info) with sample_cov() the SCM of
+    samples, whether the output is a trace-normalized shape, and the
+    smallest sample count fit accepts."""
 
+    fields: tuple
     defaults: dict
     fit: Callable
     shape: bool = False
@@ -796,18 +800,22 @@ def _fit_tyler(samples, cfg, fitter):
     return fitter(samples, rho, cfg, full_output=True)
 
 
+_TYLER_FIELDS = ("rho", "tol", "max_iter")
 ESTIMATORS = {
-    "scm": EstimatorSpec({}, lambda samples, cfg, sample_cov: (sample_cov(), {})),
-    "scm-lw": EstimatorSpec({}, _fit_scm_lw, min_n=2),
-    "kronpca": EstimatorSpec({"toeplitz": False, "diag_correct": False}, _fit_kronpca),
+    "scm": EstimatorSpec((), {}, lambda samples, cfg, sample_cov: (sample_cov(), {})),
+    "scm-lw": EstimatorSpec(("rho",), {}, _fit_scm_lw, min_n=2),
+    "kronpca": EstimatorSpec(("r", "beta", "toeplitz", "diag_correct"),
+                             {"toeplitz": False, "diag_correct": False}, _fit_kronpca),
     "dc-kronpca-lw": EstimatorSpec(
+        tuple(f.name for f in dataclasses.fields(EstimatorConfig)),
         {"toeplitz": True, "diag_correct": True},
         lambda samples, cfg, sample_cov: dc_kronpca_lw(samples, cfg, full_output=True,
                                                        sigma=sample_cov()), min_n=2),
     "chen-tyler": EstimatorSpec(
-        {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, chen_tyler), shape=True, min_n=2),
+        _TYLER_FIELDS, {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, chen_tyler),
+        shape=True, min_n=2),
     "tyler-kronpca": EstimatorSpec(
-        {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, robust_kronpca),
+        _TYLER_FIELDS, {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, robust_kronpca),
         shape=True, min_n=2),
 }
 
@@ -820,7 +828,12 @@ def _estimator_spec(name: str) -> EstimatorSpec:
 
 def make_config(name: str, overrides: dict | None = None) -> EstimatorConfig:
     spec = _estimator_spec(name)
-    cfg = EstimatorConfig(**{**spec.defaults, **(overrides or {})})
+    overrides = overrides or {}
+    cfg = EstimatorConfig(**{**spec.defaults, **overrides})  # type errors first
+    unread = sorted(set(overrides) - set(spec.fields))
+    if unread:
+        raise ValueError(f"estimator {name!r} does not read config field {unread[0]!r} "
+                         f"(it reads: {', '.join(spec.fields) or 'none'})")
     # a diag_correct default is what tells kronpca and dc-kronpca-lw apart
     if cfg.diag_correct != spec.defaults.get("diag_correct", cfg.diag_correct):
         raise ValueError(f"diag_correct={cfg.diag_correct} contradicts the estimator's own value")

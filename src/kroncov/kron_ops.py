@@ -164,18 +164,6 @@ class ToeplitzCompressed:
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class EntryMask:
-    """0/1 masks selecting the fit entries: full (T^2 x p^2) and compressed."""
-
-    full: np.ndarray
-    compressed: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "full", _frozen_array(self.full))
-        object.__setattr__(self, "compressed", _frozen_array(self.compressed))
-
-
 def row_offsets(T: int) -> np.ndarray:
     """Diagonal offset j - i for every rearranged row k = j*T + i."""
     k = np.arange(T * T)
@@ -247,20 +235,15 @@ def toeplitz_embed(t: ToeplitzCompressed) -> RearrangedMatrix:
     return RearrangedMatrix(t.dims, expand_diagonals(t.entries, t.dims.T))
 
 
-def diag_mask(dims: SpaceTimeDims) -> EntryMask:
-    """Masks that exclude the covariance diagonal from a rearranged fit.
+def diag_mask(dims: SpaceTimeDims) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the covariance diagonal sits at the rearranged entries
+    (r, c), r in rows and c in cols.
 
-    A full-mask entry is zero iff its row lies on the zero-offset block
-    diagonal and its column is the vec-position of a diagonal element of a
-    p x p block; the compressed mask is sign(project(full)).
+    rows = arange(T)(T+1) are the zero-offset rows k = i*T + i, and
+    cols = arange(p)(p+1) the vec-positions of the diagonal of a p x p
+    block; compressed, the rows are the single offset-0 row T - 1.
     """
-    p, T = dims.p, dims.T
-    full = np.ones((T * T, p * p))
-    diag_rows = row_offsets(T) == 0
-    diag_cols = np.arange(p) * p + np.arange(p)
-    full[np.ix_(diag_rows, diag_cols)] = 0.0
-    compressed = np.sign(compress_diagonals(full, T))
-    return EntryMask(full, compressed)
+    return np.arange(dims.T) * (dims.T + 1), np.arange(dims.p) * (dims.p + 1)
 
 
 def kron_assemble(dims: SpaceTimeDims, factors, u=None) -> DenseCovariance:

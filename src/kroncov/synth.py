@@ -8,6 +8,7 @@ trial (see the benchmark driver) so aggregates are order independent.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,7 +236,11 @@ def write_sample_sidecar(path, sset: SampleSet, description: str, extra: dict | 
 
 
 def read_sample_csv(path, dims: SpaceTimeDims) -> SampleSet:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not data.shape[0]:
+        raise ValueError(f"{path}: holds no sample rows")
     if data.shape[1] != dims.pt:
         raise ValueError(
             f"{path}: {data.shape[1]} columns do not match pT={dims.pt}"

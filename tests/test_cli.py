@@ -131,6 +131,15 @@ class TestEstimateCommand:
         assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
         assert message in capsys.readouterr().err
 
+    def test_header_only_csv_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_text("x0,x1,x2,x3\n")
+        cfg = {"input": str(csv), "p": 2, "T": 2, "estimator": "scm"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
+        assert f"{csv}: holds no sample rows" in capsys.readouterr().err
+
     def test_non_finite_sample_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         csv.write_text("x0,x1\n1,0\nnan,2\n0,1\n")
@@ -720,6 +729,14 @@ PROBES = [
      "estimators[0]: rho must be a number in (0, 1]"),
     ("mse-bench", {"n_grid": [1], "estimators": [{"name": "chen-tyler"}]},
      "needs n >= 2 samples, got n=1"),
+    ("estimate", {"estimator": "tyler-kronpca", "estimator_config": {"toeplitz": False, "r": 3}},
+     "estimator 'tyler-kronpca' does not read config field 'r'"),
+    ("estimate", {"estimator": "scm", "estimator_config": {"rho": 0.1}},
+     "estimator 'scm' does not read config field 'rho'"),
+    ("mse-bench", {"estimators": [{"name": "scm-lw", "config": {"r": 2}}]},
+     "estimators[0]: estimator 'scm-lw' does not read config field 'r'"),
+    ("mse-bench", {"estimators": [{"name": "kronpca", "config": {"rho": 0.1}}]},
+     "estimators[0]: estimator 'kronpca' does not read config field 'rho'"),
 ]
 
 

@@ -247,7 +247,8 @@ def thresholded_svd_by_lapack(m, tau, max_rank):
 @st.composite
 def svd_inputs(draw):
     """A matrix of one of five shapes, scaled by 10^-6 .. 10^6, with a
-    threshold tau (a fraction of sigma_1) and an optional rank cap."""
+    threshold tau (a fraction of sigma_1) and an optional rank cap: 0, 1 to
+    4, or above min(rows, cols)."""
     kind = draw(st.sampled_from(["wide", "tall", "square", "rank-deficient", "zero"]))
     short, long = draw(st.integers(2, 12)), draw(st.integers(13, 52))
     shapes = {"wide": (short, long), "tall": (long, short), "square": (short, short)}
@@ -263,7 +264,7 @@ def svd_inputs(draw):
         m = scale * rng.standard_normal((rows, cols))
     sigma1 = np.linalg.norm(m, 2)
     tau = draw(st.sampled_from([0.0, 0.1, 0.5, 1.5])) * sigma1
-    max_rank = draw(st.one_of(st.none(), st.integers(1, 4)))
+    max_rank = draw(st.one_of(st.none(), st.integers(0, 4), st.integers(short + 1, short + 3)))
     return m, tau, max_rank
 
 
@@ -293,7 +294,7 @@ class TestThresholdedSvd:
     def test_matches_lapack(self, case):
         m, tau, max_rank = case
         sv = np.linalg.svd(m, compute_uv=False)
-        if max_rank is not None and max_rank < len(sv):
+        if max_rank and max_rank < len(sv):
             # a rank cap through a near-tie of kept values has no unique answer
             kept = sv[max_rank - 1] - tau
             assume(sv[max_rank - 1] - sv[max_rank] > 1e-3 * sv[0]
@@ -436,6 +437,21 @@ class TestKronpca:
         assert model.factors == []
         np.testing.assert_array_equal(model.covariance().entries, np.zeros((4, 4)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), T=st.integers(1, 6), toeplitz_rows=st.booleans(),
+           beta=st.sampled_from([0.0, 0.1, 1e6]), r=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_objective_equals_the_dense_residual(self, p, T, toeplitz_rows, beta, r, seed):
+        # the recorded objective comes from the kept singular values alone
+        n = int(np.random.default_rng(seed).integers(2, 2 * p * T + 2))
+        sigma = scm(sample_gaussian(ar1_kron_truth(p, T, 0.5, 0.95), n, seed))
+        base = est._rearranged(sigma, toeplitz_rows)
+        u, s, vt, nuclear = _thresholded_svd(base, beta / 2.0, r)
+        dense = np.sum((base - (u * s) @ vt) ** 2) + beta * nuclear
+        model = kronpca(sigma, EstimatorConfig(r=r, beta=beta, toeplitz=toeplitz_rows))
+        assert len(model.objective_trace) == 1
+        assert abs(model.objective_trace[0] - dense) <= 1e-10 * np.sum(base ** 2)
+
     def test_requires_no_diag_correction(self):
         sigma = DenseCovariance(SpaceTimeDims(2, 2), np.eye(4))
         with pytest.raises(ValueError):
@@ -543,10 +559,12 @@ class TestDcKronpca:
         sigma = scm(sample_gaussian(ar1_kron_truth(p, T, 0.5, 0.95), n, seed))
         cfg = EstimatorConfig(r=r, beta=beta, toeplitz=toeplitz_rows, diag_correct=True)
         b = est._rearranged(sigma, toeplitz_rows)
-        mask = diag_mask(sigma.dims)
+        hidden_rows, cols = diag_mask(sigma.dims)
+        mask = np.ones_like(b)
+        mask[np.ix_([T - 1] if toeplitz_rows else hidden_rows, cols)] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            full = soft_impute(b, mask.compressed if toeplitz_rows else mask.full, beta, cfg)
+            full = soft_impute(b, mask, beta, cfg)
             model = dc_kronpca(sigma, cfg)
         lowrank = sum((np.kron(w * tm, sm) for w, tm, sm in
                        est._extract_factors(*full.triples, sigma.dims, toeplitz_rows)),
@@ -1043,6 +1061,22 @@ class TestRegistry:
         assert make_config(name, {"diag_correct": own}).diag_correct is own
         with pytest.raises(ValueError, match=f"diag_correct={not own} contradicts"):
             make_config(name, {"diag_correct": not own})
+
+    @pytest.mark.parametrize("name, reads", [
+        ("scm", ()), ("scm-lw", ("rho",)),
+        ("kronpca", ("r", "beta", "toeplitz", "diag_correct")),
+        ("dc-kronpca-lw", ("r", "beta", "rho", "toeplitz", "diag_correct", "tol", "max_iter")),
+        ("chen-tyler", ("rho", "tol", "max_iter")),
+        ("tyler-kronpca", ("rho", "tol", "max_iter"))])
+    def test_only_the_fields_a_fit_reads_are_accepted(self, name, reads):
+        valid = {"r": 2, "beta": 0.1, "rho": 0.2, "toeplitz": True,
+                 "diag_correct": name == "dc-kronpca-lw", "tol": 1e-5, "max_iter": 9}
+        assert set(ESTIMATORS[name].fields) == set(reads)
+        make_config(name, {field: valid[field] for field in reads})
+        for field in sorted(set(valid) - set(reads)):
+            with pytest.raises(ValueError, match=f"estimator {name!r} does not read "
+                                                 f"config field {field!r}"):
+                make_config(name, {field: valid[field]})
 
     def test_unknown_name_rejected(self):
         rng = np.random.default_rng(32)

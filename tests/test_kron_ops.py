@@ -248,33 +248,45 @@ class TestToeplitzEmbed:
                 )
 
 
+def dense_diag_masks(dims):
+    """The full and compressed 0/1 masks that diag_mask's indices stand for."""
+    rows, cols = diag_mask(dims)
+    full = np.ones((dims.T ** 2, dims.p ** 2))
+    full[np.ix_(rows, cols)] = 0.0
+    compressed = np.ones((2 * dims.T - 1, dims.p ** 2))
+    compressed[dims.T - 1, cols] = 0.0
+    return full, compressed
+
+
 class TestDiagMask:
     def test_p2_t2_positions(self):
-        mask = diag_mask(SpaceTimeDims(2, 2))
-        zeros = np.argwhere(mask.full == 0)
+        full, _ = dense_diag_masks(SpaceTimeDims(2, 2))
+        zeros = np.argwhere(full == 0)
         assert {tuple(z) for z in zeros} == {(0, 0), (0, 3), (3, 0), (3, 3)}
-        assert (mask.full == 0).sum() == 4
-        assert (mask.full == 1).sum() == 12
+        assert (full == 0).sum() == 4
+        assert (full == 1).sum() == 12
 
     def test_p1_t1_single_entry(self):
-        mask = diag_mask(SpaceTimeDims(1, 1))
-        np.testing.assert_array_equal(mask.full, [[0.0]])
-        np.testing.assert_array_equal(mask.compressed, [[0.0]])
+        full, compressed = dense_diag_masks(SpaceTimeDims(1, 1))
+        np.testing.assert_array_equal(full, [[0.0]])
+        np.testing.assert_array_equal(compressed, [[0.0]])
 
     def test_zero_count_is_pt(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             p, T = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            mask = diag_mask(SpaceTimeDims(p, T))
-            assert (mask.full == 0).sum() == p * T
+            full, _ = dense_diag_masks(SpaceTimeDims(p, T))
+            assert (full == 0).sum() == p * T
 
     def test_compressed_is_sign_of_projection(self):
         from kroncov.kron_ops import compress_diagonals
 
-        mask = diag_mask(SpaceTimeDims(3, 4))
-        np.testing.assert_array_equal(
-            mask.compressed, np.sign(compress_diagonals(mask.full, 4))
-        )
+        full, compressed = dense_diag_masks(SpaceTimeDims(3, 4))
+        np.testing.assert_array_equal(compressed, np.sign(compress_diagonals(full, 4)))
+
+    def test_paper_scale_is_t_plus_p_indices(self):
+        rows, cols = diag_mask(SpaceTimeDims(100, 10))
+        assert rows.size + cols.size == 110
 
 
 class TestKronAssemble:

@@ -1,4 +1,6 @@
 """Generator tests: formulas, determinism, and distributional sanity."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,15 @@ class TestSampleCsv:
         write_sample_csv(path, sset)
         with pytest.raises(ValueError):
             read_sample_csv(path, SpaceTimeDims(3, 2))
+
+    @pytest.mark.parametrize("text", ["x0,x1,x2,x3\n", ""])
+    def test_no_sample_rows_named_by_path(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="holds no sample rows"):
+                read_sample_csv(path, SpaceTimeDims(2, 2))
 
 
 class TestSampleSet:

@@ -202,9 +202,10 @@ def read_frame_csv(path) -> FrameSeries:
         if not header:
             raise ValueError(f"{path}: empty file")
         with warnings.catch_warnings():
-            # a header-only file fails the width check below, which names the path
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
             data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
+    if not data.shape[0]:
+        raise ValueError(f"{path}: holds no frames")
     header = header.split(",")
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: rows do not match the header width")

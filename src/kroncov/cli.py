@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import json
 import re
@@ -262,6 +261,8 @@ def run_mse_bench(cfg: dict, threads: int = 1):
     n_grid = _field(cfg, "n_grid", [int])
     if trials < 1:
         raise ConfigError("config key 'trials' must be at least 1")
+    if len(set(n_grid)) != len(n_grid):
+        raise ConfigError(f"config key 'n_grid' must not repeat a sample size, got {n_grid}")
     specs = _estimator_specs(cfg)
     with _config_errors("n_grid"):
         for _, name, _ in specs:
@@ -272,11 +273,9 @@ def run_mse_bench(cfg: dict, threads: int = 1):
     def run_one(job):
         n, t = job
         sset = sample(n, trial_seed(seed, n, t))
-        # one SCM per trial, shared by its fits and released with the trial
-        sample_cov = functools.cache(lambda: est.scm(sset))
         row, converged = {}, True
         for label, name, ecfg in specs:
-            cov, info = est.fit_by_name(name, sset, ecfg, sample_cov)
+            cov, info = est.fit_by_name(name, sset, ecfg)
             converged &= bool(info["converged"])
             row[label] = error(cov, est.ESTIMATORS[name].shape)
         return row, converged
@@ -348,6 +347,7 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
     test_windows = anom.WindowSet(T=T, stride=stride, starts=windows.starts[keep],
                                   vectors=windows.vectors[keep], labels=test_labels)
     n_excluded = int((outside & (windows.labels == anom.EXCLUDED)).sum())
+    del series, detrended, windows  # only the two sets are kept through the fits
     n_anomalous = int((test_labels == anom.ANOMALOUS).sum())
     n_nominal = int((test_labels == anom.NOMINAL).sum())
     if not (n_anomalous and n_nominal):

@@ -175,24 +175,8 @@ def _rho_value(rho) -> float:
 
 
 def scm(samples: SampleSet) -> DenseCovariance:
-    """Mean-centered sample covariance with 1/n normalization.
-
-    A single sample centers to zero and yields the zero matrix (with a
-    warning) so degenerate pipelines fail loudly downstream rather than
-    here.  numpy computes x^T x as one symmetric rank-k update, so the
-    Gram is exactly symmetric and is handed over without a symmetry scan;
-    by |g_ij| <= sqrt(g_ii g_jj) a finite diagonal means no entry overflowed.
-    """
-    if samples.n < 1:
-        raise ValueError("sample set is empty")
-    x = samples.samples - samples.samples.mean(axis=0)
-    if samples.n == 1:
-        warnings.warn("sample covariance of a single sample is the zero matrix")
-    gram = x.T @ x
-    gram /= samples.n
-    if not np.isfinite(np.diagonal(gram)).all():
-        raise ValueError("covariance entries must be finite (found NaN or inf)")
-    return DenseCovariance.adopt(samples.dims, gram)
+    """The mean-centered, 1/n sample covariance the set keeps (:meth:`SampleSet.covariance`)."""
+    return samples.covariance()
 
 
 def shrink(sigma: DenseCovariance | KronCovariance, rho) -> DenseCovariance | KronCovariance:
@@ -517,19 +501,17 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
     return ShrinkageIntensity(rho)
 
 
-def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = False,
-                  sigma: DenseCovariance | None = None):
+def dc_kronpca_lw(samples: SampleSet, cfg: EstimatorConfig, full_output: bool = False):
     """Diagonally corrected Kronecker fit of the SCM, shrunk toward a
     scaled identity.
 
     With rho="auto" the intensity is the structured plug-in of
     :func:`kron_plugin_intensity`; an explicit cfg.rho is used verbatim.
     The estimate is a KronCovariance: the shrunk factors and diagonal.
-    sigma is the SCM of samples when the caller already has it.
     """
     if samples.n < 2:
         raise ValueError("need at least two samples")
-    model = dc_kronpca(scm(samples) if sigma is None else sigma, cfg)
+    model = dc_kronpca(scm(samples), cfg)
     kron_cov = model.covariance()
     rho = resolve_rho(cfg, lambda: kron_plugin_intensity(samples, model, kron_cov))
     cov = shrink(kron_cov, rho)
@@ -591,7 +573,8 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
         _normalized_directions(samples), np.eye(samples.dims.pt), r, cfg, lambda a: a)
     if not converged:
         warnings.warn(f"chen_tyler did not converge in {cfg.max_iter} iterations")
-    cov = DenseCovariance(samples.dims, sigma)
+    # _sym followed by scalar steps: the iterate is exactly symmetric
+    cov = DenseCovariance.adopt(samples.dims, sigma)
     if full_output:
         return cov, {"iterations": iterations, "converged": converged, "rho": r}
     return cov
@@ -770,9 +753,8 @@ def resolve_rho(cfg: EstimatorConfig, auto: Callable[[], ShrinkageIntensity]) ->
 class EstimatorSpec:
     """A named estimator: the config fields its fit reads, the only ones a
     user may override, defaults applied before the overrides, fit(samples,
-    cfg, sample_cov) -> (covariance, info) with sample_cov() the SCM of
-    samples, whether the output is a trace-normalized shape, and the
-    smallest sample count fit accepts."""
+    cfg) -> (covariance, info), whether the output is a trace-normalized
+    shape, and the smallest sample count fit accepts."""
 
     fields: tuple
     defaults: dict
@@ -783,14 +765,14 @@ class EstimatorSpec:
 
 # The fits name the module-level estimators inside their bodies, so a
 # rebinding of those names (as a tracer does) is seen at call time.
-def _fit_scm_lw(samples, cfg, sample_cov):
-    base = sample_cov()
+def _fit_scm_lw(samples, cfg):
+    base = scm(samples)
     rho = resolve_rho(cfg, lambda: lw_intensity(samples, base))
     return shrink(base, rho), {"rho": rho.rho}
 
 
-def _fit_kronpca(samples, cfg, sample_cov):
-    model = kronpca(sample_cov(), cfg)
+def _fit_kronpca(samples, cfg):
+    model = kronpca(scm(samples), cfg)
     return model.covariance(), {"model": model, "iterations": len(model.objective_trace),
                                 "converged": model.converged}
 
@@ -802,20 +784,19 @@ def _fit_tyler(samples, cfg, fitter):
 
 _TYLER_FIELDS = ("rho", "tol", "max_iter")
 ESTIMATORS = {
-    "scm": EstimatorSpec((), {}, lambda samples, cfg, sample_cov: (sample_cov(), {})),
+    "scm": EstimatorSpec((), {}, lambda samples, cfg: (scm(samples), {})),
     "scm-lw": EstimatorSpec(("rho",), {}, _fit_scm_lw, min_n=2),
     "kronpca": EstimatorSpec(("r", "beta", "toeplitz", "diag_correct"),
                              {"toeplitz": False, "diag_correct": False}, _fit_kronpca),
     "dc-kronpca-lw": EstimatorSpec(
         tuple(f.name for f in dataclasses.fields(EstimatorConfig)),
         {"toeplitz": True, "diag_correct": True},
-        lambda samples, cfg, sample_cov: dc_kronpca_lw(samples, cfg, full_output=True,
-                                                       sigma=sample_cov()), min_n=2),
+        lambda samples, cfg: dc_kronpca_lw(samples, cfg, full_output=True), min_n=2),
     "chen-tyler": EstimatorSpec(
-        _TYLER_FIELDS, {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, chen_tyler),
+        _TYLER_FIELDS, {}, lambda samples, cfg: _fit_tyler(samples, cfg, chen_tyler),
         shape=True, min_n=2),
     "tyler-kronpca": EstimatorSpec(
-        _TYLER_FIELDS, {}, lambda samples, cfg, _: _fit_tyler(samples, cfg, robust_kronpca),
+        _TYLER_FIELDS, {}, lambda samples, cfg: _fit_tyler(samples, cfg, robust_kronpca),
         shape=True, min_n=2),
 }
 
@@ -855,21 +836,19 @@ def require_samples(name: str, n: int, samples: SampleSet | None = None) -> None
         _normalized_directions(samples)
 
 
-def fit_by_name(name: str, samples: SampleSet, cfg: EstimatorConfig | dict | None = None,
-                sample_cov: Callable[[], DenseCovariance] | None = None):
+def fit_by_name(name: str, samples: SampleSet, cfg: EstimatorConfig | dict | None = None):
     """Run a named estimator; returns (covariance, info dict).
 
     info carries iterations, convergence, the resolved shrinkage
     intensity where one applies, and the fitted KronModel for the
-    Kronecker methods.  sample_cov() gives the SCM of samples to the fits
-    that start from it; a caller fitting several estimators to one sample
-    set passes one cached callable so the SCM is built once.  By default
-    each call builds its own.
+    Kronecker methods.  The fits that start from the SCM read the one
+    the sample set keeps, so fitting several estimators to one set
+    computes it once.
     """
     if not isinstance(cfg, EstimatorConfig):
         cfg = make_config(name, cfg)
     require_samples(name, samples.n)
-    cov, fit_info = ESTIMATORS[name].fit(samples, cfg, sample_cov or (lambda: scm(samples)))
+    cov, fit_info = ESTIMATORS[name].fit(samples, cfg)
     info = {"estimator": name, "iterations": 0, "converged": True,
             "rho": None, "model": None, **fit_info}
     return cov, info

@@ -60,25 +60,50 @@ class SpaceTimeDims:
 
 
 @dataclass(frozen=True)
-class DenseCovariance:
-    """A pT x pT symmetric matrix in space-fastest, time-slowest order.
-
-    Construction rejects NaN or inf entries and asymmetric input (beyond
-    1e-12 relative) instead of symmetrizing it, so pipeline bugs surface
-    where they happen.
-    """
+class _Payload:
+    """dims plus an `entries` array of shape _shape(dims), named _kind in errors:
+    the constructor copies and validates outside data, :meth:`adopt` wraps a fresh result."""
 
     dims: SpaceTimeDims
     entries: np.ndarray
 
     def __post_init__(self):
         entries = _frozen_array(self.entries)
-        n = self.dims.pt
-        if entries.shape != (n, n):
-            raise ValueError(
-                f"covariance shape {entries.shape} does not match dims "
-                f"(p={self.dims.p}, T={self.dims.T}, pT={n})"
-            )
+        if entries.shape != self._shape(self.dims):
+            raise ValueError(f"{self._kind} shape {entries.shape} does not match dims "
+                             f"(p={self.dims.p}, T={self.dims.T})")
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def adopt(cls, dims: SpaceTimeDims, entries: np.ndarray):
+        """Wrap a freshly computed float array without the constructor's copy
+        and checks beyond dtype and shape: it is as valid as its producer
+        made it.  The array becomes read-only; nothing else may hold a
+        writable alias to it (a view of a read-only array is safe)."""
+        if entries.dtype != np.float64 or entries.shape != cls._shape(dims):
+            raise ValueError(f"cannot adopt a {entries.dtype} array of shape {entries.shape} "
+                             f"as {cls._kind} for dims (p={dims.p}, T={dims.T})")
+        entries.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__.update(dims=dims, entries=entries)
+        return out
+
+
+@dataclass(frozen=True)
+class DenseCovariance(_Payload):
+    """A pT x pT symmetric matrix in space-fastest, time-slowest order.
+
+    Construction rejects NaN or inf entries and asymmetric input (beyond
+    1e-12 relative) instead of symmetrizing it, so pipeline bugs surface
+    where they happen; :meth:`adopt` skips the symmetry scan.
+    """
+
+    _kind = "covariance"
+    _shape = staticmethod(lambda dims: (dims.pt, dims.pt))
+
+    def __post_init__(self):
+        super().__post_init__()
+        entries = self.entries
         if not is_symmetric(entries):
             if not np.isfinite(entries).all():
                 raise ValueError("covariance entries must be finite (found NaN or inf)")
@@ -87,22 +112,6 @@ class DenseCovariance:
                 f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
                 f"{SYMMETRY_RTOL:.0e} * max|entry| = {SYMMETRY_RTOL * np.abs(entries).max():.3e}"
             )
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def adopt(cls, dims: SpaceTimeDims, entries: np.ndarray) -> "DenseCovariance":
-        """Wrap a freshly computed float array without the constructor's copy
-        and symmetry scan (dtype and shape only: it is as symmetric as its
-        producer made it).  The array becomes read-only; the caller must
-        hold no writable alias to it."""
-        if entries.dtype != np.float64 or entries.shape != (dims.pt, dims.pt):
-            raise ValueError(f"cannot adopt a {entries.dtype} array of shape {entries.shape} "
-                             f"for dims (p={dims.p}, T={dims.T})")
-        entries.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "dims", dims)
-        object.__setattr__(out, "entries", entries)
-        return out
 
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order."""
@@ -131,37 +140,23 @@ class DenseCovariance:
 
 
 @dataclass(frozen=True)
-class RearrangedMatrix:
+class RearrangedMatrix(_Payload):
     """T^2 x p^2 image of a covariance; row j*T + i holds vec(block(i, j))."""
 
-    dims: SpaceTimeDims
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = _frozen_array(self.entries)
-        want = (self.dims.T ** 2, self.dims.p ** 2)
-        if entries.shape != want:
-            raise ValueError(f"rearranged shape {entries.shape}, expected {want}")
-        object.__setattr__(self, "entries", entries)
+    _kind = "rearranged"
+    _shape = staticmethod(lambda dims: (dims.T ** 2, dims.p ** 2))
 
 
 @dataclass(frozen=True)
-class ToeplitzCompressed:
+class ToeplitzCompressed(_Payload):
     """(2T-1) x p^2 matrix of weighted block-diagonal sums.
 
     Row o + T - 1 corresponds to diagonal offset o in [-(T-1), T-1] and
     carries the sqrt(T - |o|) weight relative to the per-diagonal value.
     """
 
-    dims: SpaceTimeDims
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = _frozen_array(self.entries)
-        want = (2 * self.dims.T - 1, self.dims.p ** 2)
-        if entries.shape != want:
-            raise ValueError(f"compressed shape {entries.shape}, expected {want}")
-        object.__setattr__(self, "entries", entries)
+    _kind = "compressed"
+    _shape = staticmethod(lambda dims: (2 * dims.T - 1, dims.p ** 2))
 
 
 def row_offsets(T: int) -> np.ndarray:
@@ -185,7 +180,7 @@ def rearrange(sigma: DenseCovariance) -> RearrangedMatrix:
     blocks = sigma.entries.reshape(T, p, T, p)
     # [i, m, j, l] -> row (j, i), column (l, m)
     out = blocks.transpose(2, 0, 3, 1).reshape(T * T, p * p)
-    return RearrangedMatrix(sigma.dims, out)
+    return RearrangedMatrix.adopt(sigma.dims, out)
 
 
 def derearrange(r: RearrangedMatrix) -> DenseCovariance:
@@ -223,7 +218,7 @@ def expand_diagonals(compressed: np.ndarray, T: int) -> np.ndarray:
 
 def toeplitz_project(r: RearrangedMatrix) -> ToeplitzCompressed:
     """Compress a rearranged matrix onto its 2T-1 weighted block diagonals."""
-    return ToeplitzCompressed(r.dims, compress_diagonals(r.entries, r.dims.T))
+    return ToeplitzCompressed.adopt(r.dims, compress_diagonals(r.entries, r.dims.T))
 
 
 def toeplitz_embed(t: ToeplitzCompressed) -> RearrangedMatrix:
@@ -232,7 +227,7 @@ def toeplitz_embed(t: ToeplitzCompressed) -> RearrangedMatrix:
     Composition facts: project(embed(t)) == t, and embed . project is the
     orthogonal projector onto rearranged images of block Toeplitz matrices.
     """
-    return RearrangedMatrix(t.dims, expand_diagonals(t.entries, t.dims.T))
+    return RearrangedMatrix.adopt(t.dims, expand_diagonals(t.entries, t.dims.T))
 
 
 def diag_mask(dims: SpaceTimeDims) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .kron_ops import KronCovariance, SpaceTimeDims, _frozen_array
+from .kron_ops import DenseCovariance, KronCovariance, SpaceTimeDims, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,29 @@ class SampleSet:
         if not np.isfinite(samples).all():
             raise ValueError("samples must be finite (found NaN or inf)")
         object.__setattr__(self, "samples", samples)
+
+    def covariance(self) -> DenseCovariance:
+        """Mean-centered sample covariance with 1/n normalization, computed on
+        first use and kept (unlocked: racing callers all get the first one stored).
+
+        A single sample centers to zero and yields the zero matrix (with a
+        warning) so degenerate pipelines fail loudly downstream rather than
+        here.  numpy computes x^T x as one symmetric rank-k update, so the
+        Gram is exactly symmetric and is adopted without a symmetry scan;
+        by |g_ij| <= sqrt(g_ii g_jj) a finite diagonal means no entry overflowed.
+        """
+        if "_covariance" in self.__dict__:
+            return self.__dict__["_covariance"]
+        if self.n < 1:
+            raise ValueError("sample set is empty")
+        x = self.samples - self.samples.mean(axis=0)
+        if self.n == 1:
+            warnings.warn("sample covariance of a single sample is the zero matrix")
+        gram = x.T @ x
+        gram /= self.n
+        if not np.isfinite(np.diagonal(gram)).all():
+            raise ValueError("covariance entries must be finite (found NaN or inf)")
+        return self.__dict__.setdefault("_covariance", DenseCovariance.adopt(self.dims, gram))
 
 
 @dataclass(frozen=True)

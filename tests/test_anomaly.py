@@ -316,6 +316,14 @@ class TestCsv:
         with pytest.raises(ValueError, match=re.escape(str(path)) if names_path else None):
             read_frame_csv(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("header", ["c0,c1,label", "c0"])
+    def test_header_only_frame_csv_holds_no_frames(self, tmp_path, header):
+        path = tmp_path / "frames.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: holds no frames")):
+            read_frame_csv(path)
+
     def test_roc_csv_written(self, tmp_path):
         curve = roc([0.9, 0.1], [ANOMALOUS, NOMINAL])
         path = tmp_path / "roc.csv"

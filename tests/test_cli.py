@@ -14,10 +14,26 @@ from hypothesis import strategies as st
 
 from kroncov import SpaceTimeDims, ar1_kron_truth, sample_gaussian, scm, shrink
 from kroncov import anomaly as anom
+from kroncov import synth
 from kroncov import estimators as est
 from kroncov.anomaly import FrameSeries, write_frame_csv
 from kroncov.cli import COMMANDS, main, read_matrix_binary, write_matrix_binary
 from kroncov.synth import ar1_frame_stream, inject_anomalies, read_sample_csv, write_sample_csv
+
+
+def record_sample_covariances(monkeypatch) -> dict:
+    """Patch SampleSet.covariance to keep each covariance it returns under its
+    id (kept alive, so no id is reused): the dict's size counts the
+    covariances computed, however often each one is read."""
+    computed = {}
+    read = synth.SampleSet.covariance
+
+    def recorded(self):
+        cov = read(self)
+        computed[id(cov)] = cov
+        return cov
+    monkeypatch.setattr(synth.SampleSet, "covariance", recorded)
+    return computed
 
 
 def run_cli(command, cfg, out, tmp_path, extra=()):
@@ -302,16 +318,14 @@ class TestMseBenchCommand:
     def test_one_sample_covariance_per_trial(self, monkeypatch):
         from kroncov.cli import run_mse_bench
 
-        calls = []
-        real_scm = est.scm
-        monkeypatch.setattr(est, "scm", lambda samples: calls.append(1) or real_scm(samples))
+        computed = record_sample_covariances(monkeypatch)
         cfg = {"p": 3, "T": 2, "seed": 4, "trials": 3, "n_grid": [6],
                "estimators": [{"name": name} for name in ("scm", "scm-lw", "kronpca",
                                                           "dc-kronpca-lw", "chen-tyler")]}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_mse_bench(cfg)
-        assert len(calls) == 3
+        assert len(computed) == 3
 
 
 def make_stream_csv(path, seed=3, n_train=120, n_test=800, p=4, magnitude=6.0):
@@ -368,6 +382,26 @@ class TestAnomalyCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+
+    def test_one_sample_covariance_per_training_set(self, tmp_path, monkeypatch):
+        computed = record_sample_covariances(monkeypatch)
+        csv = tmp_path / "stream.csv"
+        n_train = make_stream_csv(csv)
+        cfg = {"input": str(csv), "T": 5, "train_range": [0, n_train],
+               "estimators": [{"name": "scm-lw"}, {"name": "dc-kronpca-lw"}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+        assert len(computed) == 1
+
+    @pytest.mark.parametrize("header", ["c0,c1,label", "c0"])
+    def test_header_only_stream_is_config_error(self, tmp_path, capsys, header):
+        csv = tmp_path / "stream.csv"
+        csv.write_text(header + "\n")
+        cfg = {"input": str(csv), "T": 1, "train_range": [0, 1],
+               "estimators": [{"name": "scm"}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
+        assert f"{csv}: holds no frames" in capsys.readouterr().err
 
     def test_unlabeled_stream_is_config_error(self, tmp_path):
         csv = tmp_path / "plain.csv"
@@ -693,6 +727,7 @@ def wrongly_typed_configs(draw, base):
 PROBES = [
     ("mse-bench", {"trials": "x"}, "'trials'"),
     ("mse-bench", {"n_grid": ["a"]}, "'n_grid[0]'"),
+    ("mse-bench", {"n_grid": [10, 10]}, "'n_grid' must not repeat"),
     ("synth", {"tcoeff": "x"}, "'tcoeff'"),
     ("anomaly", {"T": "x"}, "'T'"),
     ("anomaly", {"train_range": ["a", 20]}, "'train_range[0]'"),

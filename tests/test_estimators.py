@@ -89,6 +89,14 @@ class TestScm:
         np.testing.assert_array_equal(out.entries, out.entries.T)
         assert not out.entries.flags.writeable
 
+    def test_the_sample_set_keeps_one_covariance(self):
+        rng = np.random.default_rng(5)
+        samples = sample_set(rng.standard_normal((7, 6)), p=3, T=2)
+        x = samples.samples - samples.samples.mean(axis=0)
+        out = scm(samples)
+        assert scm(samples) is out and samples.covariance() is out
+        np.testing.assert_array_equal(out.entries, x.T @ x / 7)
+
     def test_overflowing_gram_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
             scm(sample_set([[1e200, 0.0], [-1e200, 0.0]]))
@@ -474,6 +482,27 @@ class TestKronpca:
                     np.testing.assert_array_equal(
                         block(cov, i, j), block(cov, i + 1, j + 1)
                     )
+
+
+@pytest.mark.parametrize("fit, name, toeplitz_rows", [
+    (kronpca, "kronpca", False), (kronpca, "kronpca", True),
+    (dc_kronpca, "dc-kronpca-lw", False), (dc_kronpca, "dc-kronpca-lw", True)])
+def test_paper_scale_fit_copies_no_rearranged_sized_array(monkeypatch, fit, name, toeplitz_rows):
+    # the operators adopt what they compute: at p=100, T=10 a copy of an
+    # array of T^2 p^2 entries (the rearranged matrix, or pT x pT) is 8 MB
+    from kroncov import kron_ops
+
+    dims = SpaceTimeDims(100, 10)
+    sigma = scm(sample_gaussian(ar1_kron_truth(dims.p, dims.T), 20, 3))
+    copy = kron_ops._frozen_array
+
+    def refuse_large(a, dtype=float):
+        if np.size(a) >= dims.T ** 2 * dims.p ** 2:
+            raise AssertionError(f"copied an array of shape {np.shape(a)}")
+        return copy(a, dtype)
+    monkeypatch.setattr(kron_ops, "_frozen_array", refuse_large)
+    model = fit(sigma, make_config(name, {"toeplitz": toeplitz_rows}))
+    assert model.factors
 
 
 class TestDcKronpca:

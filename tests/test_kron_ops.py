@@ -120,6 +120,14 @@ class TestRearrange:
         assert sv[1] < 1e-12 * sv[0]
 
 
+@pytest.mark.parametrize("p, T", [(3, 4), (1, 3), (3, 1)])
+def test_operator_results_are_read_only(p, T):
+    rearranged = rearrange(make_cov(np.random.default_rng(p * T), p, T))
+    compressed = toeplitz_project(rearranged)
+    for out in (rearranged, compressed, toeplitz_embed(compressed)):
+        assert not out.entries.flags.writeable
+
+
 class TestDerearrange:
     def test_inverse_of_p1_t2_example(self):
         r = RearrangedMatrix(SpaceTimeDims(1, 2), np.array([[1.0], [2.0], [2.0], [4.0]]))

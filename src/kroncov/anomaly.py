@@ -9,12 +9,12 @@ label; mixed windows are excluded.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import files
 from .kron_ops import DenseCovariance, KronCovariance, _frozen_array
 
 ANOMALOUS = "anomalous"
@@ -26,10 +26,9 @@ LABEL_FRACTION = 0.75  # strict on both sides
 
 @dataclass(frozen=True)
 class FrameSeries:
-    """Ordered frames with per-frame timestamps and optional 0/1 labels."""
+    """Ordered frames and optional per-frame 0/1 labels."""
 
     values: np.ndarray
-    timestamps: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -38,11 +37,7 @@ class FrameSeries:
             raise ValueError("frame values must be a 2-d array (frames x coordinates)")
         if not np.isfinite(values).all():
             raise ValueError("frame values must be finite (found NaN or inf)")
-        timestamps = _frozen_array(self.timestamps)
-        if timestamps.shape != (values.shape[0],):
-            raise ValueError("timestamps must align 1:1 with frames")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "timestamps", timestamps)
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.shape != (values.shape[0],):
@@ -53,11 +48,8 @@ class FrameSeries:
             object.__setattr__(self, "labels", _frozen_array(labels, dtype=int))
 
     @classmethod
-    def from_arrays(cls, values, labels=None, timestamps=None) -> "FrameSeries":
-        values = np.asarray(values, dtype=float)
-        if timestamps is None:
-            timestamps = np.arange(values.shape[0], dtype=float)
-        return cls(values, timestamps, labels)
+    def from_arrays(cls, values, labels=None) -> "FrameSeries":
+        return cls(values, labels)
 
     @property
     def p(self) -> int:
@@ -70,10 +62,8 @@ class FrameSeries:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Vectorized overlapping windows and their chunk labels."""
+    """Vectorized overlapping windows, their start frames and their chunk labels."""
 
-    T: int
-    stride: int
     starts: np.ndarray
     vectors: np.ndarray
     labels: np.ndarray
@@ -81,9 +71,7 @@ class WindowSet:
     def __post_init__(self):
         object.__setattr__(self, "starts", _frozen_array(self.starts, dtype=int))
         object.__setattr__(self, "vectors", _frozen_array(self.vectors))
-        labels = np.asarray(self.labels, dtype="U9")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _frozen_array(self.labels, dtype="U9"))
 
 
 @dataclass(frozen=True)
@@ -96,15 +84,15 @@ class RocCurve:
 
 def detrend(series: FrameSeries, training_range, linear: bool = False) -> FrameSeries:
     """Remove the per-coordinate training mean (and optionally a linear
-    trend fit on the training range) from every frame.
+    trend in the frame index, fit on the training range) from every frame.
 
-    Labels and timestamps pass through; applying detrend twice with the
-    same range is a no-op on the already-detrended data.
+    Labels pass through; applying detrend twice with the same range is a
+    no-op on the already-detrended data.
     """
     start, stop = int(training_range[0]), int(training_range[1])
     if not 0 <= start < stop <= series.n_frames:
         raise ValueError(f"training range [{start}, {stop}) is empty or out of bounds")
-    ts = series.timestamps
+    ts = np.arange(series.n_frames, dtype=float)
     values = series.values
     if linear:
         design = np.column_stack([np.ones(stop - start), ts[start:stop]])
@@ -113,7 +101,7 @@ def detrend(series: FrameSeries, training_range, linear: bool = False) -> FrameS
         out = values - fitted
     else:
         out = values - values[start:stop].mean(axis=0)
-    return FrameSeries(out, ts, series.labels)
+    return FrameSeries(out, series.labels)
 
 
 def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:
@@ -136,31 +124,24 @@ def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:
     frac = sliding_window_view(frame_labels, T)[::stride].mean(axis=1)
     labels = np.select([frac > LABEL_FRACTION, frac < 1.0 - LABEL_FRACTION],
                        [ANOMALOUS, NOMINAL], EXCLUDED)
-    return WindowSet(T=T, stride=stride, starts=starts, vectors=vectors, labels=labels)
+    return WindowSet(starts=starts, vectors=vectors, labels=labels)
 
 
-def _require_usable(lo: float, hi: float) -> None:
-    if lo <= 1e-12 * hi or hi <= 0:
-        raise ValueError(f"covariance is singular or indefinite (eig range [{lo:.3e}, {hi:.3e}])")
-
-
-def mahalanobis_scores(windows: WindowSet, sigma: DenseCovariance | KronCovariance) -> np.ndarray:
-    """x^T Sigma^{-1} x per window, from the covariance's own
-    :meth:`inverse_quad_forms` (blocks or a Cholesky).
+def mahalanobis_scores(x: np.ndarray, sigma: DenseCovariance | KronCovariance) -> np.ndarray:
+    """x_k^T Sigma^{-1} x_k for the rows x_k of x (n x pT), from the
+    covariance's own :meth:`inverse_quad_forms` (blocks or a Cholesky).
 
     Requires a usable covariance: minimum eigenvalue above 1e-12 of the
     maximum.  A singular input is exactly the failure mode the structured
     estimators exist to avoid, so it is an error here, not a warning.
     """
     p, T = sigma.dims.p, sigma.dims.T
-    if windows.vectors.shape[1] != p * T:
-        raise ValueError(
-            f"window length {windows.vectors.shape[1]} does not match covariance "
-            f"dimension {p * T}"
-        )
-    lam = sigma.eigvalsh()
-    _require_usable(lam[0], lam[-1])
-    return sigma.inverse_quad_forms(windows.vectors)[0]
+    if x.shape[1] != p * T:
+        raise ValueError(f"window length {x.shape[1]} does not match covariance dimension {p * T}")
+    lo, hi = sigma.eigvalsh()[[0, -1]]
+    if lo <= 1e-12 * hi or hi <= 0:
+        raise ValueError(f"covariance is singular or indefinite (eig range [{lo:.3e}, {hi:.3e}])")
+    return sigma.inverse_quad_forms(x)[0]
 
 
 def roc(scores, labels) -> RocCurve:
@@ -195,37 +176,21 @@ def roc(scores, labels) -> RocCurve:
 # CSV interchange
 
 def read_frame_csv(path) -> FrameSeries:
-    """Load a frame stream: header row, coordinate columns, optional final
-    `label` column.  Numbers may be quoted; blank lines are skipped."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
-    if not data.shape[0]:
-        raise ValueError(f"{path}: holds no frames")
-    header = header.split(",")
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: rows do not match the header width")
-    if header[-1].strip().strip('"').lower() == "label":
-        return FrameSeries.from_arrays(data[:, :-1], labels=data[:, -1])
-    return FrameSeries.from_arrays(data)
+    """Load a frame stream (:func:`files.read_csv`): coordinate columns and
+    an optional final `label` column."""
+    header, data = files.read_csv(path, "frames")
+    if header[-1].lower() == "label":
+        return FrameSeries(data[:, :-1], data[:, -1])
+    return FrameSeries(data)
 
 
 def write_frame_csv(path, series: FrameSeries) -> None:
-    cols = [f"c{i}" for i in range(series.p)]
+    header, rows = [f"c{i}" for i in range(series.p)], series.values
     if series.labels is not None:
-        header = ",".join(cols + ["label"])
-        data = np.column_stack([series.values, series.labels.astype(float)])
-    else:
-        header = ",".join(cols)
-        data = series.values
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+        header, rows = header + ["label"], np.column_stack([rows, series.labels.astype(float)])
+    files.write_csv(path, header, rows)
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    data = np.column_stack([curve.thresholds, curve.fpr, curve.tpr])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header="threshold,fpr,tpr", comments="")
+    files.write_csv(path, ["threshold", "fpr", "tpr"],
+                    np.column_stack([curve.thresholds, curve.fpr, curve.tpr]))

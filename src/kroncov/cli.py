@@ -30,6 +30,7 @@ import numpy as np
 from . import anomaly as anom
 from . import estimators as est
 from . import synth
+from .files import write_json
 from .kron_ops import DenseCovariance, SpaceTimeDims
 
 
@@ -43,12 +44,6 @@ class ConfigError(Exception):
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def write_matrix_binary(path: Path, matrix: np.ndarray) -> None:
@@ -343,11 +338,9 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
             est.require_samples(name, train_set.n, train_set)
 
     keep = outside & (windows.labels != anom.EXCLUDED)
-    test_labels = windows.labels[keep]
-    test_windows = anom.WindowSet(T=T, stride=stride, starts=windows.starts[keep],
-                                  vectors=windows.vectors[keep], labels=test_labels)
+    test_vectors, test_labels = windows.vectors[keep], windows.labels[keep]
     n_excluded = int((outside & (windows.labels == anom.EXCLUDED)).sum())
-    del series, detrended, windows  # only the two sets are kept through the fits
+    del series, detrended, windows  # the fits keep only the training set and the test rows
     n_anomalous = int((test_labels == anom.ANOMALOUS).sum())
     n_nominal = int((test_labels == anom.NOMINAL).sum())
     if not (n_anomalous and n_nominal):
@@ -358,7 +351,7 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
     summary = {}
     for label, name, ecfg in specs:
         cov, info = est.fit_by_name(name, train_set, ecfg)
-        scores = anom.mahalanobis_scores(test_windows, cov)
+        scores = anom.mahalanobis_scores(test_vectors, cov)
         curve = anom.roc(scores, test_labels)
         anom.write_roc_csv(out / f"roc_{label}.csv", curve)
         doc = {

@@ -106,6 +106,12 @@ class KronModel:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != (self.dims.p,):
             raise ValueError(f"u has shape {self.u.shape}, expected ({self.dims.p},)")
+        # NaN fails every comparison below, so non-finite entries are caught here
+        if not np.isfinite(self.u).all():
+            raise ValueError("u must be finite (found NaN or inf)")
+        for i, (w, tm, sm) in enumerate(self.factors):
+            if not (np.isfinite(w) and np.isfinite(tm).all() and np.isfinite(sm).all()):
+                raise ValueError(f"factors[{i}] must be finite (found NaN or inf)")
         weights = [abs(w) for w, _, _ in self.factors]
         if any(a < b - 1e-12 for a, b in zip(weights, weights[1:])):
             raise ValueError("factors must be ordered by nonincreasing |weight|")

@@ -20,7 +20,6 @@ construction so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -270,7 +269,8 @@ class KronCovariance:
     `pairs` holds (temporal T x T, spatial p x p) pairs with any weight
     folded into them; `d` is the length-p diagonal of the I (x) diag(d)
     term.  `entries` assembles the dense matrix through
-    :func:`kron_assemble` on first use and keeps it.
+    :func:`kron_assemble` on first use and keeps it (unlocked: racing
+    callers all get the first one stored).
     """
 
     dims: SpaceTimeDims
@@ -292,9 +292,11 @@ class KronCovariance:
     def to_dense(self) -> DenseCovariance:
         return kron_assemble(self.dims, self.pairs, self.d)
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
-        return self.to_dense().entries
+        if "_entries" in self.__dict__:
+            return self.__dict__["_entries"]
+        return self.__dict__.setdefault("_entries", self.to_dense().entries)
 
     def trace(self) -> float:
         return float(sum(np.trace(tm) * np.trace(sm) for tm, sm in self.pairs)

@@ -7,13 +7,13 @@ trial (see the benchmark driver) so aggregates are order independent.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz
 
+from . import files
 from .kron_ops import DenseCovariance, KronCovariance, SpaceTimeDims, _frozen_array
 
 
@@ -238,9 +238,7 @@ def inject_anomalies(base, rate: float, magnitude: float, seed: int,
 
 def write_sample_csv(path, sset: SampleSet) -> None:
     """One row per sample, columns x0..x{pT-1}, full float64 precision."""
-    header = ",".join(f"x{i}" for i in range(sset.dims.pt))
-    np.savetxt(path, sset.samples, fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    files.write_csv(path, [f"x{i}" for i in range(sset.dims.pt)], sset.samples)
 
 
 def write_sample_sidecar(path, sset: SampleSet, description: str, extra: dict | None = None) -> None:
@@ -253,19 +251,11 @@ def write_sample_sidecar(path, sset: SampleSet, description: str, extra: dict | 
     }
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    files.write_json(path, doc)
 
 
 def read_sample_csv(path, dims: SpaceTimeDims) -> SampleSet:
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if not data.shape[0]:
-        raise ValueError(f"{path}: holds no sample rows")
+    _, data = files.read_csv(path, "sample rows")
     if data.shape[1] != dims.pt:
-        raise ValueError(
-            f"{path}: {data.shape[1]} columns do not match pT={dims.pt}"
-        )
+        raise ValueError(f"{path}: {data.shape[1]} columns do not match pT={dims.pt}")
     return SampleSet(dims, data.shape[0], data, seed=None)

@@ -15,7 +15,6 @@ from kroncov import (
     KronCovariance,
     SampleSet,
     SpaceTimeDims,
-    WindowSet,
     detrend,
     fit_by_name,
     mahalanobis_scores,
@@ -134,19 +133,14 @@ class TestMakeWindows:
 
 
 class TestMahalanobisScores:
-    def windows_of(self, vectors, T=1):
-        vectors = np.asarray(vectors, dtype=float)
-        return WindowSet(T=T, stride=1, starts=np.arange(len(vectors)),
-                         vectors=vectors, labels=np.array([NOMINAL] * len(vectors)))
-
     def test_identity_unit_vector(self):
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.eye(2))
-        scores = mahalanobis_scores(self.windows_of([[1.0, 0.0]]), sigma)
+        scores = mahalanobis_scores(np.array([[1.0, 0.0]]), sigma)
         assert scores[0] == pytest.approx(1.0)
 
     def test_diagonal_weighting(self):
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([4.0, 1.0]))
-        scores = mahalanobis_scores(self.windows_of([[2.0, 0.0]]), sigma)
+        scores = mahalanobis_scores(np.array([[2.0, 0.0]]), sigma)
         assert scores[0] == pytest.approx(1.0)
 
     def test_joint_rescaling_invariance(self):
@@ -154,9 +148,9 @@ class TestMahalanobisScores:
         a = rng.standard_normal((4, 4))
         spd = a @ a.T + 4 * np.eye(4)
         x = rng.standard_normal((5, 4))
-        base = mahalanobis_scores(self.windows_of(x), DenseCovariance(SpaceTimeDims(2, 2), spd))
+        base = mahalanobis_scores(x, DenseCovariance(SpaceTimeDims(2, 2), spd))
         scaled = mahalanobis_scores(
-            self.windows_of(np.sqrt(3.0) * x), DenseCovariance(SpaceTimeDims(2, 2), 3.0 * spd)
+            np.sqrt(3.0) * x, DenseCovariance(SpaceTimeDims(2, 2), 3.0 * spd)
         )
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
@@ -165,7 +159,7 @@ class TestMahalanobisScores:
         x = rng.standard_normal((7, 6))
         sigma = DenseCovariance(SpaceTimeDims(3, 2), np.eye(6))
         np.testing.assert_allclose(
-            mahalanobis_scores(self.windows_of(x), sigma),
+            mahalanobis_scores(x, sigma),
             np.sum(x ** 2, axis=1), rtol=1e-12,
         )
 
@@ -175,14 +169,13 @@ class TestMahalanobisScores:
         spd = a @ a.T + 0.5 * np.eye(12)
         x = rng.standard_normal((9, 12))
         expect = np.einsum("ij,ji->i", x, np.linalg.solve(spd, x.T))
-        scores = mahalanobis_scores(self.windows_of(x, T=3),
-                                    DenseCovariance(SpaceTimeDims(4, 3), spd))
+        scores = mahalanobis_scores(x, DenseCovariance(SpaceTimeDims(4, 3), spd))
         np.testing.assert_allclose(scores, expect, rtol=1e-10)
 
     def test_singular_covariance_rejected(self):
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="singular"):
-            mahalanobis_scores(self.windows_of([[1.0, 1.0]]), sigma)
+            mahalanobis_scores(np.array([[1.0, 1.0]]), sigma)
 
     def test_tyler_kronpca_is_scored_from_its_blocks(self, monkeypatch):
         p, T = 4, 3
@@ -193,7 +186,7 @@ class TestMahalanobisScores:
         samples = SampleSet(SpaceTimeDims(p, T), len(train.vectors), train.vectors)
         cov, _ = fit_by_name("tyler-kronpca", samples, {"rho": 0.1})
         assert isinstance(cov, KronCovariance)
-        dense_auc = roc(mahalanobis_scores(test, DenseCovariance(cov.dims, cov.entries)),
+        dense_auc = roc(mahalanobis_scores(test.vectors, DenseCovariance(cov.dims, cov.entries)),
                         test.labels).auc
         for name in ("cholesky", "eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -202,7 +195,7 @@ class TestMahalanobisScores:
                 assert np.shape(a)[-1] != p * T, f"dense pT x pT {_name}"
                 return _real(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, refuse_dense)
-        block_auc = roc(mahalanobis_scores(test, cov), test.labels).auc
+        block_auc = roc(mahalanobis_scores(test.vectors, cov), test.labels).auc
         assert block_auc == pytest.approx(dense_auc, rel=0, abs=1e-12)
 
 
@@ -321,6 +314,13 @@ class TestCsv:
     def test_header_only_frame_csv_holds_no_frames(self, tmp_path, header):
         path = tmp_path / "frames.csv"
         path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: holds no frames")):
+            read_frame_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_frame_csv_holds_no_frames(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        path.write_text("")
         with pytest.raises(ValueError, match=re.escape(f"{path}: holds no frames")):
             read_frame_csv(path)
 

@@ -156,6 +156,19 @@ class TestEstimateCommand:
             assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
         assert f"{csv}: holds no sample rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "x0,x1\n1,0\n# a note\n0,1\n", "x0\n1\n# a note\n0\n",
+        "x0,x1,x2\n1,0\n-1,2\n0,1\n", "x0\n1,0\n-1,2\n0,1\n",
+    ], ids=["comment-line", "comment-line-one-column", "header-wider-than-rows",
+            "header-narrower-than-rows"])
+    def test_sample_csv_off_the_format_is_config_error(self, tmp_path, capsys, text):
+        csv = tmp_path / "s.csv"
+        csv.write_text(text)
+        p = len(text.splitlines()[1].split(","))
+        cfg = {"input": str(csv), "p": p, "T": 1, "estimator": "scm"}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
+        assert f"config error: input (sample CSV): {csv}: " in capsys.readouterr().err
+
     def test_non_finite_sample_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         csv.write_text("x0,x1\n1,0\nnan,2\n0,1\n")

@@ -1,5 +1,7 @@
 """Estimator tests: frozen hand-computed values, plant-and-recover oracles,
 and Monte-Carlo consistency checks at desk scale."""
+import json
+import re
 import warnings
 
 import numpy as np
@@ -1140,6 +1142,21 @@ class TestRegistry:
         )
         assert back.config == model.config
 
+    @pytest.mark.parametrize("field, entry, named", [
+        ("weight", np.nan, "factors[0]"), ("spatial", np.nan, "factors[0]"),
+        ("temporal", np.inf, "factors[0]"), ("u", np.nan, "u")])
+    def test_non_finite_kron_model_rejected(self, field, entry, named):
+        ss = sample_gaussian(ar1_kron_truth(3, 2, 0.5, 0.95), 20, 13)
+        doc = kronpca(scm(ss), EstimatorConfig()).to_json_dict()
+        if field == "weight":
+            doc["factors"][0]["weight"] = entry
+        elif field == "u":
+            doc["u"][1] = entry
+        else:
+            doc["factors"][0][field][1][0] = entry
+        with pytest.raises(ValueError, match=re.escape(f"{named} must be finite")):
+            KronModel.from_json_dict(json.loads(json.dumps(doc)))
+
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_every_registered_estimator_meets_the_table_contract(name):
@@ -1159,3 +1176,41 @@ def test_every_registered_estimator_meets_the_table_contract(name):
                         np.ones((spec.min_n - 1, truth.sigma.dims.pt)))
     with pytest.raises(ValueError, match=rf"needs n >= {spec.min_n} samples, got n={spec.min_n - 1}"):
         fit_by_name(name, too_few)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 4), T=st.integers(1, 4), a=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_registered_estimator_is_symmetric_and_invariant(name, p, T, a, seed, data):
+    """Symmetry, the trace each estimator keeps, invariance to the sample
+    order and the scaling each estimator follows when every sample is
+    multiplied by a > 0.  The Tyler pair runs at an explicit rho: its
+    rho="auto" folds are stride splits, which a permutation changes."""
+    spec = ESTIMATORS[name]
+    n = data.draw(st.integers(spec.min_n, 12), label="n")
+    dims = SpaceTimeDims(p, T)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dims.pt))
+    cfg = make_config(name, {"rho": 0.2} if spec.shape else {})
+    # the closed-form fits agree to rounding, the iterative ones (those reading tol) to their stop
+    tol = 10 * cfg.tol if "tol" in spec.fields else 1e-10
+
+    def fit(rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a soft_impute stuck at max_iter is still compared
+            return fit_by_name(name, SampleSet(dims, n, rows), cfg)[0].entries
+
+    def assert_close(actual, desired):
+        np.testing.assert_allclose(actual, desired, rtol=0, atol=tol * np.abs(desired).max())
+
+    est0 = fit(x)
+    assert_close(est0, est0.T)
+    if spec.shape:
+        assert np.trace(est0) == pytest.approx(dims.pt, rel=1e-10)
+    if name == "scm-lw":
+        assert np.trace(est0) == pytest.approx(np.trace(scm(SampleSet(dims, n, x)).entries),
+                                               rel=1e-10)
+    assert_close(fit(x[rng.permutation(n)]), est0)
+    if name != "dc-kronpca-lw":
+        assert_close(fit(a * x), est0 if spec.shape else a * a * est0)

@@ -10,11 +10,9 @@ from scipy.linalg import toeplitz
 from kroncov import (
     DenseCovariance,
     KronCovariance,
-    NOMINAL,
     RearrangedMatrix,
     SpaceTimeDims,
     ToeplitzCompressed,
-    WindowSet,
     block,
     derearrange,
     diag_mask,
@@ -361,8 +359,7 @@ def spd_factor(rng, n):
 
 
 def windows(rng, n, dims):
-    return WindowSet(T=dims.T, stride=1, starts=np.arange(n),
-                     vectors=rng.standard_normal((n, dims.pt)), labels=[NOMINAL] * n)
+    return rng.standard_normal((n, dims.pt))
 
 
 def assert_close(actual, desired, rtol=1e-10):
@@ -411,6 +408,15 @@ class TestKronCovariance:
         elif lam[0] > 1e-5 * lam[-1]:
             assert_close(mahalanobis_scores(wins, shrunk),
                          mahalanobis_scores(wins, DenseCovariance(dims, shrunk_dense)))
+
+    def test_entries_are_assembled_once_and_read_only(self):
+        rng = np.random.default_rng(6)
+        dims = SpaceTimeDims(3, 2)
+        cov = KronCovariance(dims, [(symmetric_factor(rng, 2), symmetric_factor(rng, 3))], 1.0)
+        assert cov.entries is cov.entries
+        np.testing.assert_array_equal(cov.entries, cov.to_dense().entries)
+        with pytest.raises(ValueError, match="read-only"):
+            cov.entries[0, 0] = 0.0
 
     def test_scores_do_not_depend_on_the_chunk_size(self, monkeypatch):
         rng = np.random.default_rng(3)

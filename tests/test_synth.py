@@ -268,6 +268,14 @@ class TestSampleCsv:
             with pytest.raises(ValueError, match="holds no sample rows"):
                 read_sample_csv(path, SpaceTimeDims(2, 2))
 
+    def test_quoted_numbers_read_as_unquoted(self, tmp_path):
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        plain.write_text("x0,x1\n1.5,-2\n\n3e-1,4\n")
+        quoted.write_text('"x0","x1"\n"1.5",-2\n\n3e-1,"4"\n')
+        back = read_sample_csv(quoted, SpaceTimeDims(2, 1)).samples
+        np.testing.assert_array_equal(back, read_sample_csv(plain, SpaceTimeDims(2, 1)).samples)
+        np.testing.assert_array_equal(back, [[1.5, -2.0], [0.3, 4.0]])
+
 
 class TestSampleSet:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import files
-from .kron_ops import DenseCovariance, KronCovariance, _frozen_array
+from .kron_ops import _frozen_array
 
 ANOMALOUS = "anomalous"
 NOMINAL = "nominal"
@@ -127,9 +127,9 @@ def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:
     return WindowSet(starts=starts, vectors=vectors, labels=labels)
 
 
-def mahalanobis_scores(x: np.ndarray, sigma: DenseCovariance | KronCovariance) -> np.ndarray:
+def mahalanobis_scores(x: np.ndarray, sigma) -> np.ndarray:
     """x_k^T Sigma^{-1} x_k for the rows x_k of x (n x pT), from the
-    covariance's own :meth:`inverse_quad_forms` (blocks or a Cholesky).
+    covariance's own :meth:`inverse_quad_forms` (blocks, Woodbury or a Cholesky).
 
     Requires a usable covariance: minimum eigenvalue above 1e-12 of the
     maximum.  A singular input is exactly the failure mode the structured

@@ -164,19 +164,11 @@ def trial_seed(root_seed: int, n: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def normalized_mse(estimate: np.ndarray, truth: np.ndarray, shape_only: bool) -> float:
-    """||estimate - truth||_F^2 / ||truth||_F^2, comparing unit-trace
-    rescalings of both sides for shape-only estimators."""
-    if shape_only:
-        estimate = estimate / np.trace(estimate)
-        truth = truth / np.trace(truth)
-    return float(np.sum((estimate - truth) ** 2) / np.sum(truth ** 2))
-
-
 def kron_truth_error(truth: synth.GroundTruth):
-    """error(estimate, shape_only): :func:`normalized_mse` of a
-    DenseCovariance or KronCovariance estimate E against the truth
-    A (x) B, assembling neither side.  With c the ratio of the rescalings
+    """error(estimate, shape_only): ||E - A (x) B||_F^2 / ||A (x) B||_F^2 of
+    an estimate E in any covariance form against the truth A (x) B, after
+    rescaling both sides to unit trace for a shape-only estimator,
+    assembling neither side.  With c the ratio of the rescalings
     (1, or tr(truth) / tr(E) for a shape-only estimator),
     ||c E - A (x) B||^2 = c^2 ||E||^2 - 2c <E, A (x) B> + ||A (x) B||^2,
     each term a reduction of E; ||A (x) B||^2 is taken here, once."""

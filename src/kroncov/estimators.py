@@ -24,6 +24,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .kron_ops import (
     DenseCovariance,
+    GramCovariance,
     KronCovariance,
     SpaceTimeDims,
     compress_diagonals,
@@ -180,21 +181,24 @@ def _rho_value(rho) -> float:
     return float(rho)
 
 
-def scm(samples: SampleSet) -> DenseCovariance:
+def scm(samples: SampleSet) -> GramCovariance:
     """The mean-centered, 1/n sample covariance the set keeps (:meth:`SampleSet.covariance`)."""
     return samples.covariance()
 
 
-def shrink(sigma: DenseCovariance | KronCovariance, rho) -> DenseCovariance | KronCovariance:
+def shrink(sigma, rho):
     """(1 - rho) * sigma + rho * (trace(sigma)/pT) * I; preserves the trace.
 
     A KronCovariance stays one: its pairs scale by 1 - rho and the
-    identity goes into its diagonal term.
+    identity goes into its diagonal term.  A GramCovariance a I + b S
+    stays one too, with ((1 - rho) a + rho m, (1 - rho) b).
     """
     r = _rho_value(rho)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {r}")
     d = sigma.dims.pt
+    if isinstance(sigma, GramCovariance):
+        return sigma.rescaled((1.0 - r) * sigma.a + r * (sigma.trace() / d), (1.0 - r) * sigma.b)
     if isinstance(sigma, KronCovariance):
         target = sigma.trace() / d
         return KronCovariance(sigma.dims, [((1.0 - r) * tm, sm) for tm, sm in sigma.pairs],
@@ -205,7 +209,7 @@ def shrink(sigma: DenseCovariance | KronCovariance, rho) -> DenseCovariance | Kr
     return DenseCovariance.adopt(sigma.dims, out)
 
 
-def _lw_terms(samples: SampleSet, plugin: DenseCovariance | KronCovariance):
+def _lw_terms(samples: SampleSet, plugin):
     """Dispersion d2 and raw sample-scatter b2bar of the plug-in formula.
 
     Any pilot answers through trace, frobenius_sq and quad_sum
@@ -229,7 +233,7 @@ def _lw_terms(samples: SampleSet, plugin: DenseCovariance | KronCovariance):
     return b2bar, d2
 
 
-def lw_intensity(samples: SampleSet, plugin: DenseCovariance) -> ShrinkageIntensity:
+def lw_intensity(samples: SampleSet, plugin) -> ShrinkageIntensity:
     """Plug-in shrinkage intensity, large-n optimal for the plain SCM.
 
     With S the plugin and m = trace(S)/d:
@@ -366,14 +370,14 @@ def _extract_factors(u: np.ndarray, svals: np.ndarray, vt: np.ndarray,
     return factors
 
 
-def _rearranged(sigma: DenseCovariance, toeplitz_rows: bool) -> np.ndarray:
+def _rearranged(sigma: DenseCovariance | GramCovariance, toeplitz_rows: bool) -> np.ndarray:
     """Rearranged covariance, compressed to its 2T-1 block diagonals when
     toeplitz_rows is set."""
     r = rearrange(sigma).entries
     return compress_diagonals(r, sigma.dims.T) if toeplitz_rows else r
 
 
-def kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
+def kronpca(sigma: DenseCovariance | GramCovariance, cfg: EstimatorConfig) -> KronModel:
     """Low-rank Kronecker fit of a covariance by direct SVD.
 
     With the toeplitz flag the thresholding happens in the compressed
@@ -428,7 +432,7 @@ def _reduced_completion(b: np.ndarray, rows, cols, cfg: EstimatorConfig):
     return result, (u, s, vt)
 
 
-def dc_kronpca(sigma: DenseCovariance, cfg: EstimatorConfig) -> KronModel:
+def dc_kronpca(sigma: DenseCovariance | GramCovariance, cfg: EstimatorConfig) -> KronModel:
     """Diagonally corrected Kronecker fit.
 
     The covariance diagonal, whose rearranged positions :func:`diag_mask`
@@ -499,9 +503,10 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
     lam_min = kron_cov.eigvalsh()[0]
     # conditioning floor: lift the spectrum past the pilot's own negative
     # dip (its factor-noise scale) so the shrunk estimate is safely
-    # invertible for downstream quadratic forms
+    # invertible for downstream quadratic forms; a dip as deep as the mean
+    # eigenvalue m cannot be lifted past, and the floor shrinks fully to m I
     target = max(1e-3 * m, -lam_min)
-    if lam_min < target < m:
+    if lam_min < min(target, m):
         rho_pd = (target - lam_min) / (m - lam_min)
         rho = max(rho, min(1.0, rho_pd))
     return ShrinkageIntensity(rho)
@@ -586,7 +591,7 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     return cov
 
 
-def kronpca_T(sigma: DenseCovariance) -> np.ndarray:
+def kronpca_T(sigma: DenseCovariance | GramCovariance) -> np.ndarray:
     """Leading Toeplitz temporal factor of a covariance, repaired to be
     positive definite and normalized to trace T.
 
@@ -636,12 +641,14 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
                    full_output: bool = False):
     """Robust Kronecker shape estimation with per-step shrinkage.
 
-    Starting from the plain robust shape estimate, alternate between
-    extracting the Toeplitz temporal factor of the current Tyler average
-    and running shrunk Tyler iterations whose scatter is projected onto
-    temporal (x) spatial form via the closed-form spatial update.  The
-    inner loop stops on the relative change of the shrunk estimate, the
-    outer loop on the relative change of the temporal factor.
+    Starting from the plain robust shape estimate (:func:`chen_tyler`),
+    alternate between extracting the Toeplitz temporal factor of the
+    current Tyler average and running shrunk Tyler iterations whose
+    scatter is projected onto temporal (x) spatial form via the
+    closed-form spatial update.  The inner loop stops on the relative
+    change of the shrunk estimate, the outer loop on the relative change
+    of the temporal factor; the reported `converged` holds when both the
+    start and the outer loop converged.
 
     The estimate is the last shrunk iterate in its own form, a
     KronCovariance c T (x) S + rho I with T the temporal factor it was
@@ -653,8 +660,8 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     dims = samples.dims
     s = _normalized_directions(samples)
 
-    sigma_hat = chen_tyler(samples, r, cfg).entries
-    sigma_tilde = sigma_hat
+    start, start_info = chen_tyler(samples, r, cfg, full_output=True)
+    sigma_hat = sigma_tilde = start.entries
     t_prev = None
     converged = False
     inner_total = 0
@@ -675,11 +682,11 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     cov = KronCovariance(dims, [(c * t_prev, s_hat)], r)
     if full_output:
         return cov, {"iterations": outer, "inner_iterations": inner_total,
-                     "converged": converged, "rho": r}
+                     "converged": start_info["converged"] and converged, "rho": r}
     return cov
 
 
-def kron_spectrum(sigma: DenseCovariance, toeplitz_rows: bool = True):
+def kron_spectrum(sigma: DenseCovariance | GramCovariance, toeplitz_rows: bool = True):
     """Normalized Kronecker and PCA spectra of a covariance.
 
     Returns (kron_sv, pca_ev): the singular values of the (compressed)
@@ -708,7 +715,7 @@ def components_for_energy(spectrum: np.ndarray, fraction: float = 0.95) -> int:
 # ---------------------------------------------------------------------------
 # shrinkage intensity selection for the robust estimators
 
-def _acg_loglik(directions: np.ndarray, cov: DenseCovariance | KronCovariance) -> float:
+def _acg_loglik(directions: np.ndarray, cov) -> float:
     """Angular log-likelihood of unit vectors under a shape covariance
     (additive constants dropped), from its own solve."""
     try:

@@ -12,21 +12,45 @@ import numpy as np
 
 def read_csv(path, what: str):
     """(header fields, float64 rows) of a CSV; a ValueError naming path
-    when the file holds no rows of `what` or a row is not as wide as the header."""
+    when the file holds no rows of `what`, or naming path, the 1-based line
+    and the header width when a row breaks the rule."""
     with open(path) as fh:
         header = fh.readline()
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
             try:
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
-            except ValueError as exc:  # a short row or a word where a number belongs
-                raise ValueError(f"{path}: {exc}") from exc
-    if not rows.shape[0]:
-        raise ValueError(f"{path}: holds no {what}")
+            except ValueError:  # a short row or a word where a number belongs
+                rows = None
     fields = [f.strip().strip('"') for f in header.split(",")]
-    if rows.shape[1] != len(fields):
-        raise ValueError(f"{path}: rows do not match the header width")
+    if rows is not None and not rows.shape[0]:
+        raise ValueError(f"{path}: holds no {what}")
+    if rows is None or rows.shape[1] != len(fields):
+        raise ValueError(f"{path}: {_first_misfit(path, len(fields))}")
     return fields, rows
+
+
+def _first_misfit(path, width: int) -> str:
+    """Where the first row after the header stops being `width` numbers."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\r\n")
+            if lineno == 1 or not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != width:
+                return f"line {lineno} has {_fields(len(cells))} where the header has {width}"
+            for j, cell in enumerate(cells, 1):
+                try:
+                    float(cell.strip().strip('"'))
+                except ValueError:
+                    return (f"line {lineno} field {j} is {cell!r}, not a number "
+                            f"(the header has {_fields(width)})")
+    return f"a row is not {width} numbers, the header width"
+
+
+def _fields(k: int) -> str:
+    return f"{k} field" if k == 1 else f"{k} fields"
 
 
 def write_csv(path, header, rows) -> None:

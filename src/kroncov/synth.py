@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import files
-from .kron_ops import DenseCovariance, KronCovariance, SpaceTimeDims, _frozen_array
+from .kron_ops import GramCovariance, KronCovariance, SpaceTimeDims, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,15 @@ class SampleSet:
             raise ValueError("samples must be finite (found NaN or inf)")
         object.__setattr__(self, "samples", samples)
 
-    def covariance(self) -> DenseCovariance:
-        """Mean-centered sample covariance with 1/n normalization, computed on
+    def covariance(self) -> GramCovariance:
+        """Mean-centered sample covariance with 1/n normalization, carried as
+        the centered rows (:class:`GramCovariance` with a = 0, b = 1), made on
         first use and kept (unlocked: racing callers all get the first one stored).
 
         A single sample centers to zero and yields the zero matrix (with a
         warning) so degenerate pipelines fail loudly downstream rather than
-        here.  numpy computes x^T x as one symmetric rank-k update, so the
-        Gram is exactly symmetric and is adopted without a symmetry scan;
-        by |g_ij| <= sqrt(g_ii g_jj) a finite diagonal means no entry overflowed.
+        here.  The diagonal of x^T x holds the column sums of squares, and by
+        |g_ij| <= sqrt(g_ii g_jj) no entry overflows when they are finite.
         """
         if "_covariance" in self.__dict__:
             return self.__dict__["_covariance"]
@@ -57,11 +57,9 @@ class SampleSet:
         x = self.samples - self.samples.mean(axis=0)
         if self.n == 1:
             warnings.warn("sample covariance of a single sample is the zero matrix")
-        gram = x.T @ x
-        gram /= self.n
-        if not np.isfinite(np.diagonal(gram)).all():
+        if not np.isfinite(np.einsum("ij,ij->j", x, x)).all():
             raise ValueError("covariance entries must be finite (found NaN or inf)")
-        return self.__dict__.setdefault("_covariance", DenseCovariance.adopt(self.dims, gram))
+        return self.__dict__.setdefault("_covariance", GramCovariance(self.dims, x))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,16 @@ from kroncov.cli import COMMANDS, main, read_matrix_binary, write_matrix_binary
 from kroncov.synth import ar1_frame_stream, inject_anomalies, read_sample_csv, write_sample_csv
 
 
+def normalized_mse(estimate: np.ndarray, truth: np.ndarray, shape_only: bool) -> float:
+    """||estimate - truth||_F^2 / ||truth||_F^2 of two dense matrices, the
+    reference for the factor-form error; shape-only estimators compare
+    unit-trace rescalings of both sides."""
+    if shape_only:
+        estimate = estimate / np.trace(estimate)
+        truth = truth / np.trace(truth)
+    return float(np.sum((estimate - truth) ** 2) / np.sum(truth ** 2))
+
+
 def record_sample_covariances(monkeypatch) -> dict:
     """Patch SampleSet.covariance to keep each covariance it returns under its
     id (kept alive, so no id is reused): the dict's size counts the
@@ -122,6 +132,15 @@ class TestEstimateCommand:
         model = json.loads((tmp_path / "dc" / "model.json").read_text())
         assert model["dims"] == {"p": 5, "T": 4}
 
+    def test_scm_below_pt_samples_reports_exact_zero_eigenvalues(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        write_sample_csv(csv, sample_gaussian(ar1_kron_truth(5, 4, 0.5, 0.95), 10, 21))
+        cfg = {"input": str(csv), "p": 5, "T": 4, "estimator": "scm"}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 0
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert diag["min_eigenvalue"] == 0.0 and diag["condition_number"] is None
+        assert diag["max_eigenvalue"] > 0
+
     def test_unknown_estimator_is_config_error(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("x0\n1\n2\n")
@@ -168,6 +187,15 @@ class TestEstimateCommand:
         cfg = {"input": str(csv), "p": p, "T": 1, "estimator": "scm"}
         assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
         assert f"config error: input (sample CSV): {csv}: " in capsys.readouterr().err
+
+    def test_comment_line_names_the_line_and_the_header_width(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        csv.write_text("x0,x1\n1,0\n# a note\n0,1\n")
+        cfg = {"input": str(csv), "p": 2, "T": 1, "estimator": "scm"}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{csv}: line 3 has 1 field where the header has 2" in err
+        assert "usecols" not in err and "number of columns changed" not in err
 
     def test_non_finite_sample_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
@@ -278,7 +306,7 @@ class TestMseBenchCommand:
         assert means[50] > means[200] > means[1000]
 
     def test_factor_form_mse_equals_the_dense_shrink(self):
-        from kroncov.cli import _ar1_sampler, normalized_mse, run_mse_bench, trial_seed
+        from kroncov.cli import _ar1_sampler, run_mse_bench, trial_seed
 
         cfg = {"p": 5, "T": 4, "seed": 3, "trials": 3, "n_grid": [10, 40],
                "estimators": [{"name": "dc-kronpca-lw", "config": {"r": 1}}]}
@@ -294,7 +322,7 @@ class TestMseBenchCommand:
 
 
     def test_every_estimator_error_equals_the_dense_mse(self):
-        from kroncov.cli import _ar1_sampler, kron_truth_error, normalized_mse, run_mse_bench, trial_seed
+        from kroncov.cli import _ar1_sampler, kron_truth_error, run_mse_bench, trial_seed
 
         names = sorted(est.ESTIMATORS)
         cfg = {"p": 4, "T": 3, "seed": 5, "trials": 2, "n_grid": [9], "dof": 5,
@@ -404,6 +432,22 @@ class TestAnomalyCommand:
                "estimators": [{"name": "scm-lw"}, {"name": "dc-kronpca-lw"}]}
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
         assert len(computed) == 1
+
+    def test_scm_lw_factors_no_pt_by_pt_matrix_below_pt_windows(self, tmp_path, monkeypatch):
+        factored = []
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            def recorded(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                factored.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        csv = tmp_path / "stream.csv"
+        n_train = make_stream_csv(csv, n_train=30, n_test=600, p=8)
+        cfg = {"input": str(csv), "T": 4, "train_range": [0, n_train],
+               "estimators": [{"name": "scm-lw"}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+        n_windows = n_train - 4 + 1  # 27 training windows, pT = 32
+        assert (n_windows, n_windows) in factored  # the Gram is factored
+        assert all(shape[-2:] != (32, 32) for shape in factored), factored
 
     @pytest.mark.parametrize("header", ["c0,c1,label", "c0"])
     def test_header_only_stream_is_config_error(self, tmp_path, capsys, header):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
@@ -654,6 +654,32 @@ class TestDcKronpcaLw:
         np.testing.assert_allclose(cov.entries, m * np.eye(6), atol=1e-12)
 
 
+class TestShrunkEstimatesArePositiveDefinite:
+    """scm-lw keeps rho m as its smallest eigenvalue; dc-kronpca-lw is positive definite."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 5), T=st.integers(1, 5), n_frac=st.floats(0.1, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    # a pilot whose negative dip is deeper than its mean eigenvalue
+    @example(p=3, T=3, n_frac=0.25, seed=3)
+    def test_scm_lw_floor_and_dc_kronpca_lw(self, p, T, n_frac, seed):
+        dims = SpaceTimeDims(p, T)
+        n = max(2, int(n_frac * dims.pt))
+        samples = sample_gaussian(ar1_kron_truth(p, T, 0.5, 0.9), n, seed)
+        cov, info = fit_by_name("scm-lw", samples)
+        floor = info["rho"] * scm(samples).trace() / dims.pt
+        lam = cov.eigvalsh()
+        slack = 1e-13 * lam[-1]  # a dense eigensolver rounds a zero of S to about eps |S|
+        # below pT samples the spectrum comes from the Gram: pT - n values are exactly rho m
+        assert lam[0] >= floor * (1 - 1e-10) - (0.0 if n < dims.pt else slack)
+        assert np.linalg.eigvalsh(cov.entries)[0] >= floor * (1 - 1e-10) - slack
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # soft_impute may stop at max_iter
+            dc, _ = fit_by_name("dc-kronpca-lw", samples, {"r": 1})
+        assert dc.eigvalsh()[0] > 0
+        assert np.linalg.eigvalsh(dc.entries)[0] > 0
+
+
 def symmetric_unit(rng, n, toeplitz_form=False):
     """A random symmetric (optionally Toeplitz) matrix of unit Frobenius norm,
     mostly positive with eigenvalues that may dip below zero, as a fitted
@@ -892,6 +918,13 @@ class TestRobustKronpca:
         out = robust_kronpca(ss, 0.2)
         assert np.trace(out.entries) == pytest.approx(9.0, abs=1e-9)
         assert np.linalg.eigvalsh(out.entries)[0] >= 0.2 - 1e-10
+
+    def test_a_start_stopped_at_max_iter_is_not_converged(self):
+        # the README quickstart: the chen_tyler start needs more than 500 steps
+        samples = sample_gaussian(ar1_kron_truth(p=20, T=5), n=10, seed=0)
+        with pytest.warns(UserWarning, match="chen_tyler did not converge"):
+            _, info = fit_by_name("tyler-kronpca", samples, {"rho": 0.05})
+        assert info["converged"] is False
 
     @pytest.mark.parametrize("rho", [0.05, 0.3, "auto"])
     def test_estimate_is_one_pair_of_symmetric_factors_plus_rho(self, rho):

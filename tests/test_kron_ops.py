@@ -9,6 +9,7 @@ from scipy.linalg import toeplitz
 
 from kroncov import (
     DenseCovariance,
+    GramCovariance,
     KronCovariance,
     RearrangedMatrix,
     SpaceTimeDims,
@@ -521,6 +522,154 @@ class TestKronCovariance:
         assert (cov._blocks() is not None) == (case == "one term")
         with pytest.raises(np.linalg.LinAlgError):
             cov.inverse_quad_forms(np.ones((2, 6)))
+
+
+def gram_rows(rng, n, dims):
+    """n centered rows, the sample set's own form of its covariance."""
+    x = rng.standard_normal((n, dims.pt)) * rng.uniform(0.2, 3.0, dims.pt)
+    return x - x.mean(axis=0)
+
+
+class TestCovarianceContract:
+    """Every reduction of every covariance form against the form's own dense entries."""
+
+    @staticmethod
+    def make(form, rng, dims, n, rho):
+        if form == "dense":
+            q, _ = np.linalg.qr(rng.standard_normal((dims.pt, dims.pt)))
+            entries = (q * rng.uniform(0.0, 3.0, dims.pt)) @ q.T
+            base = DenseCovariance(dims, 0.5 * (entries + entries.T))
+        elif form == "kron":
+            base = KronCovariance(dims, [(spd_factor(rng, dims.T), spd_factor(rng, dims.p))],
+                                  rng.uniform(0.0, 1.0, dims.p))
+        else:
+            base = GramCovariance(dims, gram_rows(rng, n, dims))
+        return shrink(base, rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(form=st.sampled_from(["dense", "kron", "gram"]), p=st.integers(1, 6),
+           T=st.integers(1, 6), rows=st.sampled_from(["below", "equal", "above"]),
+           rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_reductions_match_the_own_entries(self, form, p, T, rows, rho, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        n = {"below": max(1, dims.pt // 2), "equal": dims.pt, "above": 2 * dims.pt}[rows]
+        cov = self.make(form, rng, dims, n, rho)
+        ref = np.array(cov.entries)
+        lam = np.linalg.eigvalsh(ref)
+        scale = max(np.abs(lam).max(), 1e-300)  # the spectral norm
+        tm, sm = rng.standard_normal((T, T)), rng.standard_normal((p, p))
+        y = rng.standard_normal((5, dims.pt))
+        tol = 1e-10
+
+        assert abs(cov.trace() - np.trace(ref)) <= tol * scale * dims.pt
+        assert abs(cov.frobenius_sq() - np.sum(ref ** 2)) <= tol * scale ** 2 * dims.pt
+        assert abs(cov.inner_kron(tm, sm) - np.sum(ref * np.kron(tm, sm))) <= (
+            tol * scale * np.linalg.norm(tm) * np.linalg.norm(sm) * np.sqrt(dims.pt))
+        assert abs(cov.quad_sum(y) - np.einsum("ki,ij,kj->", y, ref, y)) <= (
+            tol * scale * np.sum(y ** 2))
+        assert_close(cov.eigvalsh(), lam, rtol=tol)
+
+        if lam[0] > 1e-4 * lam[-1]:
+            q, logdet = cov.inverse_quad_forms(y)
+            q_ref, logdet_ref = inverse_quad_forms(ref, y)
+            np.testing.assert_allclose(q, q_ref, rtol=tol, atol=0)
+            assert abs(logdet - logdet_ref) <= tol * max(1.0, abs(logdet_ref))
+        elif form == "gram" and n < dims.pt and cov.a == 0.0:
+            with pytest.raises(np.linalg.LinAlgError):
+                cov.inverse_quad_forms(y)
+
+
+class TestGramCovariance:
+    def test_sample_covariance_entries_keep_their_bits(self):
+        rng = np.random.default_rng(11)
+        dims = SpaceTimeDims(4, 3)
+        x = gram_rows(rng, 5, dims)
+        cov = GramCovariance(dims, x)
+        plain = x.T @ x
+        plain /= 5
+        assert np.array_equal(cov.entries, plain)
+        assert not cov.entries.flags.writeable and cov.entries is cov.entries
+        for rho in (0.0, 0.3, 1.0):  # shrink keeps (1 - rho) S bit for bit off the diagonal
+            shrunk = shrink(cov, rho)
+            off = ~np.eye(dims.pt, dtype=bool)
+            assert np.array_equal(shrunk.entries[off], ((1.0 - rho) * plain)[off])
+            assert shrunk.a == pytest.approx(rho * np.trace(plain) / dims.pt, rel=1e-14)
+            assert shrunk.b == 1.0 - rho
+
+    def test_derived_forms_share_the_rows_and_their_gram(self):
+        rng = np.random.default_rng(12)
+        cov = GramCovariance(SpaceTimeDims(5, 2), gram_rows(rng, 4, SpaceTimeDims(5, 2)))
+        shrunk = shrink(cov, 0.4)
+        assert shrunk.x is cov.x
+        assert shrunk._gram() is cov._gram()
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+    def test_woodbury_scores_match_the_dense_cholesky(self, cond):
+        # shrunk SCM a I + b S with its smallest eigenvalue a = largest / cond
+        rng = np.random.default_rng(int(np.log10(cond)))
+        dims = SpaceTimeDims(10, 6)
+        x = gram_rows(rng, 20, dims)
+        plain = GramCovariance(dims, x)
+        top = plain.eigvalsh()[-1]
+        cov = plain.rescaled(top / (cond - 1.0), 1.0)
+        lam = cov.eigvalsh()
+        assert lam[-1] / lam[0] == pytest.approx(cond, rel=1e-10)
+        y = rng.standard_normal((50, dims.pt))
+        q, logdet = cov.inverse_quad_forms(y)
+        q_ref, logdet_ref = inverse_quad_forms(cov.entries, y)
+        np.testing.assert_allclose(q, q_ref, rtol=max(1e-12, 1e-15 * cond), atol=0)
+        # the dense log det carries eps * cond in each of its pT - n smallest logs
+        assert abs(logdet - logdet_ref) <= max(1e-12, 1e-15 * cond) * dims.pt
+
+    def test_scores_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        dims = SpaceTimeDims(4, 3)
+        cov = shrink(GramCovariance(dims, gram_rows(rng, 5, dims)), 0.2)
+        wins = windows(rng, 11, dims)
+        whole = cov.inverse_quad_forms(wins)
+        monkeypatch.setattr(kron_ops, "GRAM_SCORE_CHUNK", 4)
+        chunked = cov.inverse_quad_forms(wins)
+        assert_close(chunked[0], whole[0], rtol=1e-14)
+        assert chunked[1] == whole[1]
+
+    def test_full_shrinkage_scores_by_the_norm(self):
+        rng = np.random.default_rng(14)
+        dims = SpaceTimeDims(3, 4)
+        cov = shrink(GramCovariance(dims, gram_rows(rng, 6, dims)), 1.0)
+        y = windows(rng, 7, dims)
+        q, logdet = cov.inverse_quad_forms(y)
+        np.testing.assert_array_equal(q, np.einsum("ij,ij->i", y, y) / cov.a)
+        assert logdet == pytest.approx(dims.pt * np.log(cov.a), rel=1e-14)
+
+    def test_a_singular_sample_covariance_is_not_scored(self):
+        rng = np.random.default_rng(15)
+        dims = SpaceTimeDims(3, 4)
+        cov = GramCovariance(dims, gram_rows(rng, 6, dims))
+        with pytest.raises(np.linalg.LinAlgError):
+            cov.inverse_quad_forms(windows(rng, 2, dims))
+        with pytest.raises(ValueError, match="singular or indefinite"):
+            mahalanobis_scores(windows(rng, 2, dims), cov)
+
+    def test_eigenvalues_outside_the_rows_are_exact(self):
+        rng = np.random.default_rng(16)
+        dims = SpaceTimeDims(5, 4)
+        x = gram_rows(rng, 8, dims)  # centered: rank 7, so one more zero from the Gram
+        lam = GramCovariance(dims, x).eigvalsh()
+        assert np.array_equal(lam[:dims.pt - 8], np.zeros(dims.pt - 8))
+        assert 0.0 <= lam[dims.pt - 8] <= 1e-12 * lam[-1] < lam[dims.pt - 7]
+        shrunk = shrink(GramCovariance(dims, x), 0.25)
+        assert np.array_equal(shrunk.eigvalsh()[:dims.pt - 8], np.full(dims.pt - 8, shrunk.a))
+
+    @pytest.mark.parametrize("rows, a, b, match", [
+        (np.ones((2, 5)), 0.0, 1.0, "do not match dims"),
+        (np.ones((0, 6)), 0.0, 1.0, "do not match dims"),
+        (np.ones((2, 6)), np.nan, 1.0, "finite"),
+        (np.ones((2, 6)), 1.0, -0.5, "b >= 0"),
+    ])
+    def test_bad_arguments_rejected(self, rows, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            GramCovariance(SpaceTimeDims(3, 2), rows, a, b)
 
 
 class TestInverseQuadForms:

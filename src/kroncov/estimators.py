@@ -181,7 +181,7 @@ def _rho_value(rho) -> float:
     return float(rho)
 
 
-def scm(samples: SampleSet) -> GramCovariance:
+def scm(samples: SampleSet) -> DenseCovariance | GramCovariance:
     """The mean-centered, 1/n sample covariance the set keeps (:meth:`SampleSet.covariance`)."""
     return samples.covariance()
 
@@ -694,7 +694,7 @@ def kron_spectrum(sigma: DenseCovariance | GramCovariance, toeplitz_rows: bool =
     by the root of its summed squares and sorted nonincreasing.
     """
     sv = np.linalg.svd(_rearranged(sigma, toeplitz_rows), compute_uv=False)
-    ev = np.sort(np.linalg.eigvalsh(sigma.entries))[::-1]
+    ev = sigma.eigvalsh()[::-1]
 
     def _normalize(v):
         total = np.sqrt(np.sum(v ** 2))

@@ -381,17 +381,17 @@ class KronCovariance:
 
 @dataclass(frozen=True, eq=False)
 class GramCovariance:
-    """a I + b X^T X / n, carried as the n rows of X (n x pT): a scaled
+    """a I + b X^T X / n, carried as the n < pT rows of X (n x pT): a scaled
     identity plus b times the sample covariance of the rows.
 
-    :meth:`SampleSet.covariance` is the form with a = 0, b = 1, and shrink
-    maps it to ((1 - rho) a + rho m, (1 - rho) b); b weighs X^T X / n, not
-    X^T X, so `entries` computes x^T x and divides it by n exactly as the
-    plain sample covariance does.  When n < pT every reduction comes from
-    the n x n Gram G = X X^T (Woodbury for the solve); when n >= pT from
-    the dense entries, assembled on first read and kept (unlocked).  Forms
-    derived from one another by :meth:`rescaled` share X, its Gram, the
-    Gram's spectrum and the dense X^T X / n.
+    :meth:`SampleSet.covariance` is the form with a = 0, b = 1 (it returns
+    a DenseCovariance from pT rows on), and shrink maps it to
+    ((1 - rho) a + rho m, (1 - rho) b); b weighs X^T X / n, not X^T X, so
+    `entries` computes x^T x and divides it by n exactly as the plain
+    sample covariance does.  Every reduction comes from the n x n Gram
+    G = X X^T and one eigh of it (Woodbury for the solve); the dense
+    entries are assembled on first read and kept (unlocked).  Forms
+    derived from one another by :meth:`rescaled` share X, G and its eigh.
     """
 
     dims: SpaceTimeDims
@@ -404,6 +404,8 @@ class GramCovariance:
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.dims.pt:
             raise ValueError(f"rows of shape {x.shape} do not match dims "
                              f"(p={self.dims.p}, T={self.dims.T})")
+        if len(x) >= self.dims.pt:
+            raise ValueError(f"needs fewer rows than pT={self.dims.pt}, got n={len(x)}")
         a, b = float(self.a), float(self.b)
         if not (np.isfinite(a) and np.isfinite(b) and b >= 0):
             raise ValueError(f"need a finite a and a finite b >= 0, got a={a}, b={b}")
@@ -415,10 +417,6 @@ class GramCovariance:
         out.__dict__.update(dims=self.dims, x=self.x, a=float(a), b=float(b),
                             _shared=self._shared)
         return out
-
-    @property
-    def _low_rank(self) -> bool:
-        return len(self.x) < self.dims.pt
 
     @property
     def _beta(self) -> float:
@@ -433,38 +431,29 @@ class GramCovariance:
         # one symmetric rank-k update: exactly symmetric
         return self._cached("gram", lambda: self.x @ self.x.T)
 
-    def _gram_eigvals(self) -> np.ndarray:
-        """The n eigenvalues of G, ascending, rounding negatives set to 0 (G is PSD)."""
-        return self._cached("gram_eig", lambda: np.maximum(np.linalg.eigvalsh(self._gram()), 0.0))
+    def _gram_eigh(self):
+        """(lam, V): G = V diag(lam) V^T, lam ascending and floored at 0 (G is PSD)."""
+        def eigh():
+            lam, vecs = np.linalg.eigh(self._gram())
+            return np.maximum(lam, 0.0), vecs
+        return self._cached("gram_eigh", eigh)
 
     @property
     def entries(self) -> np.ndarray:
         if "_entries" in self.__dict__:
             return self.__dict__["_entries"]
-
-        def plain():  # x^T x (a symmetric rank-k update), then /= n: the SCM's bits
-            out = self.x.T @ self.x
-            out /= len(self.x)
-            out.setflags(write=False)
-            return out
-        out = self._cached("scm", plain)
+        out = self.x.T @ self.x  # a symmetric rank-k update, then /= n: the SCM's bits
+        out /= len(self.x)
         if self.b != 1.0 or self.a != 0.0:
-            out = self.b * out
+            out *= self.b
             out.flat[::self.dims.pt + 1] += self.a
-            out.setflags(write=False)
+        out.setflags(write=False)
         return self.__dict__.setdefault("_entries", out)
 
-    def _dense(self) -> DenseCovariance:
-        return DenseCovariance.adopt(self.dims, self.entries)
-
     def trace(self) -> float:
-        if not self._low_rank:
-            return self._dense().trace()
         return float(self.dims.pt * self.a + self._beta * np.trace(self._gram()))
 
     def frobenius_sq(self) -> float:
-        if not self._low_rank:
-            return self._dense().frobenius_sq()
         g, a, beta = self._gram(), self.a, self._beta
         return float(self.dims.pt * a * a + 2.0 * a * beta * np.trace(g)
                      + beta * beta * np.vdot(g, g))
@@ -472,8 +461,6 @@ class GramCovariance:
     def inner_kron(self, tm: np.ndarray, sm: np.ndarray) -> float:
         """<sigma, tm (x) sm>_F = a tr(tm) tr(sm) + beta sum_k <X_k, tm X_k sm^T>,
         X_k the T x p frame matrix of row k."""
-        if not self._low_rank:
-            return self._dense().inner_kron(tm, sm)
         frames = self.x.reshape(-1, self.dims.T, self.dims.p)
         return float(self.a * np.trace(tm) * np.trace(sm)
                      + self._beta * np.vdot(frames, tm @ (frames @ sm.T)))
@@ -481,45 +468,39 @@ class GramCovariance:
     def quad_sum(self, y: np.ndarray) -> float:
         """sum_k y_k^T sigma y_k = a |Y|^2 + beta |X Y^T|^2 over the rows y_k
         of y; the form's own rows give X X^T = G, which is reused."""
-        if not self._low_rank:
-            return self._dense().quad_sum(y)
         xy = self._gram() if y.shape == self.x.shape and np.array_equal(y, self.x) else y @ self.x.T
         return float(self.a * np.vdot(y, y) + self._beta * np.vdot(xy, xy))
 
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order: pT - n copies of a, then
-        a + beta eig(G) (ascending, as beta >= 0 and eig(G) >= 0)."""
-        if not self._low_rank:
-            return self._dense().eigvalsh()
+        a + beta lam (ascending, as beta >= 0 and lam >= 0)."""
         n, d = len(self.x), self.dims.pt
-        return np.concatenate([np.full(d - n, self.a), self.a + self._beta * self._gram_eigvals()])
+        return np.concatenate([np.full(d - n, self.a), self.a + self._beta * self._gram_eigh()[0]])
 
     def inverse_quad_forms(self, y: np.ndarray):
         """(q, log det sigma) with q_k = y_k^T sigma^{-1} y_k for each row y_k
         of y (m x pT).  LinAlgError unless sigma is positive definite.
 
-        When n < pT, by Woodbury (Hager, 1989): with L L^T = (a/beta) I + G
-        and W = L^{-1} X, q = (|y|^2 - |W y|^2) / a and log det sigma =
-        (pT - n) log a + n log beta + 2 sum log L_ii, scored SCORE_CHUNK
-        rows at once.  Otherwise the Cholesky kernel on the entries.
+        By Woodbury (Hager, 1989) on G = V diag(lam) V^T: with
+        W = diag((lam + a/beta)^(-1/2)) V^T X, q = (|y|^2 - |W y|^2) / a and
+        log det sigma = (pT - n) log a + n log beta + sum log(lam + a/beta),
+        scored GRAM_SCORE_CHUNK rows at once.
         """
-        if not self._low_rank:
-            return inverse_quad_forms(self.entries, y)
         n, d, a, beta = len(self.x), self.dims.pt, self.a, self._beta
-        if not a > 0:  # a has multiplicity pT - n >= 1
+        if not a > 0:  # a has multiplicity pT - n >= 1, and a > 0 makes every lam + a/beta > 0
             raise np.linalg.LinAlgError("covariance is not positive definite")
         sq = np.einsum("ij,ij->i", y, y)
         if beta == 0.0:
             return sq / a, float(d * np.log(a))
-        k = self._gram() + (a / beta) * np.eye(n)
-        chol = np.linalg.cholesky(k)
-        w = solve_triangular(chol, self.x, lower=True)
+        lam, vecs = self._gram_eigh()
+        shifted = lam + a / beta
+        w = (vecs / np.sqrt(shifted)).T @ self.x
         q = np.empty(len(y))
         for lo in range(0, len(q), GRAM_SCORE_CHUNK):
             wy = w @ y[lo:lo + GRAM_SCORE_CHUNK].T  # n x chunk: no copy of the rows
             q[lo:lo + GRAM_SCORE_CHUNK] = sq[lo:lo + GRAM_SCORE_CHUNK] - np.einsum("ij,ij->j", wy, wy)
         q /= a
-        logdet = (d - n) * np.log(a) + n * np.log(beta) + 2.0 * np.log(np.diagonal(chol)).sum()
+        logdet = (d - n) * np.log(a) + n * np.log(beta) + np.log(shifted).sum()
         return q, float(logdet)
 
 

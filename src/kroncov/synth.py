@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import files
-from .kron_ops import GramCovariance, KronCovariance, SpaceTimeDims, _frozen_array
+from .kron_ops import DenseCovariance, GramCovariance, KronCovariance, SpaceTimeDims, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,12 @@ class SampleSet:
             raise ValueError("samples must be finite (found NaN or inf)")
         object.__setattr__(self, "samples", samples)
 
-    def covariance(self) -> GramCovariance:
-        """Mean-centered sample covariance with 1/n normalization, carried as
-        the centered rows (:class:`GramCovariance` with a = 0, b = 1), made on
-        first use and kept (unlocked: racing callers all get the first one stored).
+    def covariance(self) -> DenseCovariance | GramCovariance:
+        """Mean-centered sample covariance with 1/n normalization, made on
+        first use and kept (unlocked: racing callers all get the first one
+        stored).  Below pT samples it is carried as the centered rows
+        (:class:`GramCovariance` with a = 0, b = 1); from pT samples on it
+        is the dense x^T x, divided by n in place.
 
         A single sample centers to zero and yields the zero matrix (with a
         warning) so degenerate pipelines fail loudly downstream rather than
@@ -59,7 +61,13 @@ class SampleSet:
             warnings.warn("sample covariance of a single sample is the zero matrix")
         if not np.isfinite(np.einsum("ij,ij->j", x, x)).all():
             raise ValueError("covariance entries must be finite (found NaN or inf)")
-        return self.__dict__.setdefault("_covariance", GramCovariance(self.dims, x))
+        if self.n < self.dims.pt:
+            cov = GramCovariance(self.dims, x)
+        else:
+            entries = x.T @ x  # a symmetric rank-k update: exactly symmetric
+            entries /= self.n
+            cov = DenseCovariance.adopt(self.dims, entries)
+        return self.__dict__.setdefault("_covariance", cov)
 
 
 @dataclass(frozen=True)

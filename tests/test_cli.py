@@ -584,6 +584,18 @@ class TestAnomalyCommand:
                "estimators": [{"name": "scm"}]}  # 3 windows, dim 40: singular
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 3
 
+    def test_scm_lw_on_two_training_windows_is_singular(self, tmp_path, capsys):
+        # two samples center to +-x, so the plug-in rho is 0 and scm-lw is the rank-1 SCM
+        samples = sample_gaussian(ar1_kron_truth(4, 3, 0.5, 0.9), 2, 7)
+        _, info = est.fit_by_name("scm-lw", samples)
+        assert 0.0 <= info["rho"] <= 1e-15
+        csv = tmp_path / "stream.csv"
+        make_stream_csv(csv, seed=10, n_train=11, p=4)
+        cfg = {"input": str(csv), "T": 10, "train_range": [0, 11],
+               "estimators": [{"name": "scm-lw"}]}  # 2 windows, dim 40
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 3
+        assert "singular" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_sample_input_counts(self, tmp_path):

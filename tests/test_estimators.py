@@ -1245,5 +1245,4 @@ def test_every_registered_estimator_is_symmetric_and_invariant(name, p, T, a, se
         assert np.trace(est0) == pytest.approx(np.trace(scm(SampleSet(dims, n, x)).entries),
                                                rel=1e-10)
     assert_close(fit(x[rng.permutation(n)]), est0)
-    if name != "dc-kronpca-lw":
-        assert_close(fit(a * x), est0 if spec.shape else a * a * est0)
+    assert_close(fit(a * x), est0 if spec.shape else a * a * est0)

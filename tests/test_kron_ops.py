@@ -12,6 +12,7 @@ from kroncov import (
     GramCovariance,
     KronCovariance,
     RearrangedMatrix,
+    SampleSet,
     SpaceTimeDims,
     ToeplitzCompressed,
     block,
@@ -125,6 +126,31 @@ def test_operator_results_are_read_only(p, T):
     compressed = toeplitz_project(rearranged)
     for out in (rearranged, compressed, toeplitz_embed(compressed)):
         assert not out.entries.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 12), T=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_operator_identities_over_random_sizes(p, T, seed):
+    """Criterion 1's identities on grids beyond its p <= 5, T <= 6."""
+    rng = np.random.default_rng(seed)
+    dims = SpaceTimeDims(p, T)
+    sigma = make_cov(rng, p, T)
+    r = rearrange(sigma)
+    np.testing.assert_array_equal(derearrange(r).entries, sigma.entries)
+    assert np.linalg.norm(r.entries) == pytest.approx(np.linalg.norm(sigma.entries), rel=1e-13)
+    a, b = random_symmetric(rng, T), random_symmetric(rng, p)
+    np.testing.assert_array_equal(rearrange(DenseCovariance(dims, np.kron(a, b))).entries,
+                                  np.outer(a.flatten(order="F"), b.flatten(order="F")))
+
+    t = ToeplitzCompressed(dims, rng.standard_normal((2 * T - 1, p * p)))
+    np.testing.assert_allclose(toeplitz_project(toeplitz_embed(t)).entries, t.entries,
+                               rtol=0, atol=1e-13 * np.abs(t.entries).max())
+    x, y = (RearrangedMatrix(dims, rng.standard_normal((T * T, p * p))) for _ in range(2))
+    px, py = (toeplitz_embed(toeplitz_project(m)).entries for m in (x, y))
+    twice = toeplitz_embed(toeplitz_project(RearrangedMatrix(dims, px))).entries
+    np.testing.assert_allclose(twice, px, rtol=0, atol=1e-13 * np.abs(px).max())
+    assert abs(np.vdot(px, y.entries) - np.vdot(x.entries, py)) <= (
+        1e-12 * np.linalg.norm(x.entries) * np.linalg.norm(y.entries))
 
 
 class TestDerearrange:
@@ -542,8 +568,11 @@ class TestCovarianceContract:
         elif form == "kron":
             base = KronCovariance(dims, [(spd_factor(rng, dims.T), spd_factor(rng, dims.p))],
                                   rng.uniform(0.0, 1.0, dims.p))
-        else:
-            base = GramCovariance(dims, gram_rows(rng, n, dims))
+        else:  # the set's own choice: a GramCovariance below pT rows, dense from pT on
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "sample covariance of a single sample")
+                base = SampleSet(dims, n, gram_rows(rng, n, dims)).covariance()
+            assert isinstance(base, GramCovariance if n < dims.pt else DenseCovariance)
         return shrink(base, rho)
 
     @settings(max_examples=300, deadline=None)
@@ -584,18 +613,26 @@ class TestGramCovariance:
     def test_sample_covariance_entries_keep_their_bits(self):
         rng = np.random.default_rng(11)
         dims = SpaceTimeDims(4, 3)
-        x = gram_rows(rng, 5, dims)
-        cov = GramCovariance(dims, x)
-        plain = x.T @ x
-        plain /= 5
-        assert np.array_equal(cov.entries, plain)
-        assert not cov.entries.flags.writeable and cov.entries is cov.entries
-        for rho in (0.0, 0.3, 1.0):  # shrink keeps (1 - rho) S bit for bit off the diagonal
-            shrunk = shrink(cov, rho)
-            off = ~np.eye(dims.pt, dtype=bool)
-            assert np.array_equal(shrunk.entries[off], ((1.0 - rho) * plain)[off])
-            assert shrunk.a == pytest.approx(rho * np.trace(plain) / dims.pt, rel=1e-14)
-            assert shrunk.b == 1.0 - rho
+        off = ~np.eye(dims.pt, dtype=bool)
+        for n in (5, 12, 20):  # below, at and above pT = 12
+            rows = rng.standard_normal((n, dims.pt))
+            cov = SampleSet(dims, n, rows).covariance()
+            assert isinstance(cov, GramCovariance if n < dims.pt else DenseCovariance)
+            x = rows - rows.mean(axis=0)
+            plain = x.T @ x
+            plain /= n
+            assert np.array_equal(cov.entries, plain)
+            assert not cov.entries.flags.writeable and cov.entries is cov.entries
+            for rho in (0.0, 0.3, 1.0):  # shrink keeps (1 - rho) S bit for bit off the diagonal
+                shrunk = shrink(cov, rho)
+                assert np.array_equal(shrunk.entries[off], ((1.0 - rho) * plain)[off])
+                np.testing.assert_allclose(
+                    np.diagonal(shrunk.entries),
+                    (1.0 - rho) * np.diagonal(plain) + rho * np.trace(plain) / dims.pt,
+                    rtol=1e-14, atol=0)
+                if isinstance(shrunk, GramCovariance):
+                    assert shrunk.a == pytest.approx(rho * np.trace(plain) / dims.pt, rel=1e-14)
+                    assert shrunk.b == 1.0 - rho
 
     def test_derived_forms_share_the_rows_and_their_gram(self):
         rng = np.random.default_rng(12)
@@ -603,6 +640,7 @@ class TestGramCovariance:
         shrunk = shrink(cov, 0.4)
         assert shrunk.x is cov.x
         assert shrunk._gram() is cov._gram()
+        assert shrunk._gram_eigh() is cov._gram_eigh()
 
     @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
     def test_woodbury_scores_match_the_dense_cholesky(self, cond):
@@ -666,6 +704,7 @@ class TestGramCovariance:
         (np.ones((0, 6)), 0.0, 1.0, "do not match dims"),
         (np.ones((2, 6)), np.nan, 1.0, "finite"),
         (np.ones((2, 6)), 1.0, -0.5, "b >= 0"),
+        (np.ones((6, 6)), 0.0, 1.0, "fewer rows than pT=6, got n=6"),
     ])
     def test_bad_arguments_rejected(self, rows, a, b, match):
         with pytest.raises(ValueError, match=match):

@@ -62,16 +62,13 @@ class FrameSeries:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Vectorized overlapping windows, their start frames and their chunk labels."""
+    """Vectorized overlapping windows, their start frames and their chunk labels,
+    all read-only.  `vectors` is a view of the frames: a basic slice of it stays
+    a view, and fancy indexing such as ``vectors[keep]`` copies the rows."""
 
     starts: np.ndarray
     vectors: np.ndarray
     labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "starts", _frozen_array(self.starts, dtype=int))
-        object.__setattr__(self, "vectors", _frozen_array(self.vectors))
-        object.__setattr__(self, "labels", _frozen_array(self.labels, dtype="U9"))
 
 
 @dataclass(frozen=True)
@@ -108,9 +105,10 @@ def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:
     """Cut the series into overlapping length-T windows.
 
     Each window is vectorized space-fastest (frames concatenated in time
-    order).  A window is labeled anomalous when strictly more than 75% of
-    its frames are labeled 1, nominal when strictly more than 75% are 0,
-    and excluded otherwise.  Unlabeled series yield nominal windows.
+    order) as a read-only view of the series' frames.  A window is labeled
+    anomalous when strictly more than 75% of its frames are labeled 1,
+    nominal when strictly more than 75% are 0, and excluded otherwise.
+    Unlabeled series yield nominal windows.
     """
     if T < 1 or stride < 1:
         raise ValueError("window length and stride must be >= 1")
@@ -118,12 +116,15 @@ def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:
     if n < T:
         raise ValueError(f"series of {n} frames is shorter than the window length {T}")
     starts = np.arange(0, n - T + 1, stride)
+    # the T and p axes of a window are adjacent in the C-ordered frames: the reshape is a view
     windows = sliding_window_view(series.values, (T, series.p))[::stride, 0]
     vectors = windows.reshape(len(starts), T * series.p)
     frame_labels = series.labels if series.labels is not None else np.zeros(n, dtype=int)
     frac = sliding_window_view(frame_labels, T)[::stride].mean(axis=1)
     labels = np.select([frac > LABEL_FRACTION, frac < 1.0 - LABEL_FRACTION],
                        [ANOMALOUS, NOMINAL], EXCLUDED)
+    starts.setflags(write=False)
+    labels.setflags(write=False)
     return WindowSet(starts=starts, vectors=vectors, labels=labels)
 
 

@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import json
 import re
-import struct
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +29,7 @@ import numpy as np
 from . import anomaly as anom
 from . import estimators as est
 from . import synth
-from .files import write_json
+from .files import read_matrix_binary, write_csv, write_json, write_matrix_binary
 from .kron_ops import DenseCovariance, SpaceTimeDims
 
 
@@ -44,26 +43,6 @@ class ConfigError(Exception):
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def write_matrix_binary(path: Path, matrix: np.ndarray) -> None:
-    """Two little-endian uint64 (rows, cols), then row-major float64 LE."""
-    matrix = np.ascontiguousarray(matrix, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", *matrix.shape))
-        fh.write(matrix.tobytes())
-
-
-def read_matrix_binary(path: Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ConfigError(f"{path}: truncated matrix header")
-        rows, cols = struct.unpack("<QQ", header)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != rows * cols:
-        raise ConfigError(f"{path}: expected {rows * cols} values, found {data.size}")
-    return data.reshape(rows, cols).astype(float)
 
 
 # the JSON kind of each type a config value can be read as
@@ -283,10 +262,7 @@ def run_mse_bench(cfg: dict, threads: int = 1):
 
 def cmd_mse_bench(cfg: dict, out: Path, threads: int = 1) -> None:
     rows, all_converged = run_mse_bench(cfg, threads)
-    with open(out / "mse.csv", "w") as fh:
-        fh.write("estimator,n,mean,stderr\n")
-        for label, n, mean, stderr, _ in rows:
-            fh.write(f"{label},{n},{mean:.17g},{stderr:.17g}\n")
+    write_csv(out / "mse.csv", ["estimator", "n", "mean", "stderr"], [row[:4] for row in rows])
     specs = _estimator_specs(cfg)
     write_json(out / "manifest.json", {
         "command": "mse-bench",
@@ -318,23 +294,21 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
         warnings.warn("training range contains anomalous frames; fitting proceeds anyway")
 
     with _config_errors():
-        detrended = anom.detrend(series, (start, stop), linear=linear)
-        windows = anom.make_windows(detrended, T, stride)
+        windows = anom.make_windows(anom.detrend(series, (start, stop), linear=linear), T, stride)
 
-    inside = (windows.starts >= start) & (windows.starts + T <= stop)
-    outside = (windows.starts + T <= start) | (windows.starts >= stop)
-    train_set = synth.SampleSet(SpaceTimeDims(series.p, T), int(inside.sum()),
-                                windows.vectors[inside])
+    # starts increase: [:i0] end by start, [j0:j1] fit in the range, [i1:] begin at stop or later
+    i0, j0, j1, i1 = np.searchsorted(windows.starts, [start - T + 1, start, stop - T + 1, stop])
+    train_rows = windows.vectors[j0:j1]
+    train_set = synth.SampleSet(SpaceTimeDims(series.p, T), len(train_rows), train_rows)
     with _config_errors("train_range (windows inside it)"):
         for _, name, _ in specs:
             est.require_samples(name, train_set.n, train_set)
 
-    keep = outside & (windows.labels != anom.EXCLUDED)
-    test_vectors, test_labels = windows.vectors[keep], windows.labels[keep]
-    n_excluded = int((outside & (windows.labels == anom.EXCLUDED)).sum())
-    del series, detrended, windows  # the fits keep only the training set and the test rows
-    n_anomalous = int((test_labels == anom.ANOMALOUS).sum())
-    n_nominal = int((test_labels == anom.NOMINAL).sum())
+    test_parts = [part for part in (windows.vectors[:i0], windows.vectors[i1:]) if len(part)]
+    test_labels = np.concatenate([windows.labels[:i0], windows.labels[i1:]])
+    keep = test_labels != anom.EXCLUDED
+    n_anomalous, n_nominal, n_excluded = (int(np.count_nonzero(test_labels == kind))
+                                          for kind in (anom.ANOMALOUS, anom.NOMINAL, anom.EXCLUDED))
     if not (n_anomalous and n_nominal):
         raise ConfigError(
             f"train_range: the windows outside it hold {n_anomalous} anomalous and "
@@ -343,8 +317,9 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
     summary = {}
     for label, name, ecfg in specs:
         cov, info = est.fit_by_name(name, train_set, ecfg)
-        scores = anom.mahalanobis_scores(test_vectors, cov)
-        curve = anom.roc(scores, test_labels)
+        # scored in window order, as the ROC breaks ties by order; the slices stay views
+        scores = np.concatenate([anom.mahalanobis_scores(part, cov) for part in test_parts])
+        curve = anom.roc(scores[keep], test_labels[keep])
         anom.write_roc_csv(out / f"roc_{label}.csv", curve)
         doc = {
             "estimator": label,
@@ -380,12 +355,9 @@ def cmd_spectrum(cfg: dict, out: Path) -> None:
         raise ConfigError(f'kind must be "samples" or "covariance", got {kind!r}')
 
     kron_sv, pca_ev = est.kron_spectrum(cov, toeplitz_rows)
-    with open(out / "spectrum.csv", "w") as fh:
-        fh.write("spectrum,index,value\n")
-        for i, v in enumerate(kron_sv):
-            fh.write(f"kron,{i},{v:.17g}\n")
-        for i, v in enumerate(pca_ev):
-            fh.write(f"pca,{i},{v:.17g}\n")
+    write_csv(out / "spectrum.csv", ["spectrum", "index", "value"],
+              [("kron", i, v) for i, v in enumerate(kron_sv)]
+              + [("pca", i, v) for i, v in enumerate(pca_ev)])
     write_json(out / "summary.json", {
         "command": "spectrum",
         "config": cfg,

@@ -20,7 +20,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .kron_ops import (
     DenseCovariance,
@@ -121,7 +120,8 @@ class KronModel:
                 raise ValueError("factor matrices must have unit Frobenius norm")
         if self.config.toeplitz:
             for _, tm, _ in self.factors:
-                prof = toeplitz(tm[:, 0], tm[0, :])
+                lags = np.subtract.outer(np.arange(len(tm)), np.arange(len(tm)))  # i - j
+                prof = np.where(lags >= 0, tm[np.abs(lags), 0], tm[0, np.abs(lags)])
                 if np.abs(tm - prof).max() > 1e-12 * max(np.abs(tm).max(), 1e-300):
                     raise ValueError("temporal factor of a Toeplitz fit is not Toeplitz")
 
@@ -630,11 +630,11 @@ def flipflop_S(sigma_tilde, t_hat: np.ndarray) -> np.ndarray:
         raise ValueError(f"covariance dimension {arr.shape[0]} is not a multiple of T={T}")
     p = arr.shape[0] // T
     try:
-        t_inv = cho_solve(cho_factor(t_hat), np.eye(T))
+        chol_inv = np.linalg.inv(np.linalg.cholesky(t_hat))
     except np.linalg.LinAlgError as exc:
         raise ValueError("temporal factor must be positive definite") from exc
     blocks = arr.reshape(T, p, T, p)
-    return _sym(np.einsum("ij,jaib->ab", t_inv, blocks) / T)
+    return _sym(np.einsum("ij,jaib->ab", chol_inv.T @ chol_inv, blocks) / T)
 
 
 def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,

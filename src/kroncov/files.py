@@ -1,10 +1,12 @@
-"""The package's two file formats.  A CSV has one header row, then float64
+"""The package's three file formats.  A CSV has one header row, then float64
 rows as wide as the header: numbers may be quoted, blank lines are skipped,
-no character starts a comment, and rows are written with %.17g.  JSON has
-sorted keys, indent 2 and a trailing newline, so equal documents give equal bytes."""
+no character starts a comment, and floats are written with %.17g.  JSON has
+sorted keys, indent 2 and a trailing newline, so equal documents give equal bytes.
+covariance.bin holds two little-endian uint64 (rows, cols), then row-major float64 LE."""
 from __future__ import annotations
 
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -54,11 +56,36 @@ def _fields(k: int) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """The header fields, then one line per row of rows."""
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    """The header fields, then one line per row (a float array or tuples) by one % format,
+    as np.savetxt does, from the first row's cells: %.17g for a float, %s for a str or int."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fmt = None
+        for row in rows:
+            fmt = fmt or ",".join("%.17g" if isinstance(c, float) else "%s" for c in row) + "\n"
+            fh.write(fmt % tuple(row))
 
 
 def write_json(path, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_matrix_binary(path, matrix: np.ndarray) -> None:
+    matrix = np.ascontiguousarray(matrix, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.writelines((struct.pack("<QQ", *matrix.shape), matrix.tobytes()))
+
+
+def read_matrix_binary(path) -> np.ndarray:
+    """A ValueError naming path when the file is shorter or longer than its header says."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"{path}: truncated matrix header")
+        rows, cols = struct.unpack("<QQ", header)
+        data = np.frombuffer(fh.read(), dtype="<f8")
+    if data.size != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} values, found {data.size}")
+    return data.reshape(rows, cols).astype(float)

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import files
 from .kron_ops import DenseCovariance, GramCovariance, KronCovariance, SpaceTimeDims, _frozen_array
@@ -103,7 +102,8 @@ def ar1_cov(dim: int, coeff: float, name: str = "coeff") -> np.ndarray:
         raise ValueError(f"AR coefficient {name} must satisfy |{name}| < 1, got {coeff}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return toeplitz(coeff ** np.arange(dim))
+    lags = np.arange(dim)
+    return (coeff ** lags)[np.abs(lags[:, None] - lags)]
 
 
 def ar1_kron_truth(p: int = 100, T: int = 10, tcoeff: float = 0.5, scoeff: float = 0.95) -> GroundTruth:

@@ -127,6 +127,9 @@ class TestMakeWindows:
         series = series_from(rng.standard_normal((n, p)), labels=labels)
         out = make_windows(series, T, stride)
         starts, vectors, want = windows_by_loop(series, T, stride)
+        # the windows are a read-only view of the frames, not a copy
+        assert np.shares_memory(out.vectors, series.values)
+        assert not any(a.flags.writeable for a in (out.starts, out.vectors, out.labels))
         assert np.array_equal(out.starts, starts)
         assert np.array_equal(out.vectors, vectors)
         assert np.array_equal(out.labels, want)
@@ -169,8 +172,13 @@ class TestMahalanobisScores:
         spd = a @ a.T + 0.5 * np.eye(12)
         x = rng.standard_normal((9, 12))
         expect = np.einsum("ij,ji->i", x, np.linalg.solve(spd, x.T))
-        scores = mahalanobis_scores(x, DenseCovariance(SpaceTimeDims(4, 3), spd))
+        sigma = DenseCovariance(SpaceTimeDims(4, 3), spd)
+        scores = mahalanobis_scores(x, sigma)
         np.testing.assert_allclose(scores, expect, rtol=1e-10)
+        # overlapping windows of a frame stream, scored in place and as a copy
+        view = make_windows(series_from(rng.standard_normal((11, 4))), 3).vectors
+        np.testing.assert_array_equal(mahalanobis_scores(view, sigma),
+                                      mahalanobis_scores(view.copy(), sigma))
 
     def test_singular_covariance_rejected(self):
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([1.0, 0.0]))

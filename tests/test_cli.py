@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from kroncov import SpaceTimeDims, ar1_kron_truth, sample_gaussian, scm, shrink
 from kroncov import anomaly as anom
-from kroncov import synth
+from kroncov import files, synth
 from kroncov import estimators as est
 from kroncov.anomaly import FrameSeries, write_frame_csv
 from kroncov.cli import COMMANDS, main, read_matrix_binary, write_matrix_binary
@@ -265,6 +265,20 @@ class TestMseBenchCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["metric"]["scm"] == "mse"
 
+    def test_csv_rows_keep_their_format(self, tmp_path, monkeypatch):
+        import kroncov.cli
+
+        def fixed_rows(cfg, threads):
+            return [("scm", 20, 0.1, 0.0, None), ("scm", 1000, 2.5e-17, 1 / 3, None)], True
+        monkeypatch.setattr(kroncov.cli, "run_mse_bench", fixed_rows)
+        cfg = {"p": 3, "T": 2, "seed": 5, "trials": 4, "n_grid": [20, 1000],
+               "estimators": [{"name": "scm"}]}
+        assert run_cli("mse-bench", cfg, tmp_path / "out", tmp_path) == 0
+        assert (tmp_path / "out" / "mse.csv").read_text() == (
+            "estimator,n,mean,stderr\n"
+            "scm,20,0.10000000000000001,0\n"
+            "scm,1000,2.4999999999999999e-17,0.33333333333333331\n")
+
     def test_reruns_and_thread_counts_agree(self, tmp_path):
         cfg = {
             "p": 2, "T": 2, "seed": 9, "trials": 6, "n_grid": [15],
@@ -418,11 +432,27 @@ class TestAnomalyCommand:
         make_stream_csv(csv, seed=12)
         cfg = {
             "input": str(csv), "T": 5, "train_range": [150, 400],
-            "estimators": [{"name": "scm-lw"}],
+            "estimators": [{"name": "scm-lw"}, {"name": "dc-kronpca-lw", "config": {"r": 1}}],
         }
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+        # the windows before and after the range score as a contiguous copy of the kept rows does
+        windows = anom.make_windows(anom.detrend(anom.read_frame_csv(csv), (150, 400)), 5)
+        inside = (windows.starts >= 150) & (windows.starts + 5 <= 400)
+        outside = (windows.starts + 5 <= 150) | (windows.starts >= 400)
+        assert outside[0] and outside[-1]
+        keep = outside & (windows.labels != anom.EXCLUDED)
+        train = synth.SampleSet(SpaceTimeDims(4, 5), int(inside.sum()), windows.vectors[inside])
+        for entry in cfg["estimators"]:
+            cov, _ = est.fit_by_name(entry["name"], train, entry.get("config"))
+            curve = anom.roc(anom.mahalanobis_scores(windows.vectors[keep], cov),
+                             windows.labels[keep])
+            _, rows = files.read_csv(tmp_path / "out" / f"roc_{entry['name']}.csv", "ROC rows")
+            np.testing.assert_array_equal(rows[:, 1:], np.column_stack([curve.fpr, curve.tpr]))
+            np.testing.assert_allclose(rows[:, 0], curve.thresholds, rtol=1e-13, atol=0)
+            doc = json.loads((tmp_path / "out" / f"auc_{entry['name']}.json").read_text())
+            assert doc["auc"] == curve.auc
 
     def test_one_sample_covariance_per_training_set(self, tmp_path, monkeypatch):
         computed = record_sample_covariances(monkeypatch)
@@ -609,6 +639,19 @@ class TestSpectrumCommand:
         assert summary["kron_components_95"] <= summary["pca_components_95"]
         lines = (tmp_path / "out" / "spectrum.csv").read_text().strip().splitlines()
         assert lines[0] == "spectrum,index,value"
+
+    def test_csv_rows_keep_their_format(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(est, "kron_spectrum",
+                            lambda cov, toeplitz_rows: (np.array([2.5, 1 / 3]), np.array([1.0])))
+        bin_path = tmp_path / "eye.bin"
+        write_matrix_binary(bin_path, np.eye(6))
+        cfg = {"input": str(bin_path), "kind": "covariance", "p": 2, "T": 3}
+        assert run_cli("spectrum", cfg, tmp_path / "out", tmp_path) == 0
+        assert (tmp_path / "out" / "spectrum.csv").read_text() == (
+            "spectrum,index,value\n"
+            "kron,0,2.5\n"
+            "kron,1,0.33333333333333331\n"
+            "pca,0,1\n")
 
     def test_covariance_input_kron_truth(self, tmp_path):
         truth = ar1_kron_truth(3, 3, 0.5, 0.95)

@@ -389,6 +389,14 @@ def windows(rng, n, dims):
     return rng.standard_normal((n, dims.pt))
 
 
+def stream_windows(rng, n, dims):
+    """n overlapping windows of a frame stream as the anomaly pipeline holds
+    them: a read-only strided view, row k sharing T - 1 frames with row k + 1."""
+    frames = rng.standard_normal((n + dims.T - 1, dims.p))
+    view = np.lib.stride_tricks.sliding_window_view(frames, (dims.T, dims.p))[:, 0]
+    return view.reshape(n, dims.pt)
+
+
 def assert_close(actual, desired, rtol=1e-10):
     scale = max(np.abs(desired).max(initial=0.0), 1e-300)
     np.testing.assert_allclose(actual, desired, rtol=0, atol=rtol * scale)
@@ -452,8 +460,14 @@ class TestKronCovariance:
                              np.full(3, 2.0))
         wins = windows(rng, 11, dims)
         whole = mahalanobis_scores(wins, cov)
+        view = stream_windows(rng, 11, dims)
+        from_view = mahalanobis_scores(view, cov)
+        np.testing.assert_array_equal(from_view, mahalanobis_scores(view.copy(), cov))
         monkeypatch.setattr(kron_ops, "SCORE_CHUNK", 4)
         assert_close(mahalanobis_scores(wins, cov), whole, rtol=1e-14)
+        np.testing.assert_array_equal(mahalanobis_scores(view, cov),
+                                      mahalanobis_scores(view.copy(), cov))
+        assert_close(mahalanobis_scores(view, cov), from_view, rtol=1e-14)
         assert_close(whole, mahalanobis_scores(wins, cov.to_dense()))
 
     @pytest.mark.parametrize("case", ["two terms", "antisymmetric"])
@@ -666,10 +680,16 @@ class TestGramCovariance:
         cov = shrink(GramCovariance(dims, gram_rows(rng, 5, dims)), 0.2)
         wins = windows(rng, 11, dims)
         whole = cov.inverse_quad_forms(wins)
+        view = stream_windows(rng, 11, dims)
+        from_view = cov.inverse_quad_forms(view)[0]
+        np.testing.assert_array_equal(from_view, cov.inverse_quad_forms(view.copy())[0])
         monkeypatch.setattr(kron_ops, "GRAM_SCORE_CHUNK", 4)
         chunked = cov.inverse_quad_forms(wins)
         assert_close(chunked[0], whole[0], rtol=1e-14)
         assert chunked[1] == whole[1]
+        np.testing.assert_array_equal(cov.inverse_quad_forms(view)[0],
+                                      cov.inverse_quad_forms(view.copy())[0])
+        assert_close(cov.inverse_quad_forms(view)[0], from_view, rtol=1e-14)
 
     def test_full_shrinkage_scores_by_the_norm(self):
         rng = np.random.default_rng(14)

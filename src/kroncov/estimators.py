@@ -29,7 +29,6 @@ from .kron_ops import (
     compress_diagonals,
     diag_mask,
     expand_diagonals,
-    inverse_quad_forms,
     rearrange,
 )
 from .synth import SampleSet
@@ -542,24 +541,18 @@ def _normalized_directions(samples: SampleSet) -> np.ndarray:
     return x / np.sqrt(sq)[:, None]
 
 
-def _tyler_iterations(s: np.ndarray, sigma: np.ndarray, r: float, cfg: EstimatorConfig,
-                      project: Callable[[np.ndarray], np.ndarray]):
-    """Shrunk Tyler steps Sigma <- (1 - r) (d / trace B) B + r I, r in (0, 1],
-    with B = project(A) and A = (d/n) sum_i s_i s_i^T / (s_i^T Sigma^{-1} s_i)
-    over the unit rows s_i of s, from sigma until the relative Frobenius
-    change falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {r}")
+def _tyler_iterations(s: np.ndarray, sigma, cfg: EstimatorConfig, step):
+    """Tyler steps from the covariance form sigma: A = (d/n) sum_i s_i s_i^T /
+    q_i over the unit rows s_i of s, q_i = s_i^T Sigma^{-1} s_i from the form's
+    own solve, then (Sigma, relative Frobenius change) = step(A, Sigma), until
+    that change falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
     n, d = s.shape
     for steps in range(1, cfg.max_iter + 1):
-        q, _ = inverse_quad_forms(sigma, s)
+        q, _ = sigma.inverse_quad_forms(s)
         if not np.all(q > 0):
             raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
         average = _sym((d / n) * (s.T @ (s / q[:, None])))
-        b = project(average)
-        new = (1.0 - r) * (d / np.trace(b)) * b + r * np.eye(d)
-        rel = np.linalg.norm(new - sigma) / np.linalg.norm(sigma)
-        sigma = new
+        sigma, rel = step(average, sigma)
         if rel < cfg.tol:
             return sigma, average, steps, True
     return sigma, average, cfg.max_iter, False
@@ -580,12 +573,19 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
-    sigma, _, iterations, converged = _tyler_iterations(
-        _normalized_directions(samples), np.eye(samples.dims.pt), r, cfg, lambda a: a)
+    s = _normalized_directions(samples)
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {r}")
+    dims, d = samples.dims, samples.dims.pt
+
+    def step(average, old):  # _sym followed by scalar steps: the iterate is exactly symmetric
+        new = (1.0 - r) * (d / np.trace(average)) * average + r * np.eye(d)
+        rel = np.linalg.norm(new - old.entries) / np.linalg.norm(old.entries)
+        return DenseCovariance.adopt(dims, new), rel
+
+    cov, _, iterations, converged = _tyler_iterations(s, DenseCovariance.adopt(dims, np.eye(d)), cfg, step)
     if not converged:
         warnings.warn(f"chen_tyler did not converge in {cfg.max_iter} iterations")
-    # _sym followed by scalar steps: the iterate is exactly symmetric
-    cov = DenseCovariance.adopt(samples.dims, sigma)
     if full_output:
         return cov, {"iterations": iterations, "converged": converged, "rho": r}
     return cov
@@ -650,18 +650,25 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     of the temporal factor; the reported `converged` holds when both the
     start and the outer loop converged.
 
-    The estimate is the last shrunk iterate in its own form, a
-    KronCovariance c T (x) S + rho I with T the temporal factor it was
-    built from, S = flipflop_S(last Tyler average, T) and
-    c = (1 - rho) pT / (tr T tr S): trace pT, minimum eigenvalue >= rho.
+    Each inner iterate is the factor form c T (x) S + rho I, S = flipflop_S(
+    Tyler average, T), c = (1 - rho) pT / (tr T tr S): trace pT, minimum
+    eigenvalue >= rho.  It is solved by its blocks, its change taken as
+    |new|^2 - 2 <new, old> + |old|^2 (floored at 0), and the last is the estimate.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
     dims = samples.dims
     s = _normalized_directions(samples)
 
-    start, start_info = chen_tyler(samples, r, cfg, full_output=True)
-    sigma_hat = sigma_tilde = start.entries
+    def step(average, old):  # with t_hat, the temporal factor of the current outer step
+        s_hat = flipflop_S(average, t_hat)
+        c = (1.0 - r) * dims.pt / (np.trace(t_hat) * np.trace(s_hat))
+        new = KronCovariance(dims, [(c * t_hat, s_hat)], r)
+        old_sq = old.frobenius_sq()
+        return new, np.sqrt(max(new.frobenius_sq() - 2.0 * new.inner(old) + old_sq, 0.0) / old_sq)
+
+    sigma_hat, start_info = chen_tyler(samples, r, cfg, full_output=True)
+    sigma_tilde = sigma_hat.entries
     t_prev = None
     converged = False
     inner_total = 0
@@ -671,19 +678,14 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
             converged = True
             break
         t_prev = t_hat
-        sigma_hat, sigma_tilde, steps, _ = _tyler_iterations(
-            s, sigma_hat, r, cfg, lambda a: np.kron(t_hat, flipflop_S(a, t_hat)))
+        sigma_hat, sigma_tilde, steps, _ = _tyler_iterations(s, sigma_hat, cfg, step)
         inner_total += steps
     if not converged:
         warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")
-    # t_prev built the last inner iterate: the outer loop stops before replacing it
-    s_hat = flipflop_S(sigma_tilde, t_prev)
-    c = (1.0 - r) * dims.pt / (np.trace(t_prev) * np.trace(s_hat))
-    cov = KronCovariance(dims, [(c * t_prev, s_hat)], r)
     if full_output:
-        return cov, {"iterations": outer, "inner_iterations": inner_total,
-                     "converged": start_info["converged"] and converged, "rho": r}
-    return cov
+        return sigma_hat, {"iterations": outer, "inner_iterations": inner_total,
+                           "converged": start_info["converged"] and converged, "rho": r}
+    return sigma_hat
 
 
 def kron_spectrum(sigma: DenseCovariance | GramCovariance, toeplitz_rows: bool = True):

@@ -37,6 +37,17 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _kept(obj, key: str, compute) -> np.ndarray:
+    """obj's result under key: computed on first use, made read-only and kept
+    in obj.__dict__ (unlocked: racing callers all get the first one stored)."""
+    kept = obj.__dict__
+    if key not in kept:
+        out = compute()
+        out.setflags(write=False)
+        kept.setdefault(key, out)
+    return kept[key]
+
+
 def is_symmetric(a: np.ndarray) -> bool:
     """Every entry is finite and max|a - a^T| is within SYMMETRY_RTOL of max|a|."""
     scale = np.abs(a).max() if a.size else 0.0
@@ -115,8 +126,8 @@ class DenseCovariance(_Payload):
             )
 
     def eigvalsh(self) -> np.ndarray:
-        """All pT eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.entries)
+        """All pT eigenvalues in ascending order, computed on first use and kept."""
+        return _kept(self, "_eigvalsh", lambda: np.linalg.eigvalsh(self.entries))
 
     def trace(self) -> float:
         return float(np.trace(self.entries))
@@ -136,8 +147,11 @@ class DenseCovariance(_Payload):
         return float(np.vdot(self.entries, x.T @ x))
 
     def inverse_quad_forms(self, x: np.ndarray):
-        """(q, log det sigma) from the Cholesky kernel :func:`inverse_quad_forms`."""
-        return inverse_quad_forms(self.entries, x)
+        """(q, log det sigma), q_k = x_k^T sigma^{-1} x_k = |L^{-1} x_k|^2 for the rows x_k of x, from one
+        lower Cholesky sigma = L L^T and one triangular solve.  LinAlgError unless positive definite."""
+        chol = np.linalg.cholesky(self.entries)
+        y = solve_triangular(chol, x.T, lower=True)
+        return np.einsum("ij,ij->j", y, y), float(2.0 * np.log(np.diagonal(chol)).sum())
 
 
 @dataclass(frozen=True)
@@ -271,8 +285,8 @@ class KronCovariance:
     `pairs` holds (temporal T x T, spatial p x p) pairs with any weight
     folded into them; `d` is the length-p diagonal of the I (x) diag(d)
     term.  `entries` assembles the dense matrix through
-    :func:`kron_assemble` on first use and keeps it (unlocked: racing
-    callers all get the first one stored).
+    :func:`kron_assemble` on first use and keeps it, as :meth:`eigvalsh`
+    keeps its eigenvalues (:func:`_kept`).
     """
 
     dims: SpaceTimeDims
@@ -296,9 +310,7 @@ class KronCovariance:
 
     @property
     def entries(self) -> np.ndarray:
-        if "_entries" in self.__dict__:
-            return self.__dict__["_entries"]
-        return self.__dict__.setdefault("_entries", self.to_dense().entries)
+        return _kept(self, "_entries", lambda: self.to_dense().entries)
 
     def trace(self) -> float:
         return float(sum(np.trace(tm) * np.trace(sm) for tm, sm in self.pairs)
@@ -311,11 +323,14 @@ class KronCovariance:
         return float(sum(np.vdot(ti, tm) * np.vdot(si, sm) for ti, si in self.pairs)
                      + np.trace(tm) * (self.d @ np.diagonal(sm)))
 
-    def frobenius_sq(self) -> float:
-        """||sigma||_F^2 = sum of <sigma, term> over its own terms, the
-        diagonal one being I (x) diag(d)."""
+    def inner(self, other) -> float:
+        """<sigma, other>_F = sum of other.inner_kron over sigma's own terms,
+        the diagonal one being I (x) diag(d); other is any covariance form."""
         terms = (*self.pairs, (np.eye(self.dims.T), np.diag(self.d)))
-        return float(sum(self.inner_kron(tm, sm) for tm, sm in terms))
+        return float(sum(other.inner_kron(tm, sm) for tm, sm in terms))
+
+    def frobenius_sq(self) -> float:
+        return self.inner(self)
 
     def quad_sum(self, x: np.ndarray) -> float:
         """sum_k x_k^T sigma x_k over the rows x_k of x (n x pT).  A row read
@@ -328,8 +343,8 @@ class KronCovariance:
         return float(total)
 
     def _blocks(self):
-        """(V, blocks) with sigma = (V (x) I) blockdiag(blocks) (V (x) I)^T,
-        or None when sigma has no such split.
+        """(V, lam, blocks) with sigma = (V (x) I) blockdiag(blocks) (V (x) I)^T
+        and T = V diag(lam) V^T, or None when sigma has no such split.
 
         One term T (x) S + I (x) diag(d) with symmetric factors is
         block-diagonalized by the eigenvectors V of T (x) I into the p x p
@@ -343,14 +358,16 @@ class KronCovariance:
         if not (is_symmetric(tm) and is_symmetric(sm)):
             return None
         lam, vecs = np.linalg.eigh(tm)
-        return vecs, lam[:, None, None] * sm + np.diag(self.d)
+        return vecs, lam, lam[:, None, None] * sm + np.diag(self.d)
 
     def eigvalsh(self) -> np.ndarray:
-        """All pT eigenvalues in ascending order."""
-        split = self._blocks()
-        if split is None:
-            return np.linalg.eigvalsh(self.entries)
-        return np.sort(np.linalg.eigvalsh(split[1]), axis=None)
+        """All pT eigenvalues in ascending order, computed on first use and kept."""
+        def compute():
+            split = self._blocks()
+            if split is None:
+                return np.linalg.eigvalsh(self.entries)
+            return np.sort(np.linalg.eigvalsh(split[2]), axis=None)
+        return _kept(self, "_eigvalsh", compute)
 
     def inverse_quad_forms(self, x: np.ndarray):
         """(q, log det sigma) with q_k = x_k^T sigma^{-1} x_k for each row x_k
@@ -359,13 +376,19 @@ class KronCovariance:
         Where :meth:`_blocks` splits sigma, a stacked eigh gives the blocks
         as W_t diag(mu_t) W_t^T and log det sigma = sum log mu; each row, as
         a T x p array X, maps to V^T X and then row t to mu_t^(-1/2) W_t^T
-        row t, SCORE_CHUNK rows at once.  Otherwise the Cholesky kernel.
+        row t, SCORE_CHUNK rows at once.  With d = c 1 every block lam_t S + c I
+        has the eigenvectors W of S = W diag(s) W^T and mu_t = lam_t s + c, so
+        one p x p eigh does.  Otherwise the dense form's Cholesky.
         """
         split = self._blocks()
         if split is None:
-            return inverse_quad_forms(self.entries, x)
-        v, blocks = split
-        mu, w = np.linalg.eigh(blocks)
+            return DenseCovariance.adopt(self.dims, self.entries).inverse_quad_forms(x)
+        v, lam, blocks = split
+        if np.all(self.d == self.d[0]):
+            s_lam, w = np.linalg.eigh(self.pairs[0][1])
+            mu = lam[:, None] * s_lam + self.d[0]
+        else:
+            mu, w = np.linalg.eigh(blocks)
         if not mu.min() > 0:
             raise np.linalg.LinAlgError("covariance is not positive definite")
         p, T = self.dims.p, self.dims.T
@@ -440,15 +463,14 @@ class GramCovariance:
 
     @property
     def entries(self) -> np.ndarray:
-        if "_entries" in self.__dict__:
-            return self.__dict__["_entries"]
-        out = self.x.T @ self.x  # a symmetric rank-k update, then /= n: the SCM's bits
-        out /= len(self.x)
-        if self.b != 1.0 or self.a != 0.0:
-            out *= self.b
-            out.flat[::self.dims.pt + 1] += self.a
-        out.setflags(write=False)
-        return self.__dict__.setdefault("_entries", out)
+        def compute():
+            out = self.x.T @ self.x  # a symmetric rank-k update, then /= n: the SCM's bits
+            out /= len(self.x)
+            if self.b != 1.0 or self.a != 0.0:
+                out *= self.b
+                out.flat[::self.dims.pt + 1] += self.a
+            return out
+        return _kept(self, "_entries", compute)
 
     def trace(self) -> float:
         return float(self.dims.pt * self.a + self._beta * np.trace(self._gram()))
@@ -502,15 +524,6 @@ class GramCovariance:
         q /= a
         logdet = (d - n) * np.log(a) + n * np.log(beta) + np.log(shifted).sum()
         return q, float(logdet)
-
-
-def inverse_quad_forms(a: np.ndarray, x: np.ndarray):
-    """(q, log det a) with q_i = x_i^T a^{-1} x_i = ||L^{-1} x_i||^2 for each
-    row x_i of x, from one lower Cholesky a = L L^T (log det a = 2 sum_i
-    log L_ii) and one triangular solve.  LinAlgError unless a is PD."""
-    chol = np.linalg.cholesky(a)
-    y = solve_triangular(chol, x.T, lower=True)
-    return np.einsum("ij,ij->j", y, y), float(2.0 * np.log(np.diagonal(chol)).sum())
 
 
 def block(sigma: DenseCovariance, i: int, j: int) -> np.ndarray:

@@ -82,11 +82,13 @@ class GroundTruth:
     def __post_init__(self):
         if len(self.sigma.pairs) != 1 or self.sigma.d.any():
             raise ValueError("ground truth must be one Kronecker term T (x) S with d = 0")
-        lam_min = self.sigma.eigvalsh()[0]
+        (tm, sm), = self.sigma.pairs
+        eigh_t, eigh_s = np.linalg.eigh(tm), np.linalg.eigh(sm)
+        # the eigenvalues of T (x) S are the products of the factors': the least is an extreme pair's
+        lam_min = min(a * b for a in eigh_t[0][[0, -1]] for b in eigh_s[0][[0, -1]])
         if not lam_min > 0:
             raise ValueError(f"ground truth is not positive definite (min eig {lam_min:.3e})")
-        (tm, sm), = self.sigma.pairs
-        root = (_frozen_array(_symmetric_sqrt(tm)), _frozen_array(_symmetric_sqrt(sm)))
+        root = (_frozen_array(_root_from_eigh(*eigh_t)), _frozen_array(_root_from_eigh(*eigh_s)))
         object.__setattr__(self, "root", root)
 
     def correlate(self, z: np.ndarray) -> np.ndarray:
@@ -118,7 +120,12 @@ def ar1_kron_truth(p: int = 100, T: int = 10, tcoeff: float = 0.5, scoeff: float
 
 
 def _symmetric_sqrt(entries: np.ndarray) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(entries)
+    return _root_from_eigh(*np.linalg.eigh(entries))
+
+
+def _root_from_eigh(lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The symmetric root of vecs diag(lam) vecs^T, lam ascending; ValueError
+    unless it is positive semidefinite to 1e-10 of its largest eigenvalue."""
     if lam[0] < -1e-10 * max(lam[-1], 1.0):
         raise ValueError(f"covariance is not positive semidefinite (min eig {lam[0]:.3e})")
     root = (vecs * np.sqrt(np.maximum(lam, 0.0))) @ vecs.T

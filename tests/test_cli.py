@@ -479,6 +479,24 @@ class TestAnomalyCommand:
         assert (n_windows, n_windows) in factored  # the Gram is factored
         assert all(shape[-2:] != (32, 32) for shape in factored), factored
 
+    def test_mid_stream_dense_fit_runs_one_eigvalsh(self, tmp_path, monkeypatch):
+        # both test slices are scored, and the fit keeps its eigenvalues for the second
+        p, T = 4, 3
+        solved = []
+
+        def counted(a, *args, _real=np.linalg.eigvalsh, **kwargs):
+            solved.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        csv = tmp_path / "stream.csv"
+        make_stream_csv(csv, seed=12, p=p)
+        cfg = {"input": str(csv), "T": T, "train_range": [150, 400],
+               "estimators": [{"name": "scm"}]}  # 248 training windows, pT = 12: dense
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the training range holds anomalous frames
+            assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+        assert solved.count((p * T, p * T)) == 1
+
     @pytest.mark.parametrize("header", ["c0,c1,label", "c0"])
     def test_header_only_stream_is_config_error(self, tmp_path, capsys, header):
         csv = tmp_path / "stream.csv"

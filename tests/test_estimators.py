@@ -919,6 +919,23 @@ class TestRobustKronpca:
         assert np.trace(out.entries) == pytest.approx(9.0, abs=1e-9)
         assert np.linalg.eigvalsh(out.entries)[0] >= 0.2 - 1e-10
 
+    def test_inner_steps_never_factor_densely(self, monkeypatch):
+        # the inner iterates are solved through their blocks: a pT x pT Cholesky
+        # factors each chen_tyler step's iterate, and once more the start the
+        # first inner step solves with
+        samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4)
+        factored = []
+
+        def counted(a, *args, _real=np.linalg.cholesky, **kwargs):
+            factored.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        _, start = chen_tyler(samples, 0.1, full_output=True)
+        factored.clear()
+        _, info = robust_kronpca(samples, 0.1, full_output=True)
+        assert info["inner_iterations"] > 1
+        assert factored.count((12, 12)) == start["iterations"] + 1
+
     def test_a_start_stopped_at_max_iter_is_not_converged(self):
         # the README quickstart: the chen_tyler start needs more than 500 steps
         samples = sample_gaussian(ar1_kron_truth(p=20, T=5), n=10, seed=0)
@@ -1031,6 +1048,19 @@ class TestTylerLoopMatchesTheReference:
         cfg = EstimatorConfig()
         cov, info = robust_kronpca(samples, 0.1, cfg, full_output=True)
         sigma, outer, inner = reference_robust_kronpca(samples, 0.1, cfg)
+        assert rel_diff(cov.entries, sigma) <= 1e-12
+        assert (info["iterations"], info["inner_iterations"]) == (outer, inner)
+
+    @pytest.mark.parametrize("rho", [0.01, 1.0])
+    def test_fewer_samples_than_pt(self, rho):
+        samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 8, 53)  # n = 8 < pT = 12
+        cfg = EstimatorConfig()
+        cov, info = chen_tyler(samples, rho, cfg, full_output=True)
+        sigma, iterations = reference_chen_tyler(samples, rho, cfg)
+        assert rel_diff(cov.entries, sigma) <= 1e-12
+        assert info["iterations"] == iterations
+        cov, info = robust_kronpca(samples, rho, cfg, full_output=True)
+        sigma, outer, inner = reference_robust_kronpca(samples, rho, cfg)
         assert rel_diff(cov.entries, sigma) <= 1e-12
         assert (info["iterations"], info["inner_iterations"]) == (outer, inner)
 

@@ -29,7 +29,6 @@ from kroncov import kron_ops
 from kroncov.kron_ops import (
     compress_diagonals,
     diagonal_weights,
-    inverse_quad_forms,
     row_offsets,
 )
 
@@ -527,7 +526,7 @@ class TestKronCovariance:
 
     @settings(max_examples=150, deadline=None)
     @given(p=st.integers(1, 6), T=st.integers(1, 6), n=st.integers(1, 8),
-           case=st.sampled_from(["one term", "two terms", "antisymmetric"]),
+           case=st.sampled_from(["one term", "one term, scalar d", "two terms", "antisymmetric"]),
            seed=st.integers(0, 2**32 - 1))
     def test_inverse_quad_forms_match_the_dense_kernel(self, p, T, n, case, seed):
         rng = np.random.default_rng(seed)
@@ -541,14 +540,14 @@ class TestKronCovariance:
             top = np.linalg.norm(a - a.T, 2) * np.linalg.norm(b - b.T, 2)
             d = np.full(p, rng.uniform(1.5, 3.0) * top + 0.1)
         else:
-            terms = 1 if case == "one term" else 2
+            terms = 2 if case == "two terms" else 1
             pairs = [(spd_factor(rng, T), spd_factor(rng, p)) for _ in range(terms)]
-            d = rng.uniform(0.0, 2.0, p)
+            d = rng.uniform(0.0, 2.0, 1 if case == "one term, scalar d" else p)
         cov = KronCovariance(dims, pairs, d)
-        assert (cov._blocks() is not None) == (case == "one term")
+        assert (cov._blocks() is not None) == case.startswith("one term")
         x = rng.standard_normal((n, dims.pt))
         q, logdet = cov.inverse_quad_forms(x)
-        q_ref, logdet_ref = inverse_quad_forms(cov.entries, x)
+        q_ref, logdet_ref = DenseCovariance.adopt(dims, cov.entries).inverse_quad_forms(x)
         np.testing.assert_allclose(q, q_ref, rtol=1e-10, atol=0)
         assert abs(logdet - logdet_ref) <= 1e-10
 
@@ -615,12 +614,24 @@ class TestCovarianceContract:
 
         if lam[0] > 1e-4 * lam[-1]:
             q, logdet = cov.inverse_quad_forms(y)
-            q_ref, logdet_ref = inverse_quad_forms(ref, y)
+            q_ref, logdet_ref = DenseCovariance.adopt(dims, ref).inverse_quad_forms(y)
             np.testing.assert_allclose(q, q_ref, rtol=tol, atol=0)
             assert abs(logdet - logdet_ref) <= tol * max(1.0, abs(logdet_ref))
         elif form == "gram" and n < dims.pt and cov.a == 0.0:
             with pytest.raises(np.linalg.LinAlgError):
                 cov.inverse_quad_forms(y)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(partner=st.sampled_from(["dense", "kron", "gram"]), p=st.integers(1, 6),
+           T=st.integers(1, 6), rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_kron_inner_matches_the_dense_entries(self, partner, p, T, rho, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        cov = self.make("kron", rng, dims, 0, rho)
+        other = self.make(partner, rng, dims, max(1, dims.pt // 2), rng.uniform())
+        scale = np.linalg.norm(cov.entries) * np.linalg.norm(other.entries)
+        assert abs(cov.inner(other) - np.vdot(cov.entries, other.entries)) <= 1e-12 * scale
 
 
 class TestGramCovariance:
@@ -669,7 +680,7 @@ class TestGramCovariance:
         assert lam[-1] / lam[0] == pytest.approx(cond, rel=1e-10)
         y = rng.standard_normal((50, dims.pt))
         q, logdet = cov.inverse_quad_forms(y)
-        q_ref, logdet_ref = inverse_quad_forms(cov.entries, y)
+        q_ref, logdet_ref = DenseCovariance.adopt(dims, cov.entries).inverse_quad_forms(y)
         np.testing.assert_allclose(q, q_ref, rtol=max(1e-12, 1e-15 * cond), atol=0)
         # the dense log det carries eps * cond in each of its pT - n smallest logs
         assert abs(logdet - logdet_ref) <= max(1e-12, 1e-15 * cond) * dims.pt
@@ -740,7 +751,7 @@ class TestInverseQuadForms:
         spd = (q_mat * rng.uniform(0.05, 20.0, d)) @ q_mat.T
         spd = 0.5 * (spd + spd.T)
         x = rng.standard_normal((n, d))
-        q, logdet = inverse_quad_forms(spd, x)
+        q, logdet = DenseCovariance(SpaceTimeDims(d, 1), spd).inverse_quad_forms(x)
         expect = np.einsum("ij,ji->i", x, np.linalg.solve(spd, x.T))
         np.testing.assert_allclose(q, expect, rtol=1e-10)
         sign, expect_logdet = np.linalg.slogdet(spd)
@@ -749,7 +760,7 @@ class TestInverseQuadForms:
 
     def test_indefinite_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            inverse_quad_forms(np.diag([2.0, -1.0, 3.0]), np.ones((2, 3)))
+            DenseCovariance(SpaceTimeDims(3, 1), np.diag([2.0, -1.0, 3.0])).inverse_quad_forms(np.ones((2, 3)))
 
 
 class TestBlock:

@@ -188,24 +188,14 @@ def scm(samples: SampleSet) -> DenseCovariance | GramCovariance:
 def shrink(sigma, rho):
     """(1 - rho) * sigma + rho * (trace(sigma)/pT) * I; preserves the trace.
 
-    A KronCovariance stays one: its pairs scale by 1 - rho and the
-    identity goes into its diagonal term.  A GramCovariance a I + b S
-    stays one too, with ((1 - rho) a + rho m, (1 - rho) b).
+    The form's own affine map keeps the form: a KronCovariance scales its
+    pairs by 1 - rho and takes the identity into its diagonal term, and a
+    GramCovariance a I + b S becomes ((1 - rho) a + rho m, (1 - rho) b).
     """
     r = _rho_value(rho)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {r}")
-    d = sigma.dims.pt
-    if isinstance(sigma, GramCovariance):
-        return sigma.rescaled((1.0 - r) * sigma.a + r * (sigma.trace() / d), (1.0 - r) * sigma.b)
-    if isinstance(sigma, KronCovariance):
-        target = sigma.trace() / d
-        return KronCovariance(sigma.dims, [((1.0 - r) * tm, sm) for tm, sm in sigma.pairs],
-                              (1.0 - r) * sigma.d + r * target)
-    target = np.trace(sigma.entries) / d
-    out = (1.0 - r) * sigma.entries
-    out.flat[::d + 1] += r * target
-    return DenseCovariance.adopt(sigma.dims, out)
+    return sigma.affine(1.0 - r, r * (sigma.trace() / sigma.dims.pt))
 
 
 def _lw_terms(samples: SampleSet, plugin):
@@ -542,16 +532,16 @@ def _normalized_directions(samples: SampleSet) -> np.ndarray:
 
 
 def _tyler_iterations(s: np.ndarray, sigma, cfg: EstimatorConfig, step):
-    """Tyler steps from the covariance form sigma: A = (d/n) sum_i s_i s_i^T /
-    q_i over the unit rows s_i of s, q_i = s_i^T Sigma^{-1} s_i from the form's
-    own solve, then (Sigma, relative Frobenius change) = step(A, Sigma), until
+    """Tyler steps from the covariance form sigma: the DenseCovariance A = (d/n) sum_i
+    s_i s_i^T / q_i over the unit rows s_i of s, q_i = s_i^T Sigma^{-1} s_i from the
+    form's own solve, then (Sigma, relative Frobenius change) = step(A, Sigma), until
     that change falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
     n, d = s.shape
     for steps in range(1, cfg.max_iter + 1):
         q, _ = sigma.inverse_quad_forms(s)
         if not np.all(q > 0):
             raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
-        average = _sym((d / n) * (s.T @ (s / q[:, None])))
+        average = DenseCovariance.adopt(sigma.dims, _sym((d / n) * (s.T @ (s / q[:, None]))))
         sigma, rel = step(average, sigma)
         if rel < cfg.tol:
             return sigma, average, steps, True
@@ -579,9 +569,8 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     dims, d = samples.dims, samples.dims.pt
 
     def step(average, old):  # _sym followed by scalar steps: the iterate is exactly symmetric
-        new = (1.0 - r) * (d / np.trace(average)) * average + r * np.eye(d)
-        rel = np.linalg.norm(new - old.entries) / np.linalg.norm(old.entries)
-        return DenseCovariance.adopt(dims, new), rel
+        new = average.affine((1.0 - r) * (d / average.trace()), r)
+        return new, np.linalg.norm(new.entries - old.entries) / np.linalg.norm(old.entries)
 
     cov, _, iterations, converged = _tyler_iterations(s, DenseCovariance.adopt(dims, np.eye(d)), cfg, step)
     if not converged:
@@ -596,44 +585,38 @@ def kronpca_T(sigma: DenseCovariance | GramCovariance) -> np.ndarray:
     positive definite and normalized to trace T.
 
     The factor is the leading left vector of the compressed rearranged
-    matrix (:func:`_thresholded_svd` at rank 1), expanded to T x T and
-    signed to nonnegative trace.  Its eigenvalues are clipped from below
-    at 1e-8 of the largest, the Toeplitz projection expand . compress
-    restores exact Toeplitz structure, and an identity ridge absorbs any
-    negative curvature the projection reintroduced.
+    matrix (:func:`_thresholded_svd` at rank 1), expanded to T x T, signed
+    to nonnegative trace and symmetrized, which keeps it exactly Toeplitz.
+    An identity ridge, which keeps it Toeplitz too, lifts its smallest
+    eigenvalue to 1e-8 of the largest where it lies below that.
     """
     T = sigma.dims.T
     u = _thresholded_svd(_rearranged(sigma, True), 0.0, 1)[0]
     if not u.shape[1]:
         raise ValueError("zero covariance has no temporal factor")
     tm = expand_diagonals(u, T).reshape(T, T, order="F")
-    lam, vecs = np.linalg.eigh(_sym(tm if np.trace(tm) >= 0 else -tm))
+    tm = _sym(tm if np.trace(tm) >= 0 else -tm)
+    lam = np.linalg.eigvalsh(tm)
     if lam[-1] <= 0:
         raise ValueError("temporal factor has no positive curvature")
     floor = 1e-8 * lam[-1]
-    clipped = _sym((vecs * np.maximum(lam, floor)) @ vecs.T)
-    out = expand_diagonals(compress_diagonals(clipped.reshape(T * T, 1, order="F"), T), T)
-    out = out.reshape(T, T, order="F")
-    lam_min = np.linalg.eigvalsh(out)[0]
-    if lam_min < floor:
-        out = out + (floor - lam_min) * np.eye(T)
-    return out * (T / np.trace(out))
+    if lam[0] < floor:
+        tm = tm + (floor - lam[0]) * np.eye(T)
+    return tm * (T / np.trace(tm))
 
 
-def flipflop_S(sigma_tilde, t_hat: np.ndarray) -> np.ndarray:
-    """Closed-form spatial factor with the temporal factor held fixed:
-    (1/T) sum_{i,j} [t_hat^{-1}]_{ij} * block(sigma_tilde, j, i)."""
+def flipflop_S(sigma_tilde: DenseCovariance, t_hat: np.ndarray) -> np.ndarray:
+    """Closed-form spatial factor with the temporal factor held fixed: (1/T)
+    sum_{i,j} [t_hat^{-1}]_{ij} * block(sigma_tilde, j, i), t_hat T x T for the form's T."""
+    p, T = sigma_tilde.dims.p, sigma_tilde.dims.T
     t_hat = np.asarray(t_hat, dtype=float)
-    T = t_hat.shape[0]
-    arr = sigma_tilde.entries if isinstance(sigma_tilde, DenseCovariance) else np.asarray(sigma_tilde, dtype=float)
-    if arr.shape[0] % T != 0:
-        raise ValueError(f"covariance dimension {arr.shape[0]} is not a multiple of T={T}")
-    p = arr.shape[0] // T
+    if t_hat.shape != (T, T):
+        raise ValueError(f"temporal factor of shape {t_hat.shape} is not T x T for T={T}")
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(t_hat))
     except np.linalg.LinAlgError as exc:
         raise ValueError("temporal factor must be positive definite") from exc
-    blocks = arr.reshape(T, p, T, p)
+    blocks = sigma_tilde.entries.reshape(T, p, T, p)
     return _sym(np.einsum("ij,jaib->ab", chol_inv.T @ chol_inv, blocks) / T)
 
 
@@ -668,12 +651,12 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
         return new, np.sqrt(max(new.frobenius_sq() - 2.0 * new.inner(old) + old_sq, 0.0) / old_sq)
 
     sigma_hat, start_info = chen_tyler(samples, r, cfg, full_output=True)
-    sigma_tilde = sigma_hat.entries
+    sigma_tilde = sigma_hat
     t_prev = None
     converged = False
     inner_total = 0
     for outer in range(1, cfg.max_iter + 1):
-        t_hat = kronpca_T(DenseCovariance.adopt(dims, sigma_tilde))
+        t_hat = kronpca_T(sigma_tilde)
         if t_prev is not None and np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev) < cfg.tol:
             converged = True
             break

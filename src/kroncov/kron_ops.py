@@ -129,6 +129,12 @@ class DenseCovariance(_Payload):
         """All pT eigenvalues in ascending order, computed on first use and kept."""
         return _kept(self, "_eigvalsh", lambda: np.linalg.eigvalsh(self.entries))
 
+    def affine(self, scale: float, shift: float) -> "DenseCovariance":
+        """scale sigma + shift I: the entries times scale, then shift added on the diagonal."""
+        out = scale * self.entries
+        out.flat[::self.dims.pt + 1] += shift
+        return DenseCovariance.adopt(self.dims, out)
+
     def trace(self) -> float:
         return float(np.trace(self.entries))
 
@@ -148,8 +154,9 @@ class DenseCovariance(_Payload):
 
     def inverse_quad_forms(self, x: np.ndarray):
         """(q, log det sigma), q_k = x_k^T sigma^{-1} x_k = |L^{-1} x_k|^2 for the rows x_k of x, from one
-        lower Cholesky sigma = L L^T and one triangular solve.  LinAlgError unless positive definite."""
-        chol = np.linalg.cholesky(self.entries)
+        lower Cholesky sigma = L L^T, computed on first use and kept, and one triangular solve.
+        LinAlgError unless positive definite."""
+        chol = _kept(self, "_cholesky", lambda: np.linalg.cholesky(self.entries))
         y = solve_triangular(chol, x.T, lower=True)
         return np.einsum("ij,ij->j", y, y), float(2.0 * np.log(np.diagonal(chol)).sum())
 
@@ -312,6 +319,11 @@ class KronCovariance:
     def entries(self) -> np.ndarray:
         return _kept(self, "_entries", lambda: self.to_dense().entries)
 
+    def affine(self, scale: float, shift: float) -> "KronCovariance":
+        """scale sigma + shift I: the pairs scaled, and d' = scale d + shift."""
+        return KronCovariance(self.dims, [(scale * tm, sm) for tm, sm in self.pairs],
+                              scale * self.d + shift)
+
     def trace(self) -> float:
         return float(sum(np.trace(tm) * np.trace(sm) for tm, sm in self.pairs)
                      + self.dims.T * self.d.sum())
@@ -342,53 +354,51 @@ class KronCovariance:
             total += np.vdot(frames, tm @ (frames @ sm.T))
         return float(total)
 
-    def _blocks(self):
-        """(V, lam, blocks) with sigma = (V (x) I) blockdiag(blocks) (V (x) I)^T
-        and T = V diag(lam) V^T, or None when sigma has no such split.
+    def _split(self, vectors: bool):
+        """(V, mu, W): sigma = (V (x) I) blockdiag(B_t) (V (x) I)^T with
+        T = V diag(lam) V^T, mu[t] the eigenvalues of the p x p block B_t =
+        lam_t S + diag(d) and W their eigenvectors (None unless vectors is
+        set); None when sigma has no such split.
 
-        One term T (x) S + I (x) diag(d) with symmetric factors is
-        block-diagonalized by the eigenvectors V of T (x) I into the p x p
-        blocks lam_t S + diag(d), lam_t the eigenvalues of T: T eigenproblems
-        of size p instead of one of size pT.  A sum of several terms, or a
-        pair of antisymmetric factors, has no such split.
+        One term with symmetric factors splits so: T eigenproblems of size p
+        instead of one of size pT.  With d = c 1 one eigenproblem of S =
+        W diag(s) W^T does, as W diagonalizes every block and mu_t =
+        lam_t s + c.  A sum of several terms, or a pair of antisymmetric
+        factors, has no such split.
         """
         if len(self.pairs) != 1:
             return None
         (tm, sm), = self.pairs
         if not (is_symmetric(tm) and is_symmetric(sm)):
             return None
-        lam, vecs = np.linalg.eigh(tm)
-        return vecs, lam, lam[:, None, None] * sm + np.diag(self.d)
+        lam, v = np.linalg.eigh(tm)
+        constant = np.all(self.d == self.d[0])
+        a = sm if constant else lam[:, None, None] * sm + np.diag(self.d)
+        e, w = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+        return v, (lam[:, None] * e + self.d[0] if constant else e), w
 
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order, computed on first use and kept."""
         def compute():
-            split = self._blocks()
+            split = self._split(False)
             if split is None:
                 return np.linalg.eigvalsh(self.entries)
-            return np.sort(np.linalg.eigvalsh(split[2]), axis=None)
+            return np.sort(split[1], axis=None)
         return _kept(self, "_eigvalsh", compute)
 
     def inverse_quad_forms(self, x: np.ndarray):
         """(q, log det sigma) with q_k = x_k^T sigma^{-1} x_k for each row x_k
         of x (n x pT).  LinAlgError unless sigma is positive definite.
 
-        Where :meth:`_blocks` splits sigma, a stacked eigh gives the blocks
-        as W_t diag(mu_t) W_t^T and log det sigma = sum log mu; each row, as
-        a T x p array X, maps to V^T X and then row t to mu_t^(-1/2) W_t^T
-        row t, SCORE_CHUNK rows at once.  With d = c 1 every block lam_t S + c I
-        has the eigenvectors W of S = W diag(s) W^T and mu_t = lam_t s + c, so
-        one p x p eigh does.  Otherwise the dense form's Cholesky.
+        Where :meth:`_split` splits sigma into blocks W_t diag(mu_t) W_t^T,
+        log det sigma = sum log mu; each row, as a T x p array X, maps to
+        V^T X and then row t to mu_t^(-1/2) W_t^T row t, SCORE_CHUNK rows at
+        once.  Otherwise the dense form's Cholesky.
         """
-        split = self._blocks()
+        split = self._split(True)
         if split is None:
             return DenseCovariance.adopt(self.dims, self.entries).inverse_quad_forms(x)
-        v, lam, blocks = split
-        if np.all(self.d == self.d[0]):
-            s_lam, w = np.linalg.eigh(self.pairs[0][1])
-            mu = lam[:, None] * s_lam + self.d[0]
-        else:
-            mu, w = np.linalg.eigh(blocks)
+        v, mu, w = split
         if not mu.min() > 0:
             raise np.linalg.LinAlgError("covariance is not positive definite")
         p, T = self.dims.p, self.dims.T
@@ -408,13 +418,12 @@ class GramCovariance:
     identity plus b times the sample covariance of the rows.
 
     :meth:`SampleSet.covariance` is the form with a = 0, b = 1 (it returns
-    a DenseCovariance from pT rows on), and shrink maps it to
-    ((1 - rho) a + rho m, (1 - rho) b); b weighs X^T X / n, not X^T X, so
-    `entries` computes x^T x and divides it by n exactly as the plain
-    sample covariance does.  Every reduction comes from the n x n Gram
-    G = X X^T and one eigh of it (Woodbury for the solve); the dense
-    entries are assembled on first read and kept (unlocked).  Forms
-    derived from one another by :meth:`rescaled` share X, G and its eigh.
+    a DenseCovariance from pT rows on); :meth:`affine` maps it to
+    (scale a + shift, scale b) over the same X, G and eigh of G.  b weighs
+    X^T X / n, not X^T X, so `entries` computes x^T x and divides it by n
+    exactly as the plain sample covariance does.  Every reduction comes
+    from the n x n Gram G = X X^T and one eigh of it (Woodbury for the
+    solve); the dense entries are assembled on first read and kept (unlocked).
     """
 
     dims: SpaceTimeDims
@@ -434,11 +443,12 @@ class GramCovariance:
             raise ValueError(f"need a finite a and a finite b >= 0, got a={a}, b={b}")
         self.__dict__.update(x=x, a=a, b=b, _shared={})
 
-    def rescaled(self, a: float, b: float) -> "GramCovariance":
-        """a I + b X^T X / n over the same rows, sharing their cached products."""
+    def affine(self, scale: float, shift: float) -> "GramCovariance":
+        """scale sigma + shift I = (scale a + shift) I + scale b X^T X / n over
+        the same rows, sharing their cached products."""
         out = object.__new__(GramCovariance)
-        out.__dict__.update(dims=self.dims, x=self.x, a=float(a), b=float(b),
-                            _shared=self._shared)
+        out.__dict__.update(dims=self.dims, x=self.x, a=float(scale * self.a + shift),
+                            b=float(scale * self.b), _shared=self._shared)
         return out
 
     @property

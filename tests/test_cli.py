@@ -480,14 +480,14 @@ class TestAnomalyCommand:
         assert all(shape[-2:] != (32, 32) for shape in factored), factored
 
     def test_mid_stream_dense_fit_runs_one_eigvalsh(self, tmp_path, monkeypatch):
-        # both test slices are scored, and the fit keeps its eigenvalues for the second
+        # both test slices are scored, and the fit keeps its eigenvalues and its Cholesky for the second
         p, T = 4, 3
-        solved = []
-
-        def counted(a, *args, _real=np.linalg.eigvalsh, **kwargs):
-            solved.append(np.shape(a))
-            return _real(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        solved, factored = [], []
+        for name, calls in (("eigvalsh", solved), ("cholesky", factored)):
+            def counted(a, *args, _real=getattr(np.linalg, name), _calls=calls, **kwargs):
+                _calls.append(np.shape(a))
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
         csv = tmp_path / "stream.csv"
         make_stream_csv(csv, seed=12, p=p)
         cfg = {"input": str(csv), "T": T, "train_range": [150, 400],
@@ -496,6 +496,7 @@ class TestAnomalyCommand:
             warnings.simplefilter("ignore")  # the training range holds anomalous frames
             assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
         assert solved.count((p * T, p * T)) == 1
+        assert factored.count((p * T, p * T)) == 1
 
     @pytest.mark.parametrize("header", ["c0,c1,label", "c0"])
     def test_header_only_stream_is_config_error(self, tmp_path, capsys, header):

@@ -851,6 +851,22 @@ class TestKronpcaT:
         with pytest.raises(ValueError):
             kronpca_T(sigma)
 
+    def test_one_compression_and_an_identity_ridge_on_an_indefinite_factor(self, monkeypatch):
+        T, p = 3, 2
+        a = toeplitz([1.0, 2.0, 0.5])  # positive trace, eigenvalues -1.59, 0.5, 4.09
+        sigma = DenseCovariance(SpaceTimeDims(p, T), np.kron(a, random_spd(np.random.default_rng(30), p)))
+        compressed = []
+
+        def counted(*args, _real=est.compress_diagonals):
+            compressed.append(args[0].shape)
+            return _real(*args)
+        monkeypatch.setattr(est, "compress_diagonals", counted)
+        out = kronpca_T(sigma)
+        assert len(compressed) == 1
+        lam = np.linalg.eigvalsh(a)
+        ridged = a + (1e-8 * lam[-1] - lam[0]) * np.eye(T)
+        np.testing.assert_allclose(out, ridged * (T / np.trace(ridged)), rtol=1e-12, atol=0)
+
 
 class TestFlipflopS:
     def test_exact_factor_recovery(self):
@@ -881,6 +897,12 @@ class TestFlipflopS:
         sigma = DenseCovariance(SpaceTimeDims(2, 2), np.eye(4))
         with pytest.raises(ValueError):
             flipflop_S(sigma, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (12, 12)])
+    def test_temporal_factor_of_another_size_rejected(self, shape):
+        sigma = DenseCovariance(SpaceTimeDims(3, 4), np.eye(12))
+        with pytest.raises(ValueError, match="not T x T for T=4"):
+            flipflop_S(sigma, np.eye(*shape))
 
 
 class TestRobustKronpca:
@@ -999,7 +1021,7 @@ def reference_robust_kronpca(samples, r, cfg):
         for _ in range(cfg.max_iter):
             inner += 1
             sigma_tilde = reference_tyler_average(s, sigma_hat)
-            kron = np.kron(t_hat, flipflop_S(sigma_tilde, t_hat))
+            kron = np.kron(t_hat, flipflop_S(DenseCovariance(samples.dims, sigma_tilde), t_hat))
             sigma_hat, rel = reference_shrunk_step(kron, sigma_hat, r)
             if rel < cfg.tol:
                 break

@@ -423,7 +423,7 @@ class TestKronCovariance:
         np.testing.assert_array_equal(cov.to_dense().entries,
                                       kron_assemble(dims, [(tm, sm)], u).entries)
         assert_close(cov.entries, dense)
-        assert cov._blocks() is not None
+        assert cov._split(False) is not None
         assert_close(cov.eigvalsh(), np.linalg.eigvalsh(dense))
         assert cov.trace() == pytest.approx(np.trace(dense), rel=1e-12, abs=1e-12)
 
@@ -469,6 +469,21 @@ class TestKronCovariance:
         assert_close(mahalanobis_scores(view, cov), from_view, rtol=1e-14)
         assert_close(whole, mahalanobis_scores(wins, cov.to_dense()))
 
+    def test_constant_d_eigvalsh_takes_one_eigensolve_of_s(self, monkeypatch):
+        # an indefinite temporal factor: the block eigenvalues lam_t s + c interleave
+        rng = np.random.default_rng(8)
+        dims = SpaceTimeDims(6, 4)
+        cov = KronCovariance(dims, [(-symmetric_factor(rng, 4), symmetric_factor(rng, 6))], 0.7)
+        dense = np.linalg.eigvalsh(cov.entries)
+        solved = []
+
+        def counted(a, *args, _real=np.linalg.eigvalsh, **kwargs):
+            solved.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert_close(cov.eigvalsh(), dense, rtol=1e-12)
+        assert solved == [(6, 6)]
+
     @pytest.mark.parametrize("case", ["two terms", "antisymmetric"])
     def test_unsplit_cases_take_the_dense_route(self, case):
         rng = np.random.default_rng(4)
@@ -480,7 +495,7 @@ class TestKronCovariance:
             a, b = rng.standard_normal((3, 3)), rng.standard_normal((4, 4))
             pairs = [(a - a.T, b - b.T)]
         cov = KronCovariance(dims, pairs, np.full(4, 10.0))
-        assert cov._blocks() is None
+        assert cov._split(False) is None
         wins = windows(rng, 6, dims)
         np.testing.assert_array_equal(cov.eigvalsh(), np.linalg.eigvalsh(cov.entries))
         np.testing.assert_array_equal(mahalanobis_scores(wins, cov),
@@ -544,7 +559,7 @@ class TestKronCovariance:
             pairs = [(spd_factor(rng, T), spd_factor(rng, p)) for _ in range(terms)]
             d = rng.uniform(0.0, 2.0, 1 if case == "one term, scalar d" else p)
         cov = KronCovariance(dims, pairs, d)
-        assert (cov._blocks() is not None) == case.startswith("one term")
+        assert (cov._split(False) is not None) == case.startswith("one term")
         x = rng.standard_normal((n, dims.pt))
         q, logdet = cov.inverse_quad_forms(x)
         q_ref, logdet_ref = DenseCovariance.adopt(dims, cov.entries).inverse_quad_forms(x)
@@ -558,7 +573,7 @@ class TestKronCovariance:
         tm, sm = toeplitz([1.0, 0.5]), np.diag([1.0, defect, 2.0])
         pairs = [(tm, sm)] if case == "one term" else [(tm, 0.5 * sm), (np.eye(2), 0.5 * sm)]
         cov = KronCovariance(dims, pairs, np.zeros(3))
-        assert (cov._blocks() is not None) == (case == "one term")
+        assert (cov._split(False) is not None) == (case == "one term")
         with pytest.raises(np.linalg.LinAlgError):
             cov.inverse_quad_forms(np.ones((2, 6)))
 
@@ -623,6 +638,24 @@ class TestCovarianceContract:
 
 
     @settings(max_examples=150, deadline=None)
+    @given(form=st.sampled_from(["dense", "kron", "gram"]), p=st.integers(1, 6),
+           T=st.integers(1, 6), scale=st.floats(0.0, 3.0), shift=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_affine_matches_the_own_entries(self, form, p, T, scale, shift, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        cov = self.make(form, rng, dims, max(1, dims.pt // 2), rng.uniform())
+        out = cov.affine(scale, shift)
+        assert type(out) is type(cov)
+        ref = scale * cov.entries + shift * np.eye(dims.pt)
+        if isinstance(cov, DenseCovariance):
+            np.testing.assert_array_equal(out.entries, ref)
+        else:
+            assert_close(out.entries, ref, rtol=1e-12)
+        if isinstance(cov, GramCovariance):
+            assert out.x is cov.x and out._gram() is cov._gram()
+
+    @settings(max_examples=150, deadline=None)
     @given(partner=st.sampled_from(["dense", "kron", "gram"]), p=st.integers(1, 6),
            T=st.integers(1, 6), rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_kron_inner_matches_the_dense_entries(self, partner, p, T, rho, seed):
@@ -675,7 +708,7 @@ class TestGramCovariance:
         x = gram_rows(rng, 20, dims)
         plain = GramCovariance(dims, x)
         top = plain.eigvalsh()[-1]
-        cov = plain.rescaled(top / (cond - 1.0), 1.0)
+        cov = plain.affine(1.0, top / (cond - 1.0))
         lam = cov.eigvalsh()
         assert lam[-1] / lam[0] == pytest.approx(cond, rel=1e-10)
         y = rng.standard_normal((50, dims.pt))

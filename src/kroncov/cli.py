@@ -150,13 +150,14 @@ def kron_truth_error(truth: synth.GroundTruth):
     assembling neither side.  With c the ratio of the rescalings
     (1, or tr(truth) / tr(E) for a shape-only estimator),
     ||c E - A (x) B||^2 = c^2 ||E||^2 - 2c <E, A (x) B> + ||A (x) B||^2,
-    each term a reduction of E; ||A (x) B||^2 is taken here, once."""
+    each term a reduction of E, <E, A (x) B> = <E.spatial_contract(A), B>;
+    ||A (x) B||^2 is taken here, once."""
     (tm, sm), = truth.sigma.pairs
     truth_sq, truth_trace = truth.sigma.frobenius_sq(), truth.sigma.trace()
 
     def error(estimate, shape_only: bool) -> float:
         c = truth_trace / estimate.trace() if shape_only else 1.0
-        return (c * c * estimate.frobenius_sq() - 2.0 * c * estimate.inner_kron(tm, sm)
+        return (c * c * estimate.frobenius_sq() - 2.0 * c * np.vdot(estimate.spatial_contract(tm), sm)
                 + truth_sq) / truth_sq
     return error
 

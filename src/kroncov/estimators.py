@@ -427,10 +427,10 @@ def dc_kronpca(sigma: DenseCovariance | GramCovariance, cfg: EstimatorConfig) ->
     The covariance diagonal, whose rearranged positions :func:`diag_mask`
     gives by index, is hidden from the rearranged data, the remaining
     entries get a rank-capped nuclear-norm completion (in compressed
-    diagonal space when the toeplitz flag is set), and the
-    left-over diagonal, averaged over the T frames and floored at zero,
-    goes into the I (x) diag(u) term: the diagonal of a term w T (x) S is
-    w diag(T) (x) diag(S), so no pT x pT matrix is formed.
+    diagonal space when the toeplitz flag is set), and the completion's
+    residual on the hidden entries, averaged over the T frames (T raw rows,
+    or one compressed row holding their sum / sqrt(T)) and floored at zero,
+    goes into the I (x) diag(u) term, so no pT x pT matrix is formed.
     The completion runs on a reduced matrix with the same Gram
     (:func:`_reduced_completion`).
     """
@@ -438,18 +438,14 @@ def dc_kronpca(sigma: DenseCovariance | GramCovariance, cfg: EstimatorConfig) ->
         raise ValueError("dc_kronpca requires diag_correct=True; use kronpca otherwise")
     dims = sigma.dims
     rows, cols = diag_mask(dims)
+    hidden = [dims.T - 1] if cfg.toeplitz else rows
     b = _rearranged(sigma, cfg.toeplitz)
-    result, triples = _reduced_completion(b, [dims.T - 1] if cfg.toeplitz else rows, cols, cfg)
-    factors = _extract_factors(*triples, dims, cfg.toeplitz)
-    lowrank = np.zeros(dims.pt)
-    for w, tm, sm in factors:
-        lowrank += np.kron(w * np.diag(tm), np.diag(sm))
-    resid = (np.diag(sigma.entries) - lowrank).reshape(dims.T, dims.p)
-    uvec = np.maximum(resid.mean(axis=0), 0.0)
+    result, triples = _reduced_completion(b, hidden, cols, cfg)
+    gap = b[np.ix_(hidden, cols)] - result.z[hidden, -len(cols):]
     return KronModel(
         dims=dims,
-        factors=factors,
-        u=uvec,
+        factors=_extract_factors(*triples, dims, cfg.toeplitz),
+        u=np.maximum(gap.sum(axis=0) / np.sqrt(dims.T * len(hidden)), 0.0),
         objective_trace=result.objective_trace,
         config=cfg,
         converged=result.converged,
@@ -584,18 +580,17 @@ def kronpca_T(sigma: DenseCovariance | GramCovariance) -> np.ndarray:
     """Leading Toeplitz temporal factor of a covariance, repaired to be
     positive definite and normalized to trace T.
 
-    The factor is the leading left vector of the compressed rearranged
-    matrix (:func:`_thresholded_svd` at rank 1), expanded to T x T, signed
-    to nonnegative trace and symmetrized, which keeps it exactly Toeplitz.
-    An identity ridge, which keeps it Toeplitz too, lifts its smallest
-    eigenvalue to 1e-8 of the largest where it lies below that.
+    The factor is the temporal one (:func:`_extract_factors`) of the rank-1
+    fit of the compressed rearranged matrix, symmetrized, which keeps it
+    exactly Toeplitz.  An identity ridge, which keeps it Toeplitz too,
+    lifts its smallest eigenvalue to 1e-8 of the largest where it lies
+    below that.
     """
     T = sigma.dims.T
-    u = _thresholded_svd(_rearranged(sigma, True), 0.0, 1)[0]
-    if not u.shape[1]:
+    factors = _extract_factors(*_thresholded_svd(_rearranged(sigma, True), 0.0, 1)[:3], sigma.dims, True)
+    if not factors:
         raise ValueError("zero covariance has no temporal factor")
-    tm = expand_diagonals(u, T).reshape(T, T, order="F")
-    tm = _sym(tm if np.trace(tm) >= 0 else -tm)
+    tm = _sym(factors[0][1])
     lam = np.linalg.eigvalsh(tm)
     if lam[-1] <= 0:
         raise ValueError("temporal factor has no positive curvature")
@@ -605,10 +600,11 @@ def kronpca_T(sigma: DenseCovariance | GramCovariance) -> np.ndarray:
     return tm * (T / np.trace(tm))
 
 
-def flipflop_S(sigma_tilde: DenseCovariance, t_hat: np.ndarray) -> np.ndarray:
+def flipflop_S(sigma_tilde, t_hat: np.ndarray) -> np.ndarray:
     """Closed-form spatial factor with the temporal factor held fixed: (1/T)
-    sum_{i,j} [t_hat^{-1}]_{ij} * block(sigma_tilde, j, i), t_hat T x T for the form's T."""
-    p, T = sigma_tilde.dims.p, sigma_tilde.dims.T
+    sum_{i,j} [t_hat^{-1}]_{ij} * block(sigma_tilde, j, i), t_hat T x T for the
+    form's T: the form's own spatial_contract, so no form is assembled."""
+    T = sigma_tilde.dims.T
     t_hat = np.asarray(t_hat, dtype=float)
     if t_hat.shape != (T, T):
         raise ValueError(f"temporal factor of shape {t_hat.shape} is not T x T for T={T}")
@@ -616,8 +612,7 @@ def flipflop_S(sigma_tilde: DenseCovariance, t_hat: np.ndarray) -> np.ndarray:
         chol_inv = np.linalg.inv(np.linalg.cholesky(t_hat))
     except np.linalg.LinAlgError as exc:
         raise ValueError("temporal factor must be positive definite") from exc
-    blocks = sigma_tilde.entries.reshape(T, p, T, p)
-    return _sym(np.einsum("ij,jaib->ab", chol_inv.T @ chol_inv, blocks) / T)
+    return _sym(sigma_tilde.spatial_contract((chol_inv.T @ chol_inv).T) / T)
 
 
 def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,

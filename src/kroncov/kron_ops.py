@@ -37,15 +37,15 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-def _kept(obj, key: str, compute) -> np.ndarray:
-    """obj's result under key: computed on first use, made read-only and kept
-    in obj.__dict__ (unlocked: racing callers all get the first one stored)."""
-    kept = obj.__dict__
-    if key not in kept:
+def _kept(store: dict, key: str, compute):
+    """store[key]: compute() on first use, kept in store (an array result made
+    read-only); unlocked, so racing callers all get the first one stored."""
+    if key not in store:
         out = compute()
-        out.setflags(write=False)
-        kept.setdefault(key, out)
-    return kept[key]
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        store.setdefault(key, out)
+    return store[key]
 
 
 def is_symmetric(a: np.ndarray) -> bool:
@@ -127,7 +127,7 @@ class DenseCovariance(_Payload):
 
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order, computed on first use and kept."""
-        return _kept(self, "_eigvalsh", lambda: np.linalg.eigvalsh(self.entries))
+        return _kept(self.__dict__, "_eigvalsh", lambda: np.linalg.eigvalsh(self.entries))
 
     def affine(self, scale: float, shift: float) -> "DenseCovariance":
         """scale sigma + shift I: the entries times scale, then shift added on the diagonal."""
@@ -141,12 +141,11 @@ class DenseCovariance(_Payload):
     def frobenius_sq(self) -> float:
         return float(np.vdot(self.entries, self.entries))
 
-    def inner_kron(self, tm: np.ndarray, sm: np.ndarray) -> float:
-        """<sigma, tm (x) sm>_F: one contraction of the T x p x T x p blocks
-        with the two factors, no pT x pT product formed."""
+    def spatial_contract(self, u: np.ndarray) -> np.ndarray:
+        """sum_ij u_ij block(i, j) for a T x T u: one contraction of the
+        T x p x T x p blocks."""
         p, T = self.dims.p, self.dims.T
-        blocks = self.entries.reshape(T, p, T, p)
-        return float(np.vdot(tm, np.einsum("tmsl,ml->ts", blocks, sm)))
+        return np.einsum("ts,tmsl->ml", u, self.entries.reshape(T, p, T, p))
 
     def quad_sum(self, x: np.ndarray) -> float:
         """sum_k x_k^T sigma x_k over the rows x_k of x, as <sigma, X^T X>."""
@@ -156,7 +155,7 @@ class DenseCovariance(_Payload):
         """(q, log det sigma), q_k = x_k^T sigma^{-1} x_k = |L^{-1} x_k|^2 for the rows x_k of x, from one
         lower Cholesky sigma = L L^T, computed on first use and kept, and one triangular solve.
         LinAlgError unless positive definite."""
-        chol = _kept(self, "_cholesky", lambda: np.linalg.cholesky(self.entries))
+        chol = _kept(self.__dict__, "_cholesky", lambda: np.linalg.cholesky(self.entries))
         y = solve_triangular(chol, x.T, lower=True)
         return np.einsum("ij,ij->j", y, y), float(2.0 * np.log(np.diagonal(chol)).sum())
 
@@ -291,9 +290,8 @@ class KronCovariance:
 
     `pairs` holds (temporal T x T, spatial p x p) pairs with any weight
     folded into them; `d` is the length-p diagonal of the I (x) diag(d)
-    term.  `entries` assembles the dense matrix through
-    :func:`kron_assemble` on first use and keeps it, as :meth:`eigvalsh`
-    keeps its eigenvalues (:func:`_kept`).
+    term.  The dense form is assembled only where one is asked for
+    (:meth:`to_dense`), and kept.
     """
 
     dims: SpaceTimeDims
@@ -313,11 +311,14 @@ class KronCovariance:
         object.__setattr__(self, "d", d)
 
     def to_dense(self) -> DenseCovariance:
-        return kron_assemble(self.dims, self.pairs, self.d)
+        """:func:`kron_assemble` on first use, kept: `entries` and the spectrum and
+        solve of a form that does not split all come from this one DenseCovariance,
+        which keeps its own eigenvalues and Cholesky factor."""
+        return _kept(self.__dict__, "_dense", lambda: kron_assemble(self.dims, self.pairs, self.d))
 
     @property
     def entries(self) -> np.ndarray:
-        return _kept(self, "_entries", lambda: self.to_dense().entries)
+        return self.to_dense().entries
 
     def affine(self, scale: float, shift: float) -> "KronCovariance":
         """scale sigma + shift I: the pairs scaled, and d' = scale d + shift."""
@@ -328,18 +329,18 @@ class KronCovariance:
         return float(sum(np.trace(tm) * np.trace(sm) for tm, sm in self.pairs)
                      + self.dims.T * self.d.sum())
 
-    def inner_kron(self, tm: np.ndarray, sm: np.ndarray) -> float:
-        """<sigma, tm (x) sm>_F from the factors, by <A (x) B, C (x) D> =
-        <A, C><B, D> (Van Loan & Pitsianis, 1993): sum_i <T_i, tm><S_i, sm>
-        plus tr(tm) <d, diag(sm)> for the I (x) diag(d) term."""
-        return float(sum(np.vdot(ti, tm) * np.vdot(si, sm) for ti, si in self.pairs)
-                     + np.trace(tm) * (self.d @ np.diagonal(sm)))
+    def spatial_contract(self, u: np.ndarray) -> np.ndarray:
+        """sum_ij u_ij block(i, j) for a T x T u from the factors: block (i, j)
+        of T_k (x) S_k is [T_k]_ij S_k, so sum_k <T_k, u> S_k, plus tr(u) diag(d)
+        for the I (x) diag(d) term."""
+        return sum(np.vdot(tm, u) * sm for tm, sm in self.pairs) + np.trace(u) * np.diag(self.d)
 
     def inner(self, other) -> float:
-        """<sigma, other>_F = sum of other.inner_kron over sigma's own terms,
-        the diagonal one being I (x) diag(d); other is any covariance form."""
+        """<sigma, other>_F over sigma's own terms A (x) B, the diagonal one
+        being I (x) diag(d): <other, A (x) B> = <other.spatial_contract(A), B>
+        (Van Loan & Pitsianis, 1993); other is any covariance form."""
         terms = (*self.pairs, (np.eye(self.dims.T), np.diag(self.d)))
-        return float(sum(other.inner_kron(tm, sm) for tm, sm in terms))
+        return float(sum(np.vdot(other.spatial_contract(tm), sm) for tm, sm in terms))
 
     def frobenius_sq(self) -> float:
         return self.inner(self)
@@ -382,9 +383,9 @@ class KronCovariance:
         def compute():
             split = self._split(False)
             if split is None:
-                return np.linalg.eigvalsh(self.entries)
+                return self.to_dense().eigvalsh()
             return np.sort(split[1], axis=None)
-        return _kept(self, "_eigvalsh", compute)
+        return _kept(self.__dict__, "_eigvalsh", compute)
 
     def inverse_quad_forms(self, x: np.ndarray):
         """(q, log det sigma) with q_k = x_k^T sigma^{-1} x_k for each row x_k
@@ -393,11 +394,11 @@ class KronCovariance:
         Where :meth:`_split` splits sigma into blocks W_t diag(mu_t) W_t^T,
         log det sigma = sum log mu; each row, as a T x p array X, maps to
         V^T X and then row t to mu_t^(-1/2) W_t^T row t, SCORE_CHUNK rows at
-        once.  Otherwise the dense form's Cholesky.
+        once.  Otherwise the kept dense form's Cholesky (:meth:`to_dense`).
         """
         split = self._split(True)
         if split is None:
-            return DenseCovariance.adopt(self.dims, self.entries).inverse_quad_forms(x)
+            return self.to_dense().inverse_quad_forms(x)
         v, mu, w = split
         if not mu.min() > 0:
             raise np.linalg.LinAlgError("covariance is not positive definite")
@@ -438,17 +439,23 @@ class GramCovariance:
                              f"(p={self.dims.p}, T={self.dims.T})")
         if len(x) >= self.dims.pt:
             raise ValueError(f"needs fewer rows than pT={self.dims.pt}, got n={len(x)}")
-        a, b = float(self.a), float(self.b)
+        a, b = self._weights(self.a, self.b)
+        self.__dict__.update(x=x, a=a, b=b, _shared={})
+
+    @staticmethod
+    def _weights(a, b) -> tuple[float, float]:
+        a, b = float(a), float(b)
         if not (np.isfinite(a) and np.isfinite(b) and b >= 0):
             raise ValueError(f"need a finite a and a finite b >= 0, got a={a}, b={b}")
-        self.__dict__.update(x=x, a=a, b=b, _shared={})
+        return a, b
 
     def affine(self, scale: float, shift: float) -> "GramCovariance":
         """scale sigma + shift I = (scale a + shift) I + scale b X^T X / n over
-        the same rows, sharing their cached products."""
+        the same rows, sharing their kept products; ValueError unless the new
+        a is finite and the new b finite and >= 0."""
+        a, b = self._weights(scale * self.a + shift, scale * self.b)
         out = object.__new__(GramCovariance)
-        out.__dict__.update(dims=self.dims, x=self.x, a=float(scale * self.a + shift),
-                            b=float(scale * self.b), _shared=self._shared)
+        out.__dict__.update(dims=self.dims, x=self.x, a=a, b=b, _shared=self._shared)
         return out
 
     @property
@@ -456,20 +463,16 @@ class GramCovariance:
         """The weight of X^T X itself."""
         return self.b / len(self.x)
 
-    def _cached(self, key, compute):
-        shared = self._shared
-        return shared[key] if key in shared else shared.setdefault(key, compute())
-
     def _gram(self) -> np.ndarray:
         # one symmetric rank-k update: exactly symmetric
-        return self._cached("gram", lambda: self.x @ self.x.T)
+        return _kept(self._shared, "gram", lambda: self.x @ self.x.T)
 
     def _gram_eigh(self):
         """(lam, V): G = V diag(lam) V^T, lam ascending and floored at 0 (G is PSD)."""
         def eigh():
             lam, vecs = np.linalg.eigh(self._gram())
             return np.maximum(lam, 0.0), vecs
-        return self._cached("gram_eigh", eigh)
+        return _kept(self._shared, "gram_eigh", eigh)
 
     @property
     def entries(self) -> np.ndarray:
@@ -480,7 +483,7 @@ class GramCovariance:
                 out *= self.b
                 out.flat[::self.dims.pt + 1] += self.a
             return out
-        return _kept(self, "_entries", compute)
+        return _kept(self.__dict__, "_entries", compute)
 
     def trace(self) -> float:
         return float(self.dims.pt * self.a + self._beta * np.trace(self._gram()))
@@ -490,12 +493,12 @@ class GramCovariance:
         return float(self.dims.pt * a * a + 2.0 * a * beta * np.trace(g)
                      + beta * beta * np.vdot(g, g))
 
-    def inner_kron(self, tm: np.ndarray, sm: np.ndarray) -> float:
-        """<sigma, tm (x) sm>_F = a tr(tm) tr(sm) + beta sum_k <X_k, tm X_k sm^T>,
-        X_k the T x p frame matrix of row k."""
-        frames = self.x.reshape(-1, self.dims.T, self.dims.p)
-        return float(self.a * np.trace(tm) * np.trace(sm)
-                     + self._beta * np.vdot(frames, tm @ (frames @ sm.T)))
+    def spatial_contract(self, u: np.ndarray) -> np.ndarray:
+        """sum_ij u_ij block(i, j) = a tr(u) I + beta sum_k X_k^T u X_k for a
+        T x T u, X_k the T x p frame matrix of row k: one (nT x p)^T (nT x p) product."""
+        p, T = self.dims.p, self.dims.T
+        rows_u = (u @ self.x.reshape(-1, T, p)).reshape(-1, p)  # the u X_k, stacked
+        return self._beta * (self.x.reshape(-1, p).T @ rows_u) + self.a * np.trace(u) * np.eye(p)
 
     def quad_sum(self, y: np.ndarray) -> float:
         """sum_k y_k^T sigma y_k = a |Y|^2 + beta |X Y^T|^2 over the rows y_k

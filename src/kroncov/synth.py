@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import files
-from .kron_ops import DenseCovariance, GramCovariance, KronCovariance, SpaceTimeDims, _frozen_array
+from .kron_ops import DenseCovariance, GramCovariance, KronCovariance, SpaceTimeDims, _frozen_array, _kept
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,9 @@ class SampleSet:
         here.  The diagonal of x^T x holds the column sums of squares, and by
         |g_ij| <= sqrt(g_ii g_jj) no entry overflows when they are finite.
         """
-        if "_covariance" in self.__dict__:
-            return self.__dict__["_covariance"]
+        return _kept(self.__dict__, "_sample_covariance", self._covariance)
+
+    def _covariance(self) -> DenseCovariance | GramCovariance:
         if self.n < 1:
             raise ValueError("sample set is empty")
         x = self.samples - self.samples.mean(axis=0)
@@ -61,12 +62,10 @@ class SampleSet:
         if not np.isfinite(np.einsum("ij,ij->j", x, x)).all():
             raise ValueError("covariance entries must be finite (found NaN or inf)")
         if self.n < self.dims.pt:
-            cov = GramCovariance(self.dims, x)
-        else:
-            entries = x.T @ x  # a symmetric rank-k update: exactly symmetric
-            entries /= self.n
-            cov = DenseCovariance.adopt(self.dims, entries)
-        return self.__dict__.setdefault("_covariance", cov)
+            return GramCovariance(self.dims, x)
+        entries = x.T @ x  # a symmetric rank-k update: exactly symmetric
+        entries /= self.n
+        return DenseCovariance.adopt(self.dims, entries)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Estimator tests: frozen hand-computed values, plant-and-recover oracles,
 and Monte-Carlo consistency checks at desk scale."""
+import itertools
 import json
 import re
 import warnings
@@ -525,21 +526,28 @@ class TestDcKronpca:
         np.testing.assert_allclose(model.u, d, atol=1e-5)
 
     def test_diagonal_correction_from_the_factors(self, monkeypatch):
+        # u is the completion's residual on the hidden diagonal; the factors'
+        # own diagonal w diag(T) (x) diag(S) gives it again up to rounding.  beta = 0
+        # without Toeplitz rows leaves some of these completions at max_iter (slow
+        # soft_impute, ROADMAP item 5); the identity holds for any iterate and any beta
         from kroncov import kron_ops
-
-        rng = np.random.default_rng(42)
-        dims = SpaceTimeDims(4, 3)
-        sigma = DenseCovariance(dims, random_spd(rng, 12, cond=20))
-        cfg = EstimatorConfig(r=2, beta=0.0, toeplitz=True, diag_correct=True, max_iter=2000)
-        lowrank = kron_ops.kron_assemble(
-            dims, [(w * tm, sm) for w, tm, sm in dc_kronpca(sigma, cfg).factors]).entries
 
         def refuse(*args, **kwargs):
             raise AssertionError("dc_kronpca assembled a pT x pT matrix")
         monkeypatch.setattr(kron_ops, "kron_assemble", refuse)
-        model = dc_kronpca(sigma, cfg)
-        resid = (np.diag(sigma.entries) - np.diag(lowrank)).reshape(dims.T, dims.p)
-        np.testing.assert_array_equal(model.u, np.maximum(resid.mean(axis=0), 0.0))
+        dims = SpaceTimeDims(4, 3)
+        for r, toeplitz_rows, beta, seed in itertools.product(
+                (1, 2), (True, False), (0.0, 0.5), (42, 43, 44)):
+            if beta == 0.0 and not toeplitz_rows:
+                continue
+            cfg = EstimatorConfig(r=r, beta=beta, toeplitz=toeplitz_rows, diag_correct=True,
+                                  max_iter=2000)
+            sigma = DenseCovariance(dims, random_spd(np.random.default_rng(seed), 12, cond=20))
+            model = dc_kronpca(sigma, cfg)
+            lowrank = sum(np.kron(w * np.diag(tm), np.diag(sm)) for w, tm, sm in model.factors)
+            resid = (np.diag(sigma.entries) - lowrank).reshape(dims.T, dims.p)
+            np.testing.assert_allclose(model.u, np.maximum(resid.mean(axis=0), 0.0), rtol=0,
+                                       atol=1e-13 * np.abs(np.diag(sigma.entries)).max())
 
     def test_unconstrained_completion_keeps_observed_entries(self):
         rng = np.random.default_rng(16)
@@ -897,6 +905,33 @@ class TestFlipflopS:
         sigma = DenseCovariance(SpaceTimeDims(2, 2), np.eye(4))
         with pytest.raises(ValueError):
             flipflop_S(sigma, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("form", ["gram", "kron"])
+    def test_rows_and_factor_forms_are_read_unassembled(self, form, monkeypatch):
+        from kroncov import kron_ops
+
+        rng = np.random.default_rng(29)
+        dims = SpaceTimeDims(3, 4)
+        if form == "gram":
+            x = rng.standard_normal((7, dims.pt))
+            sigma = shrink(sample_set(x, 3, 4).covariance(), 0.3)
+            xc = x - x.mean(axis=0)
+            plain = xc.T @ xc / 7
+            dense = 0.7 * plain + 0.3 * np.trace(plain) / dims.pt * np.eye(dims.pt)
+        else:  # two terms: a form that does not split
+            pairs = [(random_spd(rng, 4), random_spd(rng, 3)), (random_spd(rng, 4), random_spd(rng, 3))]
+            d = rng.uniform(0.1, 1.0, 3)
+            sigma = KronCovariance(dims, pairs, d)
+            dense = sum(np.kron(tm, sm) for tm, sm in pairs) + np.kron(np.eye(4), np.diag(d))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("flipflop_S assembled a pT x pT matrix")
+        monkeypatch.setattr(kron_ops, "kron_assemble", refuse)
+        t_hat = random_spd(rng, 4, cond=20)
+        out = flipflop_S(sigma, t_hat)
+        assert "_entries" not in sigma.__dict__ and "_dense" not in sigma.__dict__
+        want = flipflop_S(DenseCovariance(dims, 0.5 * (dense + dense.T)), t_hat)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (12, 12)])
     def test_temporal_factor_of_another_size_rejected(self, shape):

@@ -448,6 +448,7 @@ class TestKronCovariance:
         dims = SpaceTimeDims(3, 2)
         cov = KronCovariance(dims, [(symmetric_factor(rng, 2), symmetric_factor(rng, 3))], 1.0)
         assert cov.entries is cov.entries
+        assert cov.to_dense() is cov.to_dense()
         np.testing.assert_array_equal(cov.entries, cov.to_dense().entries)
         with pytest.raises(ValueError, match="read-only"):
             cov.entries[0, 0] = 0.0
@@ -501,6 +502,24 @@ class TestKronCovariance:
         np.testing.assert_array_equal(mahalanobis_scores(wins, cov),
                                       mahalanobis_scores(wins, cov.to_dense()))
 
+    def test_unsplit_form_factors_its_dense_matrix_once(self, monkeypatch):
+        # a two-term fit scored on two slices, as a mid-stream anomaly run scores it
+        rng = np.random.default_rng(9)
+        dims = SpaceTimeDims(4, 3)
+        cov = KronCovariance(dims, [(spd_factor(rng, 3), spd_factor(rng, 4)),
+                                    (spd_factor(rng, 3), spd_factor(rng, 4))], np.full(4, 0.5))
+        slices = [windows(rng, 5, dims) for _ in range(2)]
+        want = [mahalanobis_scores(wins, DenseCovariance(dims, cov.entries)) for wins in slices]
+        factored = []
+
+        def counted(a, *args, _real=np.linalg.cholesky, **kwargs):
+            factored.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        for wins, ref in zip(slices, want):
+            assert_close(mahalanobis_scores(wins, cov), ref)
+        assert factored.count((dims.pt, dims.pt)) == 1
+
     def test_shrink_keeps_the_trace_and_reaches_the_scaled_identity(self):
         rng = np.random.default_rng(5)
         dims = SpaceTimeDims(3, 2)
@@ -533,7 +552,7 @@ class TestKronCovariance:
         unchecked = DenseCovariance.adopt(dims, dense.copy())
         for form in (cov, unchecked):
             assert abs(form.frobenius_sq() - np.sum(dense ** 2)) <= 1e-12 * bound ** 2
-            assert abs(form.inner_kron(tm, sm) - np.sum(dense * np.kron(tm, sm))) <= (
+            assert abs(np.vdot(form.spatial_contract(tm), sm) - np.sum(dense * np.kron(tm, sm))) <= (
                 1e-12 * bound * np.linalg.norm(tm) * np.linalg.norm(sm))
             assert abs(form.trace() - np.trace(dense)) <= 1e-12 * bound * np.sqrt(dims.pt)
             assert abs(form.quad_sum(x) - np.einsum("ki,ij,kj->", x, dense, x)) <= (
@@ -621,7 +640,12 @@ class TestCovarianceContract:
 
         assert abs(cov.trace() - np.trace(ref)) <= tol * scale * dims.pt
         assert abs(cov.frobenius_sq() - np.sum(ref ** 2)) <= tol * scale ** 2 * dims.pt
-        assert abs(cov.inner_kron(tm, sm) - np.sum(ref * np.kron(tm, sm))) <= (
+        contracted = cov.spatial_contract(tm)
+        blocks = sum(tm[i, j] * ref[i * p:(i + 1) * p, j * p:(j + 1) * p]
+                     for i in range(T) for j in range(T))
+        assert contracted.shape == (p, p)
+        assert np.abs(contracted - blocks).max() <= tol * scale * np.linalg.norm(tm) * np.sqrt(dims.pt)
+        assert abs(np.vdot(contracted, sm) - np.sum(ref * np.kron(tm, sm))) <= (
             tol * scale * np.linalg.norm(tm) * np.linalg.norm(sm) * np.sqrt(dims.pt))
         assert abs(cov.quad_sum(y) - np.einsum("ki,ij,kj->", y, ref, y)) <= (
             tol * scale * np.sum(y ** 2))
@@ -691,6 +715,16 @@ class TestGramCovariance:
                 if isinstance(shrunk, GramCovariance):
                     assert shrunk.a == pytest.approx(rho * np.trace(plain) / dims.pt, rel=1e-14)
                     assert shrunk.b == 1.0 - rho
+
+    @pytest.mark.parametrize("scale, shift", [(-1.0, 5.0), (np.nan, 0.0), (1.0, np.inf)],
+                             ids=["negative scale", "nan scale", "infinite shift"])
+    def test_affine_keeps_the_constructor_check(self, scale, shift):
+        rng = np.random.default_rng(17)
+        dims = SpaceTimeDims(3, 2)
+        cov = SampleSet(dims, 4, rng.standard_normal((4, dims.pt))).covariance()
+        with pytest.raises(ValueError, match="need a finite a and a finite b >= 0"):
+            cov.affine(scale, shift)
+        assert shrink(cov, 1.0).b == 0.0 and shrink(cov, 0.25).b == 0.75
 
     def test_derived_forms_share_the_rows_and_their_gram(self):
         rng = np.random.default_rng(12)

@@ -47,10 +47,6 @@ class FrameSeries:
                 raise ValueError(f"labels must be exactly 0 or 1, found {bad[0]}")
             object.__setattr__(self, "labels", _frozen_array(labels, dtype=int))
 
-    @classmethod
-    def from_arrays(cls, values, labels=None) -> "FrameSeries":
-        return cls(values, labels)
-
     @property
     def p(self) -> int:
         return self.values.shape[1]

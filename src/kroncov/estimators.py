@@ -527,19 +527,21 @@ def _normalized_directions(samples: SampleSet) -> np.ndarray:
     return x / np.sqrt(sq)[:, None]
 
 
-def _tyler_iterations(s: np.ndarray, sigma, cfg: EstimatorConfig, step):
-    """Tyler steps from the covariance form sigma: the DenseCovariance A = (d/n) sum_i
-    s_i s_i^T / q_i over the unit rows s_i of s, q_i = s_i^T Sigma^{-1} s_i from the
-    form's own solve, then (Sigma, relative Frobenius change) = step(A, Sigma), until
-    that change falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
+def _tyler_iterations(s: np.ndarray, sigma, rho: float, cfg: EstimatorConfig, project):
+    """Shrunk Tyler steps (Chen, Wiesel & Hero, 2011) from the covariance form sigma:
+    the DenseCovariance A = (d/n) sum_i s_i s_i^T / q_i over the unit rows s_i of s,
+    q_i = s_i^T Sigma^{-1} s_i from the form's own solve, its target P = project(A),
+    then Sigma = (1 - rho) (d / tr P) P + rho I, until Sigma.relative_change(old Sigma)
+    falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
     n, d = s.shape
     for steps in range(1, cfg.max_iter + 1):
         q, _ = sigma.inverse_quad_forms(s)
         if not np.all(q > 0):
             raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
         average = DenseCovariance.adopt(sigma.dims, _sym((d / n) * (s.T @ (s / q[:, None]))))
-        sigma, rel = step(average, sigma)
-        if rel < cfg.tol:
+        target = project(average)
+        sigma, old = target.affine((1.0 - rho) * (d / target.trace()), rho), sigma
+        if sigma.relative_change(old) < cfg.tol:
             return sigma, average, steps, True
     return sigma, average, cfg.max_iter, False
 
@@ -554,21 +556,16 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
         A     = (d/n) sum_i s_i s_i^T / (s_i^T Sigma^{-1} s_i)
         Sigma = (1 - rho) * (d / trace(A)) * A + rho * I
 
-    until the relative Frobenius change falls below cfg.tol.  Every
-    iterate has trace d and minimum eigenvalue at least rho.
+    until the relative Frobenius change falls below cfg.tol (:func:`_tyler_iterations`
+    with P = A).  Every iterate has trace d and minimum eigenvalue at least rho.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
     s = _normalized_directions(samples)
     if not 0.0 < r <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {r}")
-    dims, d = samples.dims, samples.dims.pt
-
-    def step(average, old):  # _sym followed by scalar steps: the iterate is exactly symmetric
-        new = average.affine((1.0 - r) * (d / average.trace()), r)
-        return new, np.linalg.norm(new.entries - old.entries) / np.linalg.norm(old.entries)
-
-    cov, _, iterations, converged = _tyler_iterations(s, DenseCovariance.adopt(dims, np.eye(d)), cfg, step)
+    start = DenseCovariance.adopt(samples.dims, np.eye(samples.dims.pt))
+    cov, _, iterations, converged = _tyler_iterations(s, start, r, cfg, lambda average: average)
     if not converged:
         warnings.warn(f"chen_tyler did not converge in {cfg.max_iter} iterations")
     if full_output:
@@ -628,22 +625,17 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     of the temporal factor; the reported `converged` holds when both the
     start and the outer loop converged.
 
-    Each inner iterate is the factor form c T (x) S + rho I, S = flipflop_S(
-    Tyler average, T), c = (1 - rho) pT / (tr T tr S): trace pT, minimum
-    eigenvalue >= rho.  It is solved by its blocks, its change taken as
-    |new|^2 - 2 <new, old> + |old|^2 (floored at 0), and the last is the estimate.
+    The inner loop is :func:`_tyler_iterations` with P = T (x) flipflop_S(Tyler
+    average, T), so each iterate is the factor form (1 - rho) (pT / tr P) P + rho I:
+    trace pT, minimum eigenvalue >= rho, solved by its blocks, its change exact
+    (KronCovariance.relative_change).  The last is the estimate.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
-    dims = samples.dims
     s = _normalized_directions(samples)
 
-    def step(average, old):  # with t_hat, the temporal factor of the current outer step
-        s_hat = flipflop_S(average, t_hat)
-        c = (1.0 - r) * dims.pt / (np.trace(t_hat) * np.trace(s_hat))
-        new = KronCovariance(dims, [(c * t_hat, s_hat)], r)
-        old_sq = old.frobenius_sq()
-        return new, np.sqrt(max(new.frobenius_sq() - 2.0 * new.inner(old) + old_sq, 0.0) / old_sq)
+    def project(average):  # with t_hat, the temporal factor of the current outer step
+        return KronCovariance(samples.dims, [(t_hat, flipflop_S(average, t_hat))], 0.0)
 
     sigma_hat, start_info = chen_tyler(samples, r, cfg, full_output=True)
     sigma_tilde = sigma_hat
@@ -656,7 +648,7 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
             converged = True
             break
         t_prev = t_hat
-        sigma_hat, sigma_tilde, steps, _ = _tyler_iterations(s, sigma_hat, cfg, step)
+        sigma_hat, sigma_tilde, steps, _ = _tyler_iterations(s, sigma_hat, r, cfg, project)
         inner_total += steps
     if not converged:
         warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")

@@ -141,6 +141,10 @@ class DenseCovariance(_Payload):
     def frobenius_sq(self) -> float:
         return float(np.vdot(self.entries, self.entries))
 
+    def relative_change(self, old) -> float:
+        """|sigma - old| / |old| in the Frobenius norm, from the entries of both."""
+        return np.linalg.norm(self.entries - old.entries) / np.linalg.norm(old.entries)
+
     def spatial_contract(self, u: np.ndarray) -> np.ndarray:
         """sum_ij u_ij block(i, j) for a T x T u: one contraction of the
         T x p x T x p blocks."""
@@ -344,6 +348,20 @@ class KronCovariance:
 
     def frobenius_sq(self) -> float:
         return self.inner(self)
+
+    def relative_change(self, old) -> float:
+        """|sigma - old| / |old|.  With one term each and the same d, sigma - old = A (x) (B - E)
+        + (A - C) (x) E for sigma's A (x) B and old's C (x) E, whose square norm |A|^2 |B - E|^2 +
+        2 <A, A - C> <B - E, E> + |A - C|^2 |E|^2 keeps a small change's digits.  Otherwise the
+        expansion |sigma|^2 - 2 <sigma, old> + |old|^2, blind to a change below about 1e-8."""
+        one_term = isinstance(old, KronCovariance) and len(self.pairs) == len(old.pairs) == 1
+        if one_term and np.array_equal(self.d, old.d):
+            (a, b), (c, e) = self.pairs[0], old.pairs[0]
+            sq = (np.vdot(a, a) * np.vdot(b - e, b - e) + 2.0 * np.vdot(a, a - c) * np.vdot(b - e, e)
+                  + np.vdot(a - c, a - c) * np.vdot(e, e))
+        else:
+            sq = self.frobenius_sq() - 2.0 * self.inner(old) + old.frobenius_sq()
+        return float(np.sqrt(max(sq, 0.0) / old.frobenius_sq()))
 
     def quad_sum(self, x: np.ndarray) -> float:
         """sum_k x_k^T sigma x_k over the rows x_k of x (n x pT).  A row read

@@ -118,10 +118,6 @@ def ar1_kron_truth(p: int = 100, T: int = 10, tcoeff: float = 0.5, scoeff: float
     return GroundTruth(KronCovariance(SpaceTimeDims(p=p, T=T), [pair], 0.0), desc)
 
 
-def _symmetric_sqrt(entries: np.ndarray) -> np.ndarray:
-    return _root_from_eigh(*np.linalg.eigh(entries))
-
-
 def _root_from_eigh(lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The symmetric root of vecs diag(lam) vecs^T, lam ascending; ValueError
     unless it is positive semidefinite to 1e-10 of its largest eigenvalue."""
@@ -181,7 +177,7 @@ def ar1_frame_stream(p: int, n_frames: int, tcoeff: float = 0.5,
         raise ValueError(f"AR coefficient tcoeff must satisfy |tcoeff| < 1, got {tcoeff}")
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    root = _symmetric_sqrt(ar1_cov(p, scoeff, "scoeff"))
+    root = _root_from_eigh(*np.linalg.eigh(ar1_cov(p, scoeff, "scoeff")))
     rng = np.random.default_rng(seed)
     innov = rng.standard_normal((n_frames, p)) @ root
     frames = np.empty((n_frames, p))
@@ -201,20 +197,20 @@ def inject_anomalies(base, rate: float, magnitude: float, seed: int,
                      mean_length: float = 5.0, width_range=(0.5, 1.0)):
     """Overlay contiguous anomalous episodes on a frame series.
 
-    `base` is a SampleSet treated as a time series (one frame per row) or a
-    plain (n, d) array.  Episodes start at a hazard calibrated so roughly
-    `rate` of all frames are anomalous and last Geometric(1/mean_length)
-    frames.  Each episode adds a sustained mean shift of `magnitude`
-    per-coordinate standard deviations (one random sign per episode) to a
-    random contiguous block of coordinates, mimicking a coherent
-    disturbance moving through part of the field.  `width_range` gives the
-    block width as a fraction of d; (1.0, 1.0) shifts the whole field.
+    `base` is an (n, d) array, one frame per row.  Episodes start at a
+    hazard calibrated so roughly `rate` of all frames are anomalous and
+    last Geometric(1/mean_length) frames.  Each episode adds a sustained
+    mean shift of `magnitude` per-coordinate standard deviations (one
+    random sign per episode) to a random contiguous block of coordinates,
+    mimicking a coherent disturbance moving through part of the field.
+    `width_range` gives the block width as a fraction of d; (1.0, 1.0)
+    shifts the whole field.
 
     Returns (series, labels) with frame-level 0/1 labels.
     """
     if not 0 <= rate < 1:
         raise ValueError(f"rate must lie in [0, 1), got {rate}")
-    arr = base.samples if isinstance(base, SampleSet) else np.asarray(base, dtype=float)
+    arr = np.asarray(base, dtype=float)
     n, d = arr.shape
     series = arr.copy()
     labels = np.zeros(n, dtype=int)

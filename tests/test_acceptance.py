@@ -299,7 +299,7 @@ def _write_stream(path, magnitude, seed, p=10, n_train=200, n_test=3000):
     )
     values = np.vstack([frames[:n_train], shifted])
     labels = np.concatenate([np.zeros(n_train, dtype=int), labels])
-    write_frame_csv(path, FrameSeries.from_arrays(values, labels=labels))
+    write_frame_csv(path, FrameSeries(values, labels))
 
 
 def _run_anomaly_cli(tmp_path, tag, stream, T, estimators):

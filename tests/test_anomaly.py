@@ -26,7 +26,7 @@ from kroncov.synth import ar1_frame_stream, inject_anomalies
 
 
 def series_from(values, labels=None):
-    return FrameSeries.from_arrays(np.asarray(values, dtype=float), labels=labels)
+    return FrameSeries(np.asarray(values, dtype=float), labels)
 
 
 def windows_by_loop(series, T, stride):

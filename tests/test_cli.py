@@ -391,7 +391,7 @@ def make_stream_csv(path, seed=3, n_train=120, n_test=800, p=4, magnitude=6.0):
     )
     values = np.vstack([frames[:n_train], shifted])
     labels = np.concatenate([np.zeros(n_train, dtype=int), labels])
-    write_frame_csv(path, FrameSeries.from_arrays(values, labels=labels))
+    write_frame_csv(path, FrameSeries(values, labels))
     return n_train
 
 
@@ -512,7 +512,7 @@ class TestAnomalyCommand:
     def test_unlabeled_stream_is_config_error(self, tmp_path):
         csv = tmp_path / "plain.csv"
         rng = np.random.default_rng(0)
-        write_frame_csv(csv, FrameSeries.from_arrays(rng.standard_normal((50, 3))))
+        write_frame_csv(csv, FrameSeries(rng.standard_normal((50, 3))))
         cfg = {"input": str(csv), "T": 5, "train_range": [0, 20],
                "estimators": [{"name": "scm"}]}
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
@@ -564,7 +564,7 @@ class TestAnomalyCommand:
         rng = np.random.default_rng(0)
         labels = np.r_[np.zeros(100, dtype=int), np.full(200, later_label)]
         csv = tmp_path / "stream.csv"
-        write_frame_csv(csv, FrameSeries.from_arrays(rng.standard_normal((300, 3)), labels))
+        write_frame_csv(csv, FrameSeries(rng.standard_normal((300, 3)), labels))
         cfg = {"input": str(csv), "T": 5, "train_range": train_range,
                "estimators": [{"name": "scm-lw"}, {"name": "dc-kronpca-lw"}]}
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2
@@ -617,7 +617,7 @@ class TestAnomalyCommand:
         values = np.vstack([train, rng.standard_normal((60, 3))])
         labels = np.r_[np.zeros(70, dtype=int), np.ones(10, dtype=int), np.zeros(20, dtype=int)]
         csv = tmp_path / "stream.csv"
-        write_frame_csv(csv, FrameSeries.from_arrays(values, labels))
+        write_frame_csv(csv, FrameSeries(values, labels))
         cfg = {"input": str(csv), "T": 2, "train_range": [0, 40],
                "estimators": [{"name": "scm-lw"}, {"name": "chen-tyler", "config": {"rho": 0.1}}]}
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 2

@@ -1089,37 +1089,49 @@ def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+FEWER_THAN_PT = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 8, 53)  # n = 8 < pT = 12
+
+
 class TestTylerLoopMatchesTheReference:
     @pytest.fixture(params=[51, 52])
     def samples(self, request):
         return sample_student_t(ar1_kron_truth(3, 3, 0.5, 0.95), 3.0, 45, request.param)
 
-    def test_chen_tyler(self, samples):
-        cfg = EstimatorConfig()
-        cov, info = chen_tyler(samples, 0.1, cfg, full_output=True)
-        sigma, iterations = reference_chen_tyler(samples, 0.1, cfg)
-        assert rel_diff(cov.entries, sigma) <= 1e-12
-        assert info["iterations"] == iterations
-
-    def test_robust_kronpca(self, samples):
-        cfg = EstimatorConfig()
-        cov, info = robust_kronpca(samples, 0.1, cfg, full_output=True)
-        sigma, outer, inner = reference_robust_kronpca(samples, 0.1, cfg)
-        assert rel_diff(cov.entries, sigma) <= 1e-12
-        assert (info["iterations"], info["inner_iterations"]) == (outer, inner)
-
-    @pytest.mark.parametrize("rho", [0.01, 1.0])
-    def test_fewer_samples_than_pt(self, rho):
-        samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 8, 53)  # n = 8 < pT = 12
-        cfg = EstimatorConfig()
+    @staticmethod
+    def assert_chen_tyler_matches(samples, rho, cfg):
         cov, info = chen_tyler(samples, rho, cfg, full_output=True)
         sigma, iterations = reference_chen_tyler(samples, rho, cfg)
         assert rel_diff(cov.entries, sigma) <= 1e-12
         assert info["iterations"] == iterations
+
+    @staticmethod
+    def assert_robust_kronpca_matches(samples, rho, cfg):
         cov, info = robust_kronpca(samples, rho, cfg, full_output=True)
         sigma, outer, inner = reference_robust_kronpca(samples, rho, cfg)
         assert rel_diff(cov.entries, sigma) <= 1e-12
         assert (info["iterations"], info["inner_iterations"]) == (outer, inner)
+
+    def test_chen_tyler(self, samples):
+        self.assert_chen_tyler_matches(samples, 0.1, EstimatorConfig())
+
+    def test_robust_kronpca(self, samples):
+        self.assert_robust_kronpca_matches(samples, 0.1, EstimatorConfig())
+
+    @pytest.mark.parametrize("rho", [0.01, 1.0])
+    def test_fewer_samples_than_pt(self, rho):
+        self.assert_chen_tyler_matches(FEWER_THAN_PT, rho, EstimatorConfig())
+        self.assert_robust_kronpca_matches(FEWER_THAN_PT, rho, EstimatorConfig())
+
+    # the tests above run at the default tol 1e-6; an expanded |new|^2 - 2 <new, old> + |old|^2
+    # cannot see a change below about 1e-8, so these tols stop only on an exact change
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-12])
+    def test_tols_below_what_an_expanded_change_resolves(self, samples, tol):
+        cfg = EstimatorConfig(tol=tol)
+        self.assert_chen_tyler_matches(samples, 0.1, cfg)
+        self.assert_robust_kronpca_matches(samples, 0.1, cfg)
+        for rho in (0.01, 1.0):
+            self.assert_chen_tyler_matches(FEWER_THAN_PT, rho, cfg)
+            self.assert_robust_kronpca_matches(FEWER_THAN_PT, rho, cfg)
 
     @pytest.mark.parametrize("fitter, reference", [
         (chen_tyler, reference_chen_tyler), (robust_kronpca, reference_robust_kronpca)

@@ -597,6 +597,39 @@ class TestKronCovariance:
             cov.inverse_quad_forms(np.ones((2, 6)))
 
 
+class TestRelativeChange:
+    """|new - old| / |old| as the Tyler loops stop on it, down to changes far
+    below the 1e-8 that an expansion of |new - old|^2 can see."""
+
+    @staticmethod
+    def pair(eps, seed=3):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(5, 4)
+        a, b, d = spd_factor(rng, 4), spd_factor(rng, 5), rng.uniform(0.05, 0.5, 5)
+        new_a, new_b = a + eps * random_symmetric(rng, 4), b + eps * random_symmetric(rng, 5)
+        old = KronCovariance(dims, [(a, b)], d)
+        new = KronCovariance(dims, [(new_a, new_b)], d)
+        change = np.kron(new_a, new_b - b) + np.kron(new_a - a, b)
+        return new, old, np.linalg.norm(change) / np.linalg.norm(old.entries)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_one_term_change_is_exact(self, eps):
+        new, old, expected = self.pair(eps)
+        assert abs(new.relative_change(old) - expected) <= 1e-10 * expected
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_against_a_dense_old_by_expansion(self, eps):
+        new, old, expected = self.pair(eps)
+        dense_old = DenseCovariance(old.dims, old.entries)
+        assert abs(new.relative_change(dense_old) - expected) <= 1e-6 * expected
+
+    def test_dense_change_is_the_dense_norm_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        old, new = make_cov(rng, 3, 2), make_cov(rng, 3, 2)
+        assert new.relative_change(old) == (np.linalg.norm(new.entries - old.entries)
+                                            / np.linalg.norm(old.entries))
+
+
 def gram_rows(rng, n, dims):
     """n centered rows, the sample set's own form of its covariance."""
     x = rng.standard_normal((n, dims.pt)) * rng.uniform(0.2, 3.0, dims.pt)

@@ -528,17 +528,17 @@ def _normalized_directions(samples: SampleSet) -> np.ndarray:
 
 
 def _tyler_iterations(s: np.ndarray, sigma, rho: float, cfg: EstimatorConfig, project):
-    """Shrunk Tyler steps (Chen, Wiesel & Hero, 2011) from the covariance form sigma:
-    the DenseCovariance A = (d/n) sum_i s_i s_i^T / q_i over the unit rows s_i of s,
-    q_i = s_i^T Sigma^{-1} s_i from the form's own solve, its target P = project(A),
+    """Shrunk Tyler steps (Chen, Wiesel & Hero, 2011) from the covariance form sigma: the rows
+    form A = GramCovariance(s_i / sqrt(q_i), 0, d) = (d/n) sum_i s_i s_i^T / q_i over the unit
+    rows s_i of s, q_i = s_i^T Sigma^{-1} s_i from the form's own solve, its target P = project(A),
     then Sigma = (1 - rho) (d / tr P) P + rho I, until Sigma.relative_change(old Sigma)
     falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
-    n, d = s.shape
+    d = s.shape[1]
     for steps in range(1, cfg.max_iter + 1):
         q, _ = sigma.inverse_quad_forms(s)
         if not np.all(q > 0):
             raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
-        average = DenseCovariance.adopt(sigma.dims, _sym((d / n) * (s.T @ (s / q[:, None]))))
+        average = GramCovariance.adopt(sigma.dims, s / np.sqrt(q)[:, None], 0.0, d)
         target = project(average)
         sigma, old = target.affine((1.0 - rho) * (d / target.trace()), rho), sigma
         if sigma.relative_change(old) < cfg.tol:
@@ -556,8 +556,8 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
         A     = (d/n) sum_i s_i s_i^T / (s_i^T Sigma^{-1} s_i)
         Sigma = (1 - rho) * (d / trace(A)) * A + rho * I
 
-    until the relative Frobenius change falls below cfg.tol (:func:`_tyler_iterations`
-    with P = A).  Every iterate has trace d and minimum eigenvalue at least rho.
+    until the relative Frobenius change falls below cfg.tol (:func:`_tyler_iterations` with
+    P = A.to_dense()).  Every iterate has trace d and minimum eigenvalue at least rho.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
@@ -565,7 +565,7 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     if not 0.0 < r <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {r}")
     start = DenseCovariance.adopt(samples.dims, np.eye(samples.dims.pt))
-    cov, _, iterations, converged = _tyler_iterations(s, start, r, cfg, lambda average: average)
+    cov, _, iterations, converged = _tyler_iterations(s, start, r, cfg, GramCovariance.to_dense)
     if not converged:
         warnings.warn(f"chen_tyler did not converge in {cfg.max_iter} iterations")
     if full_output:
@@ -627,28 +627,26 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
 
     The inner loop is :func:`_tyler_iterations` with P = T (x) flipflop_S(Tyler
     average, T), so each iterate is the factor form (1 - rho) (pT / tr P) P + rho I:
-    trace pT, minimum eigenvalue >= rho, solved by its blocks, its change exact
-    (KronCovariance.relative_change).  The last is the estimate.
+    trace pT, minimum eigenvalue >= rho, solved by its blocks, its change exact; A is read through its
+    rows, and kronpca_T makes the last A dense once per outer step.  The last iterate is the estimate.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
     s = _normalized_directions(samples)
-
-    def project(average):  # with t_hat, the temporal factor of the current outer step
-        return KronCovariance(samples.dims, [(t_hat, flipflop_S(average, t_hat))], 0.0)
-
     sigma_hat, start_info = chen_tyler(samples, r, cfg, full_output=True)
-    sigma_tilde = sigma_hat
+    average = sigma_hat
     t_prev = None
     converged = False
     inner_total = 0
     for outer in range(1, cfg.max_iter + 1):
-        t_hat = kronpca_T(sigma_tilde)
+        t_hat = kronpca_T(average)
         if t_prev is not None and np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev) < cfg.tol:
             converged = True
             break
         t_prev = t_hat
-        sigma_hat, sigma_tilde, steps, _ = _tyler_iterations(s, sigma_hat, r, cfg, project)
+        sigma_hat, average, steps, _ = _tyler_iterations(
+            s, sigma_hat, r, cfg,
+            lambda rows: KronCovariance(samples.dims, [(t_hat, flipflop_S(rows, t_hat))], 0.0))
         inner_total += steps
     if not converged:
         warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")

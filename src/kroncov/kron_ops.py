@@ -433,16 +433,16 @@ class KronCovariance:
 
 @dataclass(frozen=True, eq=False)
 class GramCovariance:
-    """a I + b X^T X / n, carried as the n < pT rows of X (n x pT): a scaled
-    identity plus b times the sample covariance of the rows.
+    """a I + b X^T X / n, carried as the n rows of X (n x pT), any n >= 1: a
+    scaled identity plus b times the scatter of the rows.
 
-    :meth:`SampleSet.covariance` is the form with a = 0, b = 1 (it returns
-    a DenseCovariance from pT rows on); :meth:`affine` maps it to
+    :meth:`SampleSet.covariance` is the form with a = 0, b = 1, and each Tyler
+    average the form with a = 0, b = pT; :meth:`affine` maps it to
     (scale a + shift, scale b) over the same X, G and eigh of G.  b weighs
     X^T X / n, not X^T X, so `entries` computes x^T x and divides it by n
     exactly as the plain sample covariance does.  Every reduction comes
-    from the n x n Gram G = X X^T and one eigh of it (Woodbury for the
-    solve); the dense entries are assembled on first read and kept (unlocked).
+    from the rows or the n x n Gram G = X X^T and one eigh of it (Woodbury
+    for the solve); the dense entries are assembled on first read and kept (unlocked).
     """
 
     dims: SpaceTimeDims
@@ -455,10 +455,17 @@ class GramCovariance:
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.dims.pt:
             raise ValueError(f"rows of shape {x.shape} do not match dims "
                              f"(p={self.dims.p}, T={self.dims.T})")
-        if len(x) >= self.dims.pt:
-            raise ValueError(f"needs fewer rows than pT={self.dims.pt}, got n={len(x)}")
-        a, b = self._weights(self.a, self.b)
-        self.__dict__.update(x=x, a=a, b=b, _shared={})
+        self.__dict__.update(GramCovariance.adopt(self.dims, x, self.a, self.b).__dict__)
+
+    @classmethod
+    def adopt(cls, dims: SpaceTimeDims, x: np.ndarray, a=0.0, b=1.0, shared=None) -> "GramCovariance":
+        """Wrap fresh float rows without the constructor's copy and shape check, as _Payload.adopt
+        does: x becomes read-only; `shared` keeps the rows' products.  Checks a, b as affine does."""
+        a, b = cls._weights(a, b)
+        x.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__.update(dims=dims, x=x, a=a, b=b, _shared={} if shared is None else shared)
+        return out
 
     @staticmethod
     def _weights(a, b) -> tuple[float, float]:
@@ -471,10 +478,8 @@ class GramCovariance:
         """scale sigma + shift I = (scale a + shift) I + scale b X^T X / n over
         the same rows, sharing their kept products; ValueError unless the new
         a is finite and the new b finite and >= 0."""
-        a, b = self._weights(scale * self.a + shift, scale * self.b)
-        out = object.__new__(GramCovariance)
-        out.__dict__.update(dims=self.dims, x=self.x, a=a, b=b, _shared=self._shared)
-        return out
+        return GramCovariance.adopt(self.dims, self.x, scale * self.a + shift, scale * self.b,
+                                    self._shared)
 
     @property
     def _beta(self) -> float:
@@ -503,6 +508,10 @@ class GramCovariance:
             return out
         return _kept(self.__dict__, "_entries", compute)
 
+    def to_dense(self) -> DenseCovariance:
+        """The kept `entries` as a DenseCovariance (with its own Cholesky), made on first use and kept."""
+        return _kept(self.__dict__, "_dense", lambda: DenseCovariance.adopt(self.dims, self.entries))
+
     def trace(self) -> float:
         return float(self.dims.pt * self.a + self._beta * np.trace(self._gram()))
 
@@ -525,14 +534,16 @@ class GramCovariance:
         return float(self.a * np.vdot(y, y) + self._beta * np.vdot(xy, xy))
 
     def eigvalsh(self) -> np.ndarray:
-        """All pT eigenvalues in ascending order: pT - n copies of a, then
-        a + beta lam (ascending, as beta >= 0 and lam >= 0)."""
+        """All pT eigenvalues in ascending order: max(pT - n, 0) copies of a, then a + beta lam
+        over the top min(n, pT) eigenvalues lam of G (ascending, as beta >= 0 and lam >= 0)."""
         n, d = len(self.x), self.dims.pt
-        return np.concatenate([np.full(d - n, self.a), self.a + self._beta * self._gram_eigh()[0]])
+        lam = self._gram_eigh()[0][max(n - d, 0):]
+        return np.concatenate([np.full(max(d - n, 0), self.a), self.a + self._beta * lam])
 
     def inverse_quad_forms(self, y: np.ndarray):
         """(q, log det sigma) with q_k = y_k^T sigma^{-1} y_k for each row y_k
-        of y (m x pT).  LinAlgError unless sigma is positive definite.
+        of y (m x pT).  LinAlgError unless a > 0, which below pT rows is positive
+        definiteness; from pT rows on, :meth:`to_dense` solves an a = 0 form.
 
         By Woodbury (Hager, 1989) on G = V diag(lam) V^T: with
         W = diag((lam + a/beta)^(-1/2)) V^T X, q = (|y|^2 - |W y|^2) / a and
@@ -540,8 +551,8 @@ class GramCovariance:
         scored GRAM_SCORE_CHUNK rows at once.
         """
         n, d, a, beta = len(self.x), self.dims.pt, self.a, self._beta
-        if not a > 0:  # a has multiplicity pT - n >= 1, and a > 0 makes every lam + a/beta > 0
-            raise np.linalg.LinAlgError("covariance is not positive definite")
+        if not a > 0:  # a > 0 makes every lam + a/beta > 0; below pT rows a is an eigenvalue
+            raise np.linalg.LinAlgError("the rows solve needs a > 0; to_dense() solves an a = 0 form")
         sq = np.einsum("ij,ij->i", y, y)
         if beta == 0.0:
             return sq / a, float(d * np.log(a))

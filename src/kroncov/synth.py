@@ -42,9 +42,9 @@ class SampleSet:
     def covariance(self) -> DenseCovariance | GramCovariance:
         """Mean-centered sample covariance with 1/n normalization, made on
         first use and kept (unlocked: racing callers all get the first one
-        stored).  Below pT samples it is carried as the centered rows
-        (:class:`GramCovariance` with a = 0, b = 1); from pT samples on it
-        is the dense x^T x, divided by n in place.
+        stored).  It is the centered rows (:class:`GramCovariance` with a = 0,
+        b = 1), and from pT samples on their dense :meth:`~GramCovariance.to_dense`,
+        whose entries are x^T x divided by n in place.
 
         A single sample centers to zero and yields the zero matrix (with a
         warning) so degenerate pipelines fail loudly downstream rather than
@@ -61,11 +61,8 @@ class SampleSet:
             warnings.warn("sample covariance of a single sample is the zero matrix")
         if not np.isfinite(np.einsum("ij,ij->j", x, x)).all():
             raise ValueError("covariance entries must be finite (found NaN or inf)")
-        if self.n < self.dims.pt:
-            return GramCovariance(self.dims, x)
-        entries = x.T @ x  # a symmetric rank-k update: exactly symmetric
-        entries /= self.n
-        return DenseCovariance.adopt(self.dims, entries)
+        rows = GramCovariance.adopt(self.dims, x)
+        return rows if self.n < self.dims.pt else rows.to_dense()
 
 
 @dataclass(frozen=True)

@@ -993,6 +993,15 @@ class TestRobustKronpca:
         assert info["inner_iterations"] > 1
         assert factored.count((12, 12)) == start["iterations"] + 1
 
+    def test_inner_steps_make_no_dense_matrix(self, monkeypatch):
+        # the chen_tyler start wraps its identity start, and each step's average and iterate;
+        # the inner steps read each Tyler average through its rows, whatever their number
+        samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4)
+        _, start = chen_tyler(samples, 0.1, full_output=True)
+        wraps, (_, info) = count_dense_wraps(monkeypatch, robust_kronpca, samples, 0.1, full_output=True)
+        assert info["inner_iterations"] > 1
+        assert wraps == 1 + 2 * start["iterations"]
+
     def test_a_start_stopped_at_max_iter_is_not_converged(self):
         # the README quickstart: the chen_tyler start needs more than 500 steps
         samples = sample_gaussian(ar1_kron_truth(p=20, T=5), n=10, seed=0)
@@ -1011,6 +1020,20 @@ class TestRobustKronpca:
         np.testing.assert_array_equal(cov.d, np.full(3, info["rho"]))
         np.testing.assert_allclose(tm, toeplitz(tm[:, 0]), rtol=0, atol=1e-12 * np.abs(tm).max())
         assert cov.trace() == pytest.approx(12.0, rel=1e-12)
+
+
+def count_dense_wraps(monkeypatch, fit, *args, **kwargs):
+    """(the DenseCovariance.adopt calls that fit(*args, **kwargs) makes, its result)."""
+    wraps = []
+    real = DenseCovariance.adopt.__func__
+
+    def counted(cls, *a, **kw):
+        wraps.append(cls)
+        return real(cls, *a, **kw)
+    with monkeypatch.context() as patch:
+        patch.setattr(DenseCovariance, "adopt", classmethod(counted))
+        out = fit(*args, **kwargs)
+    return len(wraps), out
 
 
 # the Tyler loops as first written: cho_factor/cho_solve quadratic forms, a
@@ -1090,6 +1113,7 @@ def rel_diff(a, b):
 
 
 FEWER_THAN_PT = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 8, 53)  # n = 8 < pT = 12
+AS_MANY_AS_PT = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 12, 54)  # n = pT = 12
 
 
 class TestTylerLoopMatchesTheReference:
@@ -1121,6 +1145,16 @@ class TestTylerLoopMatchesTheReference:
     def test_fewer_samples_than_pt(self, rho):
         self.assert_chen_tyler_matches(FEWER_THAN_PT, rho, EstimatorConfig())
         self.assert_robust_kronpca_matches(FEWER_THAN_PT, rho, EstimatorConfig())
+
+    @pytest.mark.parametrize("rho", [0.01, 1.0])
+    def test_as_many_samples_as_pt(self, rho, monkeypatch):
+        # the Tyler averages keep their rows form at n = pT too: no inner step makes a dense matrix
+        self.assert_chen_tyler_matches(AS_MANY_AS_PT, rho, EstimatorConfig())
+        self.assert_robust_kronpca_matches(AS_MANY_AS_PT, rho, EstimatorConfig())
+        _, start = chen_tyler(AS_MANY_AS_PT, rho, full_output=True)
+        wraps, (_, info) = count_dense_wraps(monkeypatch, robust_kronpca, AS_MANY_AS_PT, rho,
+                                             full_output=True)
+        assert info["inner_iterations"] >= 1 and wraps == 1 + 2 * start["iterations"]
 
     # the tests above run at the default tol 1e-6; an expanded |new|^2 - 2 <new, old> + |old|^2
     # cannot see a change below about 1e-8, so these tols stop only on an exact change

@@ -648,6 +648,9 @@ class TestCovarianceContract:
         elif form == "kron":
             base = KronCovariance(dims, [(spd_factor(rng, dims.T), spd_factor(rng, dims.p))],
                                   rng.uniform(0.0, 1.0, dims.p))
+        elif form == "rows":  # built directly, at any n: a Tyler average's form, a = 0 or not
+            a = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+            base = GramCovariance(dims, rng.standard_normal((n, dims.pt)), a, rng.uniform(0.0, 3.0))
         else:  # the set's own choice: a GramCovariance below pT rows, dense from pT on
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "sample covariance of a single sample")
@@ -656,7 +659,7 @@ class TestCovarianceContract:
         return shrink(base, rho)
 
     @settings(max_examples=300, deadline=None)
-    @given(form=st.sampled_from(["dense", "kron", "gram"]), p=st.integers(1, 6),
+    @given(form=st.sampled_from(["dense", "kron", "gram", "rows"]), p=st.integers(1, 6),
            T=st.integers(1, 6), rows=st.sampled_from(["below", "equal", "above"]),
            rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_reductions_match_the_own_entries(self, form, p, T, rows, rho, seed):
@@ -684,18 +687,20 @@ class TestCovarianceContract:
             tol * scale * np.sum(y ** 2))
         assert_close(cov.eigvalsh(), lam, rtol=tol)
 
-        if lam[0] > 1e-4 * lam[-1]:
+        if isinstance(cov, GramCovariance) and cov.a == 0.0:  # at any n, even a positive definite one
+            with pytest.raises(np.linalg.LinAlgError, match="needs a > 0"):
+                cov.inverse_quad_forms(y)
+        # a Gram form's Woodbury solve is conditioned by lam_max / a: below pT rows a = lam_min,
+        # from pT rows on a may lie below lam_min
+        elif (cov.a if isinstance(cov, GramCovariance) else lam[0]) > 1e-4 * lam[-1]:
             q, logdet = cov.inverse_quad_forms(y)
             q_ref, logdet_ref = DenseCovariance.adopt(dims, ref).inverse_quad_forms(y)
             np.testing.assert_allclose(q, q_ref, rtol=tol, atol=0)
             assert abs(logdet - logdet_ref) <= tol * max(1.0, abs(logdet_ref))
-        elif form == "gram" and n < dims.pt and cov.a == 0.0:
-            with pytest.raises(np.linalg.LinAlgError):
-                cov.inverse_quad_forms(y)
 
 
     @settings(max_examples=150, deadline=None)
-    @given(form=st.sampled_from(["dense", "kron", "gram"]), p=st.integers(1, 6),
+    @given(form=st.sampled_from(["dense", "kron", "gram", "rows"]), p=st.integers(1, 6),
            T=st.integers(1, 6), scale=st.floats(0.0, 3.0), shift=st.floats(-2.0, 2.0),
            seed=st.integers(0, 2**32 - 1))
     def test_affine_matches_the_own_entries(self, form, p, T, scale, shift, seed):
@@ -713,7 +718,7 @@ class TestCovarianceContract:
             assert out.x is cov.x and out._gram() is cov._gram()
 
     @settings(max_examples=150, deadline=None)
-    @given(partner=st.sampled_from(["dense", "kron", "gram"]), p=st.integers(1, 6),
+    @given(partner=st.sampled_from(["dense", "kron", "gram", "rows"]), p=st.integers(1, 6),
            T=st.integers(1, 6), rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_kron_inner_matches_the_dense_entries(self, partner, p, T, rho, seed):
         rng = np.random.default_rng(seed)
@@ -722,6 +727,39 @@ class TestCovarianceContract:
         other = self.make(partner, rng, dims, max(1, dims.pt // 2), rng.uniform())
         scale = np.linalg.norm(cov.entries) * np.linalg.norm(other.entries)
         assert abs(cov.inner(other) - np.vdot(cov.entries, other.entries)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [7, 12, 30], ids=["below", "equal", "above"])
+    def test_rows_form_is_dense_only_through_to_dense(self, n):
+        rng = np.random.default_rng(n)
+        dims = SpaceTimeDims(3, 4)  # pT = 12
+        cov = GramCovariance(dims, rng.standard_normal((n, dims.pt)), 0.0, 2.5)
+        dense = cov.to_dense()
+        assert type(dense) is DenseCovariance and cov.to_dense() is dense
+        assert dense.entries is cov.entries
+        y = rng.standard_normal((5, dims.pt))
+        with pytest.raises(np.linalg.LinAlgError, match=r"needs a > 0; to_dense\(\) solves"):
+            cov.inverse_quad_forms(y)
+        if n >= dims.pt:  # positive definite all the same: its dense form solves it
+            q, logdet = dense.inverse_quad_forms(y)
+            sign, logdet_ref = np.linalg.slogdet(cov.entries)
+            assert_close(q, np.einsum("ij,ji->i", y, np.linalg.solve(cov.entries, y.T)))
+            assert sign == 1.0 and logdet == pytest.approx(logdet_ref, rel=1e-10)
+        shifted = cov.affine(1.0, 0.5)  # a > 0: the rows solve, against the dense Cholesky
+        q, logdet = shifted.inverse_quad_forms(y)
+        q_ref, logdet_ref = shifted.to_dense().inverse_quad_forms(y)
+        assert_close(q, q_ref, rtol=1e-12)
+        assert logdet == pytest.approx(logdet_ref, rel=1e-12)
+
+    def test_adopt_keeps_the_rows_and_checks_the_weights(self):
+        rng = np.random.default_rng(18)
+        dims = SpaceTimeDims(3, 2)
+        x = rng.standard_normal((9, dims.pt))
+        cov = GramCovariance.adopt(dims, x, 0.5, 2.0)
+        assert cov.x is x and not x.flags.writeable
+        assert (cov.a, cov.b) == (0.5, 2.0)
+        np.testing.assert_array_equal(cov.entries, GramCovariance(dims, x, 0.5, 2.0).entries)
+        with pytest.raises(ValueError, match="need a finite a and a finite b >= 0"):
+            GramCovariance.adopt(dims, rng.standard_normal((9, dims.pt)), 0.0, -1.0)
 
 
 class TestGramCovariance:
@@ -835,11 +873,20 @@ class TestGramCovariance:
         (np.ones((0, 6)), 0.0, 1.0, "do not match dims"),
         (np.ones((2, 6)), np.nan, 1.0, "finite"),
         (np.ones((2, 6)), 1.0, -0.5, "b >= 0"),
-        (np.ones((6, 6)), 0.0, 1.0, "fewer rows than pT=6, got n=6"),
     ])
     def test_bad_arguments_rejected(self, rows, a, b, match):
         with pytest.raises(ValueError, match=match):
             GramCovariance(SpaceTimeDims(3, 2), rows, a, b)
+
+    @pytest.mark.parametrize("n", [6, 13])
+    def test_pt_rows_and_more_are_accepted(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 6))
+        cov = GramCovariance(SpaceTimeDims(3, 2), rows, 0.0, 1.0)
+        plain = rows.T @ rows
+        plain /= n
+        np.testing.assert_array_equal(cov.entries, plain)
+        assert cov.eigvalsh().shape == (6,)
 
 
 class TestInverseQuadForms:

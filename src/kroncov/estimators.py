@@ -38,6 +38,8 @@ AUTO = "auto"
 # grid and fold count of the cross-validated shrinkage used when rho="auto"
 CV_RHO_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 CV_FOLDS = 3
+# eigenvalues of the reduced completion's Gram at or below this fraction of its trace are rank-zero
+RANK_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -250,36 +252,40 @@ def svt(m: np.ndarray, tau: float, max_rank: int | None = None) -> np.ndarray:
 
 
 def _thresholded_svd(m: np.ndarray, tau: float, max_rank: int | None):
-    """SVD triples after soft thresholding and rank capping.
-
-    Returns (u, s, vt, nuclear) with numerically-zero components dropped.
-    The factorization runs on the short side: with a = m or m^T, whichever
-    has fewer rows, an eigh of the Gram matrix a a^T gives the left vectors
-    u_i of a, of which only the max_rank leading ones are lifted: sigma_i is
-    the Rayleigh-Ritz value ||a^T u_i||, the right vector a^T u_i / sigma_i.
-    Values are within about eps * sigma_1 of the exact ones, except that an
-    exact zero reads about eps * sigma_1^2 / sigma_min, sigma_min the
-    smallest nonzero value: when that is below about 1e-4 sigma_1, lifting
-    more vectors than the input's rank can keep such a spurious component
-    (with a non-orthogonal vector; the reconstruction stays accurate).
-    Every fit lifts at most cfg.r.
-    """
+    """SVD triples after soft thresholding and rank capping (:func:`_lifted_svd`),
+    on the short side: with a = m or m^T, whichever has fewer rows, of the Gram
+    a a^T lifted through a."""
     m = np.asarray(m, dtype=float)
     a = m if m.shape[0] <= m.shape[1] else m.T
-    _, left = np.linalg.eigh(a @ a.T)  # ascending: the leading vectors come last
+    u, s, vt, nuclear = _lifted_svd(a @ a.T, lambda left: left.T @ a, tau, max_rank)
+    return (u, s, vt, nuclear) if a is m else (vt.T, s, u.T, nuclear)
+
+
+def _lifted_svd(gram: np.ndarray, lift, tau: float, max_rank: int | None):
+    """SVD triples of a matrix a after soft thresholding and rank capping, from
+    its Gram a a^T and lift(left) = left^T a.
+
+    Returns (u, s, vt, nuclear) with numerically-zero components dropped.
+    An eigh of the Gram gives the left vectors u_i of a, of which only the
+    max_rank leading ones are lifted: sigma_i is the Rayleigh-Ritz value
+    ||a^T u_i||, the right vector a^T u_i / sigma_i.  Values are within about
+    eps * sigma_1 of the exact ones, except that an exact zero reads about
+    eps * sigma_1^2 / sigma_min, sigma_min the smallest nonzero value: when
+    that is below about 1e-4 sigma_1, lifting more vectors than the input's
+    rank can keep such a spurious component (with a non-orthogonal vector;
+    the reconstruction stays accurate).  Every fit lifts at most cfg.r.
+    """
+    _, left = np.linalg.eigh(gram)  # ascending: the leading vectors come last
     if max_rank is not None:
         left = left[:, max(left.shape[1] - max_rank, 0):]
-    w = left.T @ a
+    w = lift(left)
     s = np.linalg.norm(w, axis=1)
     order = np.argsort(-s, kind="stable")
     s_thr = np.maximum(s[order] - tau, 0.0)
     top = s_thr[0] if s_thr.size else 0.0
     keep = s_thr > 1e-13 * max(top, 1e-300)
     rows = order[keep]
-    u, vt = left[:, rows], w[rows] / s[rows, None]
-    if a is not m:
-        u, vt = vt.T, u.T
-    return u, s_thr[keep], vt, float(s_thr.sum())
+    return left[:, rows], s_thr[keep], w[rows] / s[rows, None], float(s_thr.sum())
 
 
 def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConfig) -> SoftImputeResult:
@@ -359,70 +365,79 @@ def _extract_factors(u: np.ndarray, svals: np.ndarray, vt: np.ndarray,
     return factors
 
 
-def _rearranged(sigma: DenseCovariance | GramCovariance, toeplitz_rows: bool) -> np.ndarray:
-    """Rearranged covariance, compressed to its 2T-1 block diagonals when
-    toeplitz_rows is set."""
-    r = rearrange(sigma).entries
-    return compress_diagonals(r, sigma.dims.T) if toeplitz_rows else r
+def _rearranged_lift(sigma, toeplitz_rows: bool):
+    """lift(left) = left^T B for B the (compressed) rearranged matrix of sigma, one
+    spatial_contract per column u of left: B^T u is the column-major vec of sum_ij U_ij
+    block(i, j), U the T x T grid of u (spread from its diagonals first when compressed,
+    as C^T is expand_diagonals for the compression C)."""
+    p, T = sigma.dims.p, sigma.dims.T
+
+    def lift(left):
+        grids = expand_diagonals(left, T) if toeplitz_rows else left
+        lifted = [sigma.spatial_contract(g.reshape(T, T, order="F")).ravel(order="F") for g in grids.T]
+        return np.array(lifted).reshape(len(lifted), p * p)
+    return lift
 
 
-def kronpca(sigma: DenseCovariance | GramCovariance, cfg: EstimatorConfig) -> KronModel:
-    """Low-rank Kronecker fit of a covariance by direct SVD.
+def kronpca(sigma, cfg: EstimatorConfig) -> KronModel:
+    """Low-rank Kronecker fit of a covariance by direct SVD (Tsiligkaridis & Hero) of its
+    rearranged matrix B, read through the form: the left vectors from one eigh of
+    rearranged_gram, the right ones lifted by spatial_contract (:func:`_rearranged_lift`).
 
     With the toeplitz flag the thresholding happens in the compressed
     diagonal space, which makes every temporal factor exactly Toeplitz.
     No diagonal correction: u = 0.  With s_i = sigma_i - beta/2 the kept
-    values of the fitted matrix base, the objective ||base - fit||_F^2 +
-    beta ||fit||_* reduces to ||base||_F^2 - sum_i s_i^2.
+    values of B, the objective ||B - fit||_F^2 + beta ||fit||_* reduces to
+    tr(B B^T) - sum_i s_i^2.
     """
     if cfg.diag_correct:
         raise ValueError("kronpca does not fit a diagonal correction; use dc_kronpca")
     dims = sigma.dims
-    base = _rearranged(sigma, cfg.toeplitz)
-    u, s, vt, _ = _thresholded_svd(base, cfg.beta / 2.0, cfg.r)
+    gram = sigma.rearranged_gram(cfg.toeplitz)
+    u, s, vt, _ = _lifted_svd(gram, _rearranged_lift(sigma, cfg.toeplitz), cfg.beta / 2.0, cfg.r)
     return KronModel(
         dims=dims,
         factors=_extract_factors(u, s, vt, dims, cfg.toeplitz),
         u=np.zeros(dims.p),
-        objective_trace=[max(float(np.vdot(base, base) - s @ s), 0.0)],
+        objective_trace=[max(float(np.trace(gram) - s @ s), 0.0)],
         config=cfg,
     )
 
 
-def _reduced_completion(b: np.ndarray, rows, cols, cfg: EstimatorConfig):
-    """soft_impute of b with the entries b[rows][:, cols] hidden, run on a
-    matrix with the same Gram.
+def _reduced_completion(gram: np.ndarray, b_j: np.ndarray, rows, cols, lift, cfg: EstimatorConfig):
+    """soft_impute of B with the entries B[rows][:, cols] hidden, run on a matrix with the
+    same Gram, from B's Gram and its hidden columns b_J = B[:, cols] alone.
 
-    The columns of b that hold no hidden entry (b_rest) enter every
-    iteration only through b_rest b_rest^T, so they are replaced by the
-    lower-trapezoidal K = R^T of an economic QR b_rest^T = Q R, which has
-    min(row count, rest columns) columns and K K^T = b_rest b_rest^T.  As
-    b = [K | b_J] blockdiag(Q^T, I) up to a column order, with Q
-    orthonormal, every iteration on [K | b_J] has in exact arithmetic the
-    same singular values, left vectors, hidden entries, objective and
-    relative change as on b, hence the same iteration count.  The right
-    vectors are lifted once at the end: on the hidden columns J they are
-    the reduced ones, on the rest u^T b_rest / (s + beta/2), the raw
-    singular values of the last iterate (its rest columns are b_rest).
+    The columns of B that hold no hidden entry (b_rest) enter every iteration
+    only through b_rest b_rest^T = gram - b_J b_J^T, which is PSD, so they are
+    replaced by K, its symmetric root.  Its eigenvalues at or below RANK_FLOOR
+    tr(gram) are clipped to 0: the subtraction leaves a few eps tr(gram) of
+    rounding where b_rest has no rank (no rest columns at p = 1, or few
+    samples), which a root would lift to about 1e-8 |B|.  As
+    K K^T = b_rest b_rest^T, every iteration on [K | b_J] has in exact
+    arithmetic the same singular values, left vectors, hidden entries,
+    objective and relative change as on B, hence the same iteration count.
+    The right vectors are lifted once at the end: lift(u) / (s + beta/2)
+    (the raw singular values of the last iterate, whose observed columns
+    are B's), with the reduced ones on the hidden columns.
 
     Returns (the reduced run's SoftImputeResult, (u, s, vt) of the full width).
     """
-    rest = np.setdiff1d(np.arange(b.shape[1]), cols)
-    b_rest = b[:, rest]
-    k_factor = np.linalg.qr(b_rest.T, mode="r").T
-    width = k_factor.shape[1]
-    mask = np.ones((b.shape[0], width + len(cols)))
+    lam, vecs = np.linalg.eigh(gram - b_j @ b_j.T)
+    lam[lam <= RANK_FLOOR * np.trace(gram)] = 0.0
+    root = (vecs * np.sqrt(lam)) @ vecs.T
+    width = root.shape[1]
+    mask = np.ones((len(root), width + len(cols)))
     mask[rows, width:] = 0.0
-    result = soft_impute(np.hstack([k_factor, b[:, cols]]), mask, cfg.beta, cfg)
+    result = soft_impute(np.hstack([root, b_j]), mask, cfg.beta, cfg)
     u, s, vt_reduced = result.triples
-    vt = np.empty((s.size, b.shape[1]))
+    vt = lift(u) / (s + cfg.beta / 2.0)[:, None]
     vt[:, cols] = vt_reduced[:, width:]
-    vt[:, rest] = (u.T @ b_rest) / (s + cfg.beta / 2.0)[:, None]
     return result, (u, s, vt)
 
 
-def dc_kronpca(sigma: DenseCovariance | GramCovariance, cfg: EstimatorConfig) -> KronModel:
-    """Diagonally corrected Kronecker fit.
+def dc_kronpca(sigma, cfg: EstimatorConfig) -> KronModel:
+    """Diagonally corrected Kronecker fit (Greenewald & Hero).
 
     The covariance diagonal, whose rearranged positions :func:`diag_mask`
     gives by index, is hidden from the rearranged data, the remaining
@@ -432,16 +447,19 @@ def dc_kronpca(sigma: DenseCovariance | GramCovariance, cfg: EstimatorConfig) ->
     or one compressed row holding their sum / sqrt(T)) and floored at zero,
     goes into the I (x) diag(u) term, so no pT x pT matrix is formed.
     The completion runs on a reduced matrix with the same Gram
-    (:func:`_reduced_completion`).
+    (:func:`_reduced_completion`), built from the form's rearranged_gram and
+    hidden_columns; the right vectors are lifted by spatial_contract, with
+    the completed values on the hidden diagonal.
     """
     if not cfg.diag_correct:
         raise ValueError("dc_kronpca requires diag_correct=True; use kronpca otherwise")
     dims = sigma.dims
     rows, cols = diag_mask(dims)
     hidden = [dims.T - 1] if cfg.toeplitz else rows
-    b = _rearranged(sigma, cfg.toeplitz)
-    result, triples = _reduced_completion(b, hidden, cols, cfg)
-    gap = b[np.ix_(hidden, cols)] - result.z[hidden, -len(cols):]
+    b_j = sigma.hidden_columns(cfg.toeplitz)
+    result, triples = _reduced_completion(sigma.rearranged_gram(cfg.toeplitz), b_j, hidden, cols,
+                                          _rearranged_lift(sigma, cfg.toeplitz), cfg)
+    gap = b_j[hidden] - result.z[hidden, -len(cols):]
     return KronModel(
         dims=dims,
         factors=_extract_factors(*triples, dims, cfg.toeplitz),
@@ -573,18 +591,20 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     return cov
 
 
-def kronpca_T(sigma: DenseCovariance | GramCovariance) -> np.ndarray:
+def kronpca_T(sigma) -> np.ndarray:
     """Leading Toeplitz temporal factor of a covariance, repaired to be
     positive definite and normalized to trace T.
 
     The factor is the temporal one (:func:`_extract_factors`) of the rank-1
-    fit of the compressed rearranged matrix, symmetrized, which keeps it
-    exactly Toeplitz.  An identity ridge, which keeps it Toeplitz too,
+    fit of the compressed rearranged matrix, read as :func:`kronpca` reads it
+    (one eigh of the form's rearranged_gram, lifted by spatial_contract),
+    symmetrized, which keeps it exactly Toeplitz.  An identity ridge, which keeps it Toeplitz too,
     lifts its smallest eigenvalue to 1e-8 of the largest where it lies
     below that.
     """
     T = sigma.dims.T
-    factors = _extract_factors(*_thresholded_svd(_rearranged(sigma, True), 0.0, 1)[:3], sigma.dims, True)
+    triples = _lifted_svd(sigma.rearranged_gram(True), _rearranged_lift(sigma, True), 0.0, 1)[:3]
+    factors = _extract_factors(*triples, sigma.dims, True)
     if not factors:
         raise ValueError("zero covariance has no temporal factor")
     tm = _sym(factors[0][1])
@@ -622,8 +642,8 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     scatter is projected onto temporal (x) spatial form via the
     closed-form spatial update.  The inner loop stops on the relative
     change of the shrunk estimate, the outer loop on the relative change
-    of the temporal factor; the reported `converged` holds when both the
-    start and the outer loop converged.
+    of the temporal factor; the reported `converged` holds when the start,
+    every inner loop and the outer loop converged.
 
     The inner loop is :func:`_tyler_iterations` with P = T (x) flipflop_S(Tyler
     average, T), so each iterate is the factor form (1 - rho) (pT / tr P) P + rho I:
@@ -637,6 +657,7 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     average = sigma_hat
     t_prev = None
     converged = False
+    inner_converged = True
     inner_total = 0
     for outer in range(1, cfg.max_iter + 1):
         t_hat = kronpca_T(average)
@@ -644,15 +665,17 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
             converged = True
             break
         t_prev = t_hat
-        sigma_hat, average, steps, _ = _tyler_iterations(
+        sigma_hat, average, steps, inner_ok = _tyler_iterations(
             s, sigma_hat, r, cfg,
             lambda rows: KronCovariance(samples.dims, [(t_hat, flipflop_S(rows, t_hat))], 0.0))
         inner_total += steps
+        inner_converged = inner_converged and inner_ok
     if not converged:
         warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")
     if full_output:
         return sigma_hat, {"iterations": outer, "inner_iterations": inner_total,
-                           "converged": start_info["converged"] and converged, "rho": r}
+                           "converged": start_info["converged"] and converged and inner_converged,
+                           "rho": r}
     return sigma_hat
 
 
@@ -663,7 +686,8 @@ def kron_spectrum(sigma: DenseCovariance | GramCovariance, toeplitz_rows: bool =
     rearranged matrix and the eigenvalues of the covariance, each divided
     by the root of its summed squares and sorted nonincreasing.
     """
-    sv = np.linalg.svd(_rearranged(sigma, toeplitz_rows), compute_uv=False)
+    r = rearrange(sigma).entries
+    sv = np.linalg.svd(compress_diagonals(r, sigma.dims.T) if toeplitz_rows else r, compute_uv=False)
     ev = sigma.eigvalsh()[::-1]
 
     def _normalize(v):

@@ -155,6 +155,17 @@ class DenseCovariance(_Payload):
         """sum_k x_k^T sigma x_k over the rows x_k of x, as <sigma, X^T X>."""
         return float(np.vdot(self.entries, x.T @ x))
 
+    def rearranged_gram(self, toeplitz: bool) -> np.ndarray:
+        """B B^T for B the rearranged image of the entries (compressed when toeplitz)."""
+        return _dense_rearranged_gram(self, toeplitz)
+
+    def hidden_columns(self, toeplitz: bool) -> np.ndarray:
+        """The columns of B that hold the covariance diagonal (:func:`diag_mask`'s cols):
+        row j*T + i is the diagonal of block(i, j)."""
+        p, T = self.dims.p, self.dims.T
+        return _compressed(np.einsum("imjm->jim", self.entries.reshape(T, p, T, p)).reshape(T * T, p),
+                           T, toeplitz)
+
     def inverse_quad_forms(self, x: np.ndarray):
         """(q, log det sigma), q_k = x_k^T sigma^{-1} x_k = |L^{-1} x_k|^2 for the rows x_k of x, from one
         lower Cholesky sigma = L L^T, computed on first use and kept, and one triangular solve.
@@ -239,6 +250,16 @@ def expand_diagonals(compressed: np.ndarray, T: int) -> np.ndarray:
         raise ValueError(f"expected {2 * T - 1} rows, got {compressed.shape[0]}")
     rows = row_offsets(T) + T - 1
     return compressed[rows] / diagonal_weights(T)[rows][:, None]
+
+
+def _compressed(rows: np.ndarray, T: int, toeplitz: bool) -> np.ndarray:
+    return compress_diagonals(rows, T) if toeplitz else rows
+
+
+def _dense_rearranged_gram(sigma, toeplitz: bool) -> np.ndarray:
+    """B B^T for B = rearrange(sigma), compressed when toeplitz: O(T^4 p^2) over the entries."""
+    b = _compressed(rearrange(sigma).entries, sigma.dims.T, toeplitz)
+    return b @ b.T
 
 
 def toeplitz_project(r: RearrangedMatrix) -> ToeplitzCompressed:
@@ -339,12 +360,32 @@ class KronCovariance:
         for the I (x) diag(d) term."""
         return sum(np.vdot(tm, u) * sm for tm, sm in self.pairs) + np.trace(u) * np.diag(self.d)
 
+    def _terms(self) -> tuple:
+        """The pairs and the diagonal term's pair (I, diag(d))."""
+        return (*self.pairs, (np.eye(self.dims.T), np.diag(self.d)))
+
     def inner(self, other) -> float:
         """<sigma, other>_F over sigma's own terms A (x) B, the diagonal one
         being I (x) diag(d): <other, A (x) B> = <other.spatial_contract(A), B>
         (Van Loan & Pitsianis, 1993); other is any covariance form."""
-        terms = (*self.pairs, (np.eye(self.dims.T), np.diag(self.d)))
-        return float(sum(np.vdot(other.spatial_contract(tm), sm) for tm, sm in terms))
+        return float(sum(np.vdot(other.spatial_contract(tm), sm) for tm, sm in self._terms()))
+
+    def _rearranged_factors(self, toeplitz: bool):
+        """(A, terms): B = A C^T, column i of A the (compressed) vec of T_i and of C the vec of S_i."""
+        terms = self._terms()
+        temporal = np.stack([tm.ravel(order="F") for tm, _ in terms], axis=1)
+        return _compressed(temporal, self.dims.T, toeplitz), terms
+
+    def rearranged_gram(self, toeplitz: bool) -> np.ndarray:
+        """B B^T = A (C^T C) A^T from the factors (B = A C^T), O(r^2 (T^4 + p^2))."""
+        temporal, terms = self._rearranged_factors(toeplitz)
+        spatial = np.stack([sm.ravel(order="F") for _, sm in terms], axis=1)
+        return temporal @ (spatial.T @ spatial) @ temporal.T
+
+    def hidden_columns(self, toeplitz: bool) -> np.ndarray:
+        """The columns of B on the covariance diagonal: A times the diagonals of the S_i."""
+        temporal, terms = self._rearranged_factors(toeplitz)
+        return temporal @ np.array([np.diag(sm) for _, sm in terms])
 
     def frobenius_sq(self) -> float:
         return self.inner(self)
@@ -441,8 +482,9 @@ class GramCovariance:
     (scale a + shift, scale b) over the same X, G and eigh of G.  b weighs
     X^T X / n, not X^T X, so `entries` computes x^T x and divides it by n
     exactly as the plain sample covariance does.  Every reduction comes
-    from the rows or the n x n Gram G = X X^T and one eigh of it (Woodbury
-    for the solve); the dense entries are assembled on first read and kept (unlocked).
+    from the rows, the n x n Gram G = X X^T and one eigh of it (Woodbury
+    for the solve below pT rows), or the nT x nT frame Gram; the dense entries
+    are assembled on first read and kept (unlocked).
     """
 
     dims: SpaceTimeDims
@@ -533,6 +575,40 @@ class GramCovariance:
         xy = self._gram() if y.shape == self.x.shape and np.array_equal(y, self.x) else y @ self.x.T
         return float(self.a * np.vdot(y, y) + self._beta * np.vdot(xy, xy))
 
+    def rearranged_gram(self, toeplitz: bool) -> np.ndarray:
+        """B B^T for B the (compressed) rearranged image, with no pT x pT matrix where the rows are
+        cheaper.  Row j*T + i of B is beta sum_k x_kj (x) x_ki + a [i = j] vec(I), x_ki frame i of
+        row k, so from the nT x nT frame Gram G_kl[i, j] = <x_ki, x_lj>: B B^T = beta^2 sum_kl
+        G_kl (x) G_kl + a beta (v e^T + e v^T) + a^2 p e e^T, with e = vec(I_T) and v = vec(sum_k
+        G_kk), compressed on both sides when toeplitz.  That costs about n^2 T^2 (p + T^2) and
+        is kept (shared with every affine form); the kept entries cost n (pT)^2 + T^4 p^2, and the
+        cheaper of the two is taken."""
+        n, p, T = len(self.x), self.dims.p, self.dims.T
+        if n * n * T * T * (p + T * T) >= n * self.dims.pt ** 2 + T ** 4 * p * p:
+            return _dense_rearranged_gram(self, toeplitz)
+
+        def frame_terms():
+            frames = self.x.reshape(n * T, p)
+            g = (frames @ frames.T).reshape(n, T, n, T)
+            blocks = g.transpose(0, 2, 1, 3).reshape(n * n, T * T)  # row (k, l): vec of G_kl
+            kron_sum = (blocks.T @ blocks).reshape(T, T, T, T).transpose(0, 2, 1, 3).reshape(T * T, T * T)
+            return kron_sum, np.einsum("kikj->ij", g).ravel()
+        kron_sum, v = _kept(self._shared, "frame_terms", frame_terms)
+        e = np.eye(T).ravel()
+        beta, a = self._beta, self.a
+        out = beta * beta * kron_sum + a * beta * (np.outer(v, e) + np.outer(e, v)) + a * a * p * np.outer(e, e)
+        return _compressed(_compressed(out, T, toeplitz).T, T, toeplitz)
+
+    def hidden_columns(self, toeplitz: bool) -> np.ndarray:
+        """The columns of B on the covariance diagonal: row j*T + i is beta sum_k x_ki * x_kj
+        (elementwise) plus a where i = j, one batched product over the frames, O(n T^2 p)."""
+        p, T = self.dims.p, self.dims.T
+        frames = self.x.reshape(-1, T, p)
+        diagonals = np.matmul(frames.transpose(2, 1, 0), frames.transpose(2, 0, 1))  # [m, i, j]
+        out = self._beta * diagonals.transpose(2, 1, 0).reshape(T * T, p)
+        out[::T + 1] += self.a
+        return _compressed(out, T, toeplitz)
+
     def eigvalsh(self) -> np.ndarray:
         """All pT eigenvalues in ascending order: max(pT - n, 0) copies of a, then a + beta lam
         over the top min(n, pT) eigenvalues lam of G (ascending, as beta >= 0 and lam >= 0)."""
@@ -542,17 +618,21 @@ class GramCovariance:
 
     def inverse_quad_forms(self, y: np.ndarray):
         """(q, log det sigma) with q_k = y_k^T sigma^{-1} y_k for each row y_k
-        of y (m x pT).  LinAlgError unless a > 0, which below pT rows is positive
-        definiteness; from pT rows on, :meth:`to_dense` solves an a = 0 form.
+        of y (m x pT).  LinAlgError unless positive definite.
 
-        By Woodbury (Hager, 1989) on G = V diag(lam) V^T: with
+        Below pT rows, by Woodbury (Hager, 1989) on G = V diag(lam) V^T: with
         W = diag((lam + a/beta)^(-1/2)) V^T X, q = (|y|^2 - |W y|^2) / a and
         log det sigma = (pT - n) log a + n log beta + sum log(lam + a/beta),
-        scored GRAM_SCORE_CHUNK rows at once.
+        scored GRAM_SCORE_CHUNK rows at once; a is then an eigenvalue, so a > 0
+        is the whole test.  From pT rows on a may lie far below the smallest
+        eigenvalue, where Woodbury loses digits as (a + beta lam_max) / a, so
+        the kept :meth:`to_dense` solves by its Cholesky factor.
         """
         n, d, a, beta = len(self.x), self.dims.pt, self.a, self._beta
-        if not a > 0:  # a > 0 makes every lam + a/beta > 0; below pT rows a is an eigenvalue
-            raise np.linalg.LinAlgError("the rows solve needs a > 0; to_dense() solves an a = 0 form")
+        if n >= d:
+            return self.to_dense().inverse_quad_forms(y)
+        if not a > 0:  # a > 0 makes every lam + a/beta > 0
+            raise np.linalg.LinAlgError("the rows solve needs a > 0: below pT rows an a = 0 form is singular")
         sq = np.einsum("ij,ij->i", y, y)
         if beta == 0.0:
             return sq / a, float(d * np.log(a))

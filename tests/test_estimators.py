@@ -14,6 +14,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from kroncov import (
     DenseCovariance,
     EstimatorConfig,
+    GramCovariance,
     KronCovariance,
     KronModel,
     SampleSet,
@@ -29,6 +30,7 @@ from kroncov import (
     kronpca_T,
     lw_intensity,
     ar1_kron_truth,
+    rearrange,
     robust_kronpca,
     sample_gaussian,
     sample_student_t,
@@ -47,6 +49,8 @@ from kroncov.estimators import (
     make_config,
 )
 from kroncov.cli import trial_seed
+from kroncov import kron_ops
+from kroncov.kron_ops import compress_diagonals
 
 
 def sample_set(vectors, p=None, T=None):
@@ -55,6 +59,12 @@ def sample_set(vectors, p=None, T=None):
     if p is None:
         p, T = d, 1
     return SampleSet(SpaceTimeDims(p, T), vectors.shape[0], vectors)
+
+
+def rearranged(sigma, toeplitz_rows):
+    """The rearranged matrix of sigma, compressed when toeplitz_rows, from the reference operators."""
+    r = rearrange(sigma).entries
+    return compress_diagonals(r, sigma.dims.T) if toeplitz_rows else r
 
 
 def random_spd(rng, n, cond=10.0):
@@ -456,7 +466,7 @@ class TestKronpca:
         # the recorded objective comes from the kept singular values alone
         n = int(np.random.default_rng(seed).integers(2, 2 * p * T + 2))
         sigma = scm(sample_gaussian(ar1_kron_truth(p, T, 0.5, 0.95), n, seed))
-        base = est._rearranged(sigma, toeplitz_rows)
+        base = rearranged(sigma, toeplitz_rows)
         u, s, vt, nuclear = _thresholded_svd(base, beta / 2.0, r)
         dense = np.sum((base - (u * s) @ vt) ** 2) + beta * nuclear
         model = kronpca(sigma, EstimatorConfig(r=r, beta=beta, toeplitz=toeplitz_rows))
@@ -506,6 +516,75 @@ def test_paper_scale_fit_copies_no_rearranged_sized_array(monkeypatch, fit, name
     monkeypatch.setattr(kron_ops, "_frozen_array", refuse_large)
     model = fit(sigma, make_config(name, {"toeplitz": toeplitz_rows}))
     assert model.factors
+
+
+def kron_sum(model):
+    """sum_i w_i T_i (x) S_i + I (x) diag(u) of a KronModel, with no symmetry check."""
+    return sum((w * np.kron(tm, sm) for w, tm, sm in model.factors),
+               np.kron(np.eye(model.dims.T), np.diag(model.u)))
+
+
+class TestFitsFromTheRows:
+    """kronpca and dc_kronpca read a GramCovariance through its frame Gram below the crossover."""
+
+    @staticmethod
+    def crossover(p, T):
+        """The smallest n from which GramCovariance.rearranged_gram reads its dense entries."""
+        return next(n for n in itertools.count(1)
+                    if n * n * T * T * (p + T * T) >= n * (p * T) ** 2 + T ** 4 * p * p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 8), T=st.integers(1, 8), toeplitz_rows=st.booleans(),
+           beta=st.sampled_from([0.0, 0.1, 1e6]), r=st.integers(1, 3), frames=st.booleans(),
+           a=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_rows_route_equals_the_dense_route(self, p, T, toeplitz_rows, beta, r, frames, a, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        cross = self.crossover(p, T)
+        # n >= 2: one row's rearranged matrix is X (x) X, whose singular values s_i s_j tie in
+        # pairs, so a rank-r fit of it is not unique and the two routes may pick different ones
+        n = int(rng.integers(2, cross)) if frames and cross > 2 else int(rng.integers(max(cross, 2), 3 * cross + 2))
+        x = rng.standard_normal((n, dims.pt))
+        rows = GramCovariance(dims, x, a, 1.0)
+        dense = DenseCovariance.adopt(dims, np.array(GramCovariance(dims, x, a, 1.0).entries))
+        scale = np.abs(dense.entries).max()
+        for fit, diag_correct in ((kronpca, False), (dc_kronpca, True)):
+            cfg = EstimatorConfig(r=r, beta=beta, toeplitz=toeplitz_rows, diag_correct=diag_correct)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # beta = 0 without Toeplitz rows may stop at max_iter
+                from_rows, from_dense = fit(rows, cfg), fit(dense, cfg)
+            assert len(from_rows.objective_trace) == len(from_dense.objective_trace)
+            assert from_rows.converged == from_dense.converged
+            np.testing.assert_allclose(from_rows.objective_trace, from_dense.objective_trace,
+                                       rtol=1e-10, atol=1e-10 * scale ** 2 * dims.pt)
+            # summed here, not through kron_assemble: an r >= 2 term's factors can miss exact
+            # symmetry by more than its 1e-12 check, on either route
+            assert np.abs(kron_sum(from_rows) - kron_sum(from_dense)).max() <= 1e-10 * scale
+        assert ("_entries" in rows.__dict__) == (n >= cross)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("scm", {}), ("scm-lw", {}), ("kronpca", {}), ("kronpca", {"toeplitz": True}),
+    ("dc-kronpca-lw", {})])
+def test_paper_scale_fit_reads_the_rows_unassembled(monkeypatch, name, overrides):
+    # p=100, T=10, n=50 (mc-paper's larger n): the Kronecker fits read the frame Gram, so
+    # nothing rearranges and the sample covariance never makes its 8 MB dense entries
+    from kroncov import kron_ops
+
+    samples = sample_gaussian(ar1_kron_truth(100, 10), 50, 4)
+    rearranged = []
+    real = kron_ops.rearrange
+
+    def counted(sigma):
+        rearranged.append(type(sigma))
+        return real(sigma)
+    monkeypatch.setattr(kron_ops, "rearrange", counted)
+    monkeypatch.setattr(est, "rearrange", counted)
+    fit_by_name(name, samples, overrides)
+    sigma = samples.covariance()
+    assert isinstance(sigma, GramCovariance)
+    assert rearranged == []
+    assert "_entries" not in sigma.__dict__ and "_dense" not in sigma.__dict__
 
 
 class TestDcKronpca:
@@ -597,7 +676,7 @@ class TestDcKronpca:
             n = int(rng.integers(rows + 1, 2 * rows + 4))
         sigma = scm(sample_gaussian(ar1_kron_truth(p, T, 0.5, 0.95), n, seed))
         cfg = EstimatorConfig(r=r, beta=beta, toeplitz=toeplitz_rows, diag_correct=True)
-        b = est._rearranged(sigma, toeplitz_rows)
+        b = rearranged(sigma, toeplitz_rows)
         hidden_rows, cols = diag_mask(sigma.dims)
         mask = np.ones_like(b)
         mask[np.ix_([T - 1] if toeplitz_rows else hidden_rows, cols)] = 0.0
@@ -865,10 +944,10 @@ class TestKronpcaT:
         sigma = DenseCovariance(SpaceTimeDims(p, T), np.kron(a, random_spd(np.random.default_rng(30), p)))
         compressed = []
 
-        def counted(*args, _real=est.compress_diagonals):
+        def counted(*args, _real=kron_ops.compress_diagonals):
             compressed.append(args[0].shape)
             return _real(*args)
-        monkeypatch.setattr(est, "compress_diagonals", counted)
+        monkeypatch.setattr(kron_ops, "compress_diagonals", counted)
         out = kronpca_T(sigma)
         assert len(compressed) == 1
         lam = np.linalg.eigvalsh(a)
@@ -1008,6 +1087,23 @@ class TestRobustKronpca:
         with pytest.warns(UserWarning, match="chen_tyler did not converge"):
             _, info = fit_by_name("tyler-kronpca", samples, {"rho": 0.05})
         assert info["converged"] is False
+
+    def test_an_inner_loop_stopped_at_max_iter_is_not_converged(self, monkeypatch):
+        samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4)
+        _, info = robust_kronpca(samples, 0.1, full_output=True)
+        assert info["converged"] is True
+        loops = []
+        real = est._tyler_iterations
+
+        def first_inner_loop_stuck(*args):
+            loops.append(args[-1])
+            out = real(*args)
+            return (*out[:3], False) if len(loops) == 2 else out  # the chen_tyler start is loop 1
+        monkeypatch.setattr(est, "_tyler_iterations", first_inner_loop_stuck)
+        _, stuck = robust_kronpca(samples, 0.1, full_output=True)
+        assert len(loops) > 2
+        assert stuck["converged"] is False
+        assert (stuck["iterations"], stuck["inner_iterations"]) == (info["iterations"], info["inner_iterations"])
 
     @pytest.mark.parametrize("rho", [0.05, 0.3, "auto"])
     def test_estimate_is_one_pair_of_symmetric_factors_plus_rho(self, rho):

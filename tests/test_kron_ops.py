@@ -686,13 +686,20 @@ class TestCovarianceContract:
         assert abs(cov.quad_sum(y) - np.einsum("ki,ij,kj->", y, ref, y)) <= (
             tol * scale * np.sum(y ** 2))
         assert_close(cov.eigvalsh(), lam, rtol=tol)
+        for toeplitz_rows in (False, True):
+            b = rearrange(DenseCovariance.adopt(dims, ref)).entries
+            b = compress_diagonals(b, T) if toeplitz_rows else b
+            assert np.abs(cov.rearranged_gram(toeplitz_rows) - b @ b.T).max() <= tol * np.sum(b ** 2)
+            assert np.abs(cov.hidden_columns(toeplitz_rows) - b[:, diag_mask(dims)[1]]).max() <= (
+                tol * np.abs(b).max())
 
-        if isinstance(cov, GramCovariance) and cov.a == 0.0:  # at any n, even a positive definite one
+        woodbury = isinstance(cov, GramCovariance) and n < dims.pt
+        if woodbury and cov.a == 0.0:  # below pT rows a is an eigenvalue
             with pytest.raises(np.linalg.LinAlgError, match="needs a > 0"):
                 cov.inverse_quad_forms(y)
-        # a Gram form's Woodbury solve is conditioned by lam_max / a: below pT rows a = lam_min,
-        # from pT rows on a may lie below lam_min
-        elif (cov.a if isinstance(cov, GramCovariance) else lam[0]) > 1e-4 * lam[-1]:
+        # a Gram form's Woodbury solve (below pT rows) is conditioned by lam_max / a = lam_max / lam_min;
+        # from pT rows on it solves through its dense form's Cholesky, like the dense forms
+        elif (cov.a if woodbury else lam[0]) > 1e-4 * lam[-1]:
             q, logdet = cov.inverse_quad_forms(y)
             q_ref, logdet_ref = DenseCovariance.adopt(dims, ref).inverse_quad_forms(y)
             np.testing.assert_allclose(q, q_ref, rtol=tol, atol=0)
@@ -737,14 +744,16 @@ class TestCovarianceContract:
         assert type(dense) is DenseCovariance and cov.to_dense() is dense
         assert dense.entries is cov.entries
         y = rng.standard_normal((5, dims.pt))
-        with pytest.raises(np.linalg.LinAlgError, match=r"needs a > 0; to_dense\(\) solves"):
-            cov.inverse_quad_forms(y)
-        if n >= dims.pt:  # positive definite all the same: its dense form solves it
-            q, logdet = dense.inverse_quad_forms(y)
+        if n < dims.pt:
+            with pytest.raises(np.linalg.LinAlgError, match="needs a > 0: below pT rows"):
+                cov.inverse_quad_forms(y)
+        else:  # positive definite all the same: its dense form solves it
+            q, logdet = cov.inverse_quad_forms(y)
+            np.testing.assert_array_equal(q, dense.inverse_quad_forms(y)[0])
             sign, logdet_ref = np.linalg.slogdet(cov.entries)
             assert_close(q, np.einsum("ij,ji->i", y, np.linalg.solve(cov.entries, y.T)))
             assert sign == 1.0 and logdet == pytest.approx(logdet_ref, rel=1e-10)
-        shifted = cov.affine(1.0, 0.5)  # a > 0: the rows solve, against the dense Cholesky
+        shifted = cov.affine(1.0, 0.5)  # a > 0: below pT rows the Woodbury solve, against the dense Cholesky
         q, logdet = shifted.inverse_quad_forms(y)
         q_ref, logdet_ref = shifted.to_dense().inverse_quad_forms(y)
         assert_close(q, q_ref, rtol=1e-12)
@@ -822,6 +831,38 @@ class TestGramCovariance:
         np.testing.assert_allclose(q, q_ref, rtol=max(1e-12, 1e-15 * cond), atol=0)
         # the dense log det carries eps * cond in each of its pT - n smallest logs
         assert abs(logdet - logdet_ref) <= max(1e-12, 1e-15 * cond) * dims.pt
+
+    def test_scores_from_pt_rows_on_come_from_the_dense_cholesky(self):
+        # a far below the one eigenvalue: Woodbury's (|y|^2 - |W y|^2) / a lost 4.6e-7 here
+        dims = SpaceTimeDims(1, 1)
+        cov = shrink(GramCovariance(dims, [[1.7]], 0.0, 1.3), 1e-9)
+        assert cov.a == pytest.approx(1e-9 * cov.trace(), rel=1e-12)
+        y = np.random.default_rng(19).standard_normal((6, 1))
+        q, logdet = cov.inverse_quad_forms(y)
+        q_ref, logdet_ref = DenseCovariance.adopt(dims, np.array(cov.entries)).inverse_quad_forms(y)
+        np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=0)
+        assert logdet == pytest.approx(logdet_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n, dense_route", [(2, False), (5, False), (6, True), (40, True)])
+    @pytest.mark.parametrize("toeplitz_rows", [False, True])
+    def test_rearranged_gram_takes_the_cheaper_route(self, n, dense_route, toeplitz_rows, monkeypatch):
+        # frame route n^2 T^2 (p + T^2) against n (pT)^2 + T^4 p^2 over the entries: at p = 6,
+        # T = 3 the frames are cheaper below n = 6
+        rng = np.random.default_rng(n)
+        dims = SpaceTimeDims(6, 3)
+        cov = shrink(GramCovariance(dims, rng.standard_normal((n, dims.pt)), 0.0, 1.5), 0.3)
+        rearranged = []
+
+        def counted(sigma, _real=kron_ops.rearrange):
+            rearranged.append(type(sigma))
+            return _real(sigma)
+        monkeypatch.setattr(kron_ops, "rearrange", counted)
+        gram = cov.rearranged_gram(toeplitz_rows)
+        assert len(rearranged) == dense_route
+        assert ("_entries" in cov.__dict__) == dense_route
+        b = rearrange_oracle(np.array(cov.entries), dims.p, dims.T)
+        b = compress_diagonals(b, dims.T) if toeplitz_rows else b
+        assert np.abs(gram - b @ b.T).max() <= 1e-12 * np.sum(b ** 2)
 
     def test_scores_do_not_depend_on_the_chunk_size(self, monkeypatch):
         rng = np.random.default_rng(13)

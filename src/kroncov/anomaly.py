@@ -129,13 +129,16 @@ def mahalanobis_scores(x: np.ndarray, sigma) -> np.ndarray:
     covariance's own :meth:`inverse_quad_forms` (blocks, Woodbury or a Cholesky).
 
     Requires a usable covariance: minimum eigenvalue above 1e-12 of the
-    maximum.  A singular input is exactly the failure mode the structured
-    estimators exist to avoid, so it is an error here, not a warning.
+    maximum, both read from the form's :meth:`extremes`, not a full
+    spectrum (a one-term Kronecker form eigensolves two of its p x p
+    blocks for them, and its solve all T).  A singular input is exactly
+    the failure mode the structured estimators exist to avoid, so it is
+    an error here, not a warning.
     """
     p, T = sigma.dims.p, sigma.dims.T
     if x.shape[1] != p * T:
         raise ValueError(f"window length {x.shape[1]} does not match covariance dimension {p * T}")
-    lo, hi = sigma.eigvalsh()[[0, -1]]
+    lo, hi = sigma.extremes()
     if lo <= 1e-12 * hi or hi <= 0:
         raise ValueError(f"covariance is singular or indefinite (eig range [{lo:.3e}, {hi:.3e}])")
     return sigma.inverse_quad_forms(x)[0]

@@ -197,7 +197,7 @@ def cmd_estimate(cfg: dict, out: Path) -> None:
     if info.get("model") is not None:
         write_json(out / "model.json", info["model"].to_json_dict())
 
-    lam = cov.eigvalsh()
+    lo, hi = cov.extremes()
     trace = info["model"].objective_trace if info.get("model") is not None else []
     diagnostics = {
         "estimator": name,
@@ -211,9 +211,9 @@ def cmd_estimate(cfg: dict, out: Path) -> None:
         "converged": bool(info["converged"]),
         "final_objective": float(trace[-1]) if trace else None,
         "rho": info.get("rho"),
-        "min_eigenvalue": float(lam[0]),
-        "max_eigenvalue": float(lam[-1]),
-        "condition_number": float(lam[-1] / lam[0]) if lam[0] > 0 else None,
+        "min_eigenvalue": lo,
+        "max_eigenvalue": hi,
+        "condition_number": hi / lo if lo > 0 else None,
         "trace": float(np.trace(cov.entries)),
     }
     write_json(out / "diagnostics.json", diagnostics)

@@ -503,7 +503,7 @@ def kron_plugin_intensity(samples: SampleSet, model: KronModel,
 
     d = samples.dims.pt
     m = kron_cov.trace() / d
-    lam_min = kron_cov.eigvalsh()[0]
+    lam_min = kron_cov.extremes()[0]
     # conditioning floor: lift the spectrum past the pilot's own negative
     # dip (its factor-noise scale) so the shrunk estimate is safely
     # invertible for downstream quadratic forms; a dip as deep as the mean

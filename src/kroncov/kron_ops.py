@@ -129,6 +129,11 @@ class DenseCovariance(_Payload):
         """All pT eigenvalues in ascending order, computed on first use and kept."""
         return _kept(self.__dict__, "_eigvalsh", lambda: np.linalg.eigvalsh(self.entries))
 
+    def extremes(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max): the ends of the kept :meth:`eigvalsh`."""
+        lam = self.eigvalsh()
+        return float(lam[0]), float(lam[-1])
+
     def affine(self, scale: float, shift: float) -> "DenseCovariance":
         """scale sigma + shift I: the entries times scale, then shift added on the diagonal."""
         out = scale * self.entries
@@ -414,11 +419,12 @@ class KronCovariance:
             total += np.vdot(frames, tm @ (frames @ sm.T))
         return float(total)
 
-    def _split(self, vectors: bool):
+    def _split(self, vectors: bool, keep=slice(None)):
         """(V, mu, W): sigma = (V (x) I) blockdiag(B_t) (V (x) I)^T with
         T = V diag(lam) V^T, mu[t] the eigenvalues of the p x p block B_t =
         lam_t S + diag(d) and W their eigenvectors (None unless vectors is
-        set); None when sigma has no such split.
+        set); None when sigma has no such split.  `keep` indexes the
+        ascending lam, so only the blocks it keeps are eigensolved.
 
         One term with symmetric factors splits so: T eigenproblems of size p
         instead of one of size pT.  With d = c 1 one eigenproblem of S =
@@ -432,6 +438,7 @@ class KronCovariance:
         if not (is_symmetric(tm) and is_symmetric(sm)):
             return None
         lam, v = np.linalg.eigh(tm)
+        lam, v = lam[keep], v[:, keep]
         constant = np.all(self.d == self.d[0])
         a = sm if constant else lam[:, None, None] * sm + np.diag(self.d)
         e, w = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
@@ -445,6 +452,20 @@ class KronCovariance:
                 return self.to_dense().eigvalsh()
             return np.sort(split[1], axis=None)
         return _kept(self.__dict__, "_eigvalsh", compute)
+
+    def extremes(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max), computed on first use and kept.  Where
+        :meth:`_split` splits sigma, only the two blocks at T's smallest and
+        largest eigenvalue are eigensolved: lambda_min(lam S + diag(d)) is
+        concave in lam and lambda_max convex (Horn & Johnson, the Rayleigh
+        quotient), so over t both take their extremes at an end of lam's
+        range.  Otherwise the kept dense form's."""
+        def compute():
+            split = self._split(False, keep=[0, -1])
+            if split is None:
+                return self.to_dense().extremes()
+            return float(split[1].min()), float(split[1].max())
+        return _kept(self.__dict__, "_extremes", compute)
 
     def inverse_quad_forms(self, x: np.ndarray):
         """(q, log det sigma) with q_k = x_k^T sigma^{-1} x_k for each row x_k
@@ -615,6 +636,14 @@ class GramCovariance:
         n, d = len(self.x), self.dims.pt
         lam = self._gram_eigh()[0][max(n - d, 0):]
         return np.concatenate([np.full(max(d - n, 0), self.a), self.a + self._beta * lam])
+
+    def extremes(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max): the ends of :meth:`eigvalsh` read off the kept Gram eigh,
+        so lambda_min is a below pT rows."""
+        n, d = len(self.x), self.dims.pt
+        lam = self._gram_eigh()[0]
+        low = self.a if n < d else self.a + self._beta * lam[n - d]
+        return float(low), float(self.a + self._beta * lam[-1])
 
     def inverse_quad_forms(self, y: np.ndarray):
         """(q, log det sigma) with q_k = y_k^T sigma^{-1} y_k for each row y_k

@@ -206,6 +206,26 @@ class TestMahalanobisScores:
         block_auc = roc(mahalanobis_scores(test.vectors, cov), test.labels).auc
         assert block_auc == pytest.approx(dense_auc, rel=0, abs=1e-12)
 
+    def test_dc_kronpca_lw_check_solves_two_blocks(self, monkeypatch):
+        # the usability check eigensolves the end blocks only, the solve all T of them
+        p, T = 5, 3
+        frames = ar1_frame_stream(p, 200, 0.3, 0.9, seed=8)
+        train = make_windows(series_from(frames[:100]), T)
+        test = make_windows(series_from(frames[100:]), T)
+        cov, _ = fit_by_name("dc-kronpca-lw", SampleSet(SpaceTimeDims(p, T), len(train.vectors),
+                                                        train.vectors))
+        assert isinstance(cov, KronCovariance) and len(cov.pairs) == 1 and np.ptp(cov.d) > 0
+        want = mahalanobis_scores(test.vectors, cov.to_dense())
+        calls = {"eigvalsh": [], "eigh": []}
+        for name, shapes in calls.items():
+            def counted(a, *args, _real=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+                _shapes.append(np.shape(a))
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        np.testing.assert_allclose(mahalanobis_scores(test.vectors, cov), want, rtol=1e-10)
+        assert calls["eigvalsh"] == [(2, p, p)]
+        assert [shape for shape in calls["eigh"] if shape[-1] == p] == [(T, p, p)]
+
 
 class TestRoc:
     def test_perfect_separation(self):

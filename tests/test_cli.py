@@ -141,6 +141,23 @@ class TestEstimateCommand:
         assert diag["min_eigenvalue"] == 0.0 and diag["condition_number"] is None
         assert diag["max_eigenvalue"] > 0
 
+    @pytest.mark.parametrize("n", [8, 30], ids=["below-pT", "above-pT"])
+    @pytest.mark.parametrize("name", sorted(est.ESTIMATORS))
+    def test_diagnostics_eigenvalues_are_those_of_the_written_covariance(self, tmp_path, name, n):
+        csv = tmp_path / "s.csv"
+        write_sample_csv(csv, sample_gaussian(ar1_kron_truth(4, 3, 0.5, 0.9), n, 17))
+        cfg = {"input": str(csv), "p": 4, "T": 3, "estimator": name}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 0
+        lam = np.linalg.eigvalsh(read_matrix_binary(tmp_path / "out" / "covariance.bin"))
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        # relative, or within 1e-12 of the spectral norm for the SCM's zero eigenvalues below pT
+        assert diag["min_eigenvalue"] == pytest.approx(lam[0], rel=1e-12, abs=1e-12 * lam[-1])
+        assert diag["max_eigenvalue"] == pytest.approx(lam[-1], rel=1e-12)
+        if diag["condition_number"] is None:
+            assert diag["min_eigenvalue"] <= 0 and lam[0] <= 1e-12 * lam[-1]
+        else:
+            assert diag["condition_number"] == pytest.approx(lam[-1] / lam[0], rel=1e-12)
+
     def test_unknown_estimator_is_config_error(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("x0\n1\n2\n")

@@ -705,6 +705,42 @@ class TestCovarianceContract:
             np.testing.assert_allclose(q, q_ref, rtol=tol, atol=0)
             assert abs(logdet - logdet_ref) <= tol * max(1.0, abs(logdet_ref))
 
+    @settings(max_examples=300, deadline=None)
+    @given(form=st.sampled_from(["dense", "rows", "one term", "antisymmetric", "two terms"]),
+           p=st.integers(1, 6), T=st.integers(1, 6), rows=st.sampled_from(["below", "equal", "above"]),
+           shifted=st.booleans(), constant_d=st.booleans(), sign=st.sampled_from([1.0, -1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_extremes_are_the_ends_of_the_own_spectrum(self, form, p, T, rows, shifted, constant_d,
+                                                       sign, seed):
+        rng = np.random.default_rng(seed)
+        dims = SpaceTimeDims(p, T)
+        d = np.full(p, rng.normal()) if constant_d else rng.normal(size=p)
+        if form == "dense":  # indefinite
+            q, _ = np.linalg.qr(rng.standard_normal((dims.pt, dims.pt)))
+            entries = (q * rng.uniform(-1.0, 3.0, dims.pt)) @ q.T
+            cov = DenseCovariance(dims, 0.5 * (entries + entries.T))
+        elif form == "rows":
+            n = {"below": max(1, dims.pt // 2), "equal": dims.pt, "above": 2 * dims.pt}[rows]
+            a = rng.uniform(0.1, 2.0) if shifted else 0.0
+            cov = GramCovariance(dims, rng.standard_normal((n, dims.pt)), a, rng.uniform(0.0, 3.0))
+        elif form == "one term":  # indefinite symmetric factors
+            tm = sign * rng.uniform(0.5, 5.0) * symmetric_factor(rng, T)
+            cov = KronCovariance(dims, [(tm, symmetric_factor(rng, p))], d)
+        elif form == "antisymmetric":
+            a, b = rng.standard_normal((T, T)), rng.standard_normal((p, p))
+            cov = KronCovariance(dims, [(a - a.T, b - b.T)], d)
+        else:
+            cov = KronCovariance(dims, [(sign * symmetric_factor(rng, T), symmetric_factor(rng, p)),
+                                        (symmetric_factor(rng, T), symmetric_factor(rng, p))], d)
+        lam = np.linalg.eigvalsh(cov.entries)
+        scale = max(np.abs(lam).max(), 1e-300)  # the spectral norm
+        low, high = cov.extremes()
+        assert abs(low - lam[0]) <= 1e-12 * scale and abs(high - lam[-1]) <= 1e-12 * scale
+        assert cov.extremes() == (low, high)
+        if form == "one term":  # the two end blocks are the very blocks eigvalsh() solves
+            assert cov._split(False) is not None
+            assert (low, high) == tuple(cov.eigvalsh()[[0, -1]])
+
 
     @settings(max_examples=150, deadline=None)
     @given(form=st.sampled_from(["dense", "kron", "gram", "rows"]), p=st.integers(1, 6),

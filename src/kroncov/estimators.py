@@ -565,30 +565,43 @@ def _tyler_iterations(s: np.ndarray, sigma, rho: float, cfg: EstimatorConfig, pr
 
 
 def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
-               full_output: bool = False):
+               full_output: bool = False, start=None):
     """Robust shape estimate from shrunk Tyler fixed-point iterations.
 
     Samples are projected to the unit sphere (making the result invariant
-    to per-sample positive rescaling), then iterated from the identity:
+    to per-sample positive rescaling), then iterated from the identity, or
+    from the covariance form `start` where one is given:
 
         A     = (d/n) sum_i s_i s_i^T / (s_i^T Sigma^{-1} s_i)
         Sigma = (1 - rho) * (d / trace(A)) * A + rho * I
 
     until the relative Frobenius change falls below cfg.tol (:func:`_tyler_iterations` with
     P = A.to_dense()).  Every iterate has trace d and minimum eigenvalue at least rho.
+    The info of full_output carries `warm_start`, the estimate, which a fit at a
+    nearby rho on the same samples may take as its `start`.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
     s = _normalized_directions(samples)
     if not 0.0 < r <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {r}")
-    start = DenseCovariance.adopt(samples.dims, np.eye(samples.dims.pt))
+    if start is None:
+        start = DenseCovariance.adopt(samples.dims, np.eye(samples.dims.pt))
+    else:
+        _check_start(samples, start)
     cov, _, iterations, converged = _tyler_iterations(s, start, r, cfg, GramCovariance.to_dense)
     if not converged:
         warnings.warn(f"chen_tyler did not converge in {cfg.max_iter} iterations")
     if full_output:
-        return cov, {"iterations": iterations, "converged": converged, "rho": r}
+        return cov, {"iterations": iterations, "converged": converged, "rho": r,
+                     "warm_start": cov}
     return cov
+
+
+def _check_start(samples: SampleSet, *forms) -> None:
+    for form in forms:
+        if form.dims != samples.dims:
+            raise ValueError(f"a start of dims {form.dims} does not match the samples' {samples.dims}")
 
 
 def kronpca_T(sigma) -> np.ndarray:
@@ -633,7 +646,7 @@ def flipflop_S(sigma_tilde, t_hat: np.ndarray) -> np.ndarray:
 
 
 def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
-                   full_output: bool = False):
+                   full_output: bool = False, start=None):
     """Robust Kronecker shape estimation with per-step shrinkage.
 
     Starting from the plain robust shape estimate (:func:`chen_tyler`),
@@ -649,12 +662,20 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     average, T), so each iterate is the factor form (1 - rho) (pT / tr P) P + rho I:
     trace pT, minimum eigenvalue >= rho, solved by its blocks, its change exact; A is read through its
     rows, and kronpca_T makes the last A dense once per outer step.  The last iterate is the estimate.
+
+    `start`, a pair (estimate, Tyler average) of an earlier fit, replaces the
+    chen_tyler start and its estimate as the first average, and counts as
+    converged; the info of full_output carries this fit's own pair as `warm_start`.
     """
     cfg = cfg or EstimatorConfig()
     r = _rho_value(rho)
     s = _normalized_directions(samples)
-    sigma_hat, start_info = chen_tyler(samples, r, cfg, full_output=True)
-    average = sigma_hat
+    if start is None:
+        sigma_hat, start_info = chen_tyler(samples, r, cfg, full_output=True)
+        average, start_converged = sigma_hat, start_info["converged"]
+    else:
+        (sigma_hat, average), start_converged = start, True
+        _check_start(samples, sigma_hat, average)
     t_prev = None
     converged = False
     inner_converged = True
@@ -674,8 +695,8 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
         warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")
     if full_output:
         return sigma_hat, {"iterations": outer, "inner_iterations": inner_total,
-                           "converged": start_info["converged"] and converged and inner_converged,
-                           "rho": r}
+                           "converged": start_converged and converged and inner_converged,
+                           "rho": r, "warm_start": (sigma_hat, average)}
     return sigma_hat
 
 
@@ -722,10 +743,16 @@ def _acg_loglik(directions: np.ndarray, cov) -> float:
 def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> ShrinkageIntensity:
     """Pick rho from CV_RHO_GRID by held-out direction likelihood.
 
-    `fitter(samples, rho, cfg)` must return a DenseCovariance or a
-    KronCovariance; each scores the held-out directions through its own
+    `fitter(samples, rho, cfg, full_output=True, start=...)` must return a
+    DenseCovariance or a KronCovariance and an info dict whose `warm_start`
+    it accepts as `start`; each fit scores the held-out directions through its own
     :meth:`inverse_quad_forms`, so a factor-form fit that splits is scored
     from its blocks, never assembled.
+    Each fold runs the grid as a warm-started path (Friedman, Hastie &
+    Tibshirani, 2010): rho descending from the grid's largest value, where a
+    cold shrunk Tyler fit converges fastest and which alone starts cold, each
+    later fit from the one before it on the same training fold.  The fit at
+    the chosen rho that the caller then makes on all samples starts cold.
     Folds are deterministic stride splits, so selection is reproducible;
     with n >= 2 every fold has a training and a held-out sample.
     """
@@ -740,8 +767,10 @@ def cv_shrinkage_intensity(samples: SampleSet, fitter, cfg: EstimatorConfig) -> 
         hold[k::folds] = True
         train = SampleSet(samples.dims, int((~hold).sum()), samples.samples[~hold])
         held = directions[hold]
-        for gi, rho in enumerate(CV_RHO_GRID):
-            cov = fitter(train, rho, cfg)
+        start = None
+        for gi in np.argsort(CV_RHO_GRID)[::-1]:
+            cov, info = fitter(train, CV_RHO_GRID[gi], cfg, full_output=True, start=start)
+            start = info["warm_start"]
             scores[gi] += _acg_loglik(held, cov)
     return ShrinkageIntensity(float(CV_RHO_GRID[int(np.argmax(scores))]))
 
@@ -785,8 +814,11 @@ def _fit_kronpca(samples, cfg):
 
 
 def _fit_tyler(samples, cfg, fitter):
+    # the final fit starts cold, so an "auto" fit is the fit at the rho it chose
     rho = resolve_rho(cfg, lambda: cv_shrinkage_intensity(samples, fitter, cfg))
-    return fitter(samples, rho, cfg, full_output=True)
+    cov, info = fitter(samples, rho, cfg, full_output=True)
+    del info["warm_start"]  # the state a CV path hands along, not part of the report
+    return cov, info
 
 
 _TYLER_FIELDS = ("rho", "tol", "max_iter")

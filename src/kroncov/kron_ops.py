@@ -474,9 +474,11 @@ class KronCovariance:
         Where :meth:`_split` splits sigma into blocks W_t diag(mu_t) W_t^T,
         log det sigma = sum log mu; each row, as a T x p array X, maps to
         V^T X and then row t to mu_t^(-1/2) W_t^T row t, SCORE_CHUNK rows at
-        once.  Otherwise the kept dense form's Cholesky (:meth:`to_dense`).
+        once.  The split is computed on first use and kept, so a form scored
+        again solves no eigenproblem.  Otherwise the kept dense form's Cholesky
+        (:meth:`to_dense`).
         """
-        split = self._split(True)
+        split = _kept(self.__dict__, "_block_eigh", lambda: self._split(True))
         if split is None:
             return self.to_dense().inverse_quad_forms(x)
         v, mu, w = split

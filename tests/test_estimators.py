@@ -1119,6 +1119,43 @@ class TestRobustKronpca:
         assert cov.trace() == pytest.approx(12.0, rel=1e-12)
 
 
+class TestWarmStartedCV:
+    SAMPLES = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4)
+
+    @pytest.mark.parametrize("name", ["chen-tyler", "tyler-kronpca"])
+    def test_final_fit_starts_cold(self, name):
+        auto, info = fit_by_name(name, self.SAMPLES, {"rho": "auto"})
+        explicit, explicit_info = fit_by_name(name, self.SAMPLES, {"rho": info["rho"]})
+        np.testing.assert_array_equal(auto.entries, explicit.entries)
+        assert info.keys() == explicit_info.keys()
+        assert "warm_start" not in info
+
+    def test_one_chen_tyler_start_per_fold(self, monkeypatch):
+        starts = []
+        real = est.chen_tyler
+
+        def counted(*args, **kwargs):
+            starts.append(kwargs.get("start"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(est, "chen_tyler", counted)
+        fit_by_name("tyler-kronpca", self.SAMPLES, {"rho": "auto"})
+        assert starts == [None] * (est.CV_FOLDS + 1)
+
+    def test_a_warm_start_reaches_the_cold_fixed_point(self):
+        cfg = EstimatorConfig(tol=1e-10)
+        for fitter in (chen_tyler, robust_kronpca):
+            _, info = fitter(self.SAMPLES, 0.3, cfg, full_output=True)
+            warm = fitter(self.SAMPLES, 0.1, cfg, start=info["warm_start"])
+            assert rel_diff(warm.entries, fitter(self.SAMPLES, 0.1, cfg).entries) < 1e-8
+
+    def test_a_start_of_other_dims_is_refused(self):
+        other = chen_tyler(sample_student_t(ar1_kron_truth(3, 3, 0.5, 0.95), 3.0, 30, 4), 0.3)
+        with pytest.raises(ValueError, match="does not match"):
+            chen_tyler(self.SAMPLES, 0.1, start=other)
+        with pytest.raises(ValueError, match="does not match"):
+            robust_kronpca(self.SAMPLES, 0.1, start=(other, other))
+
+
 def count_dense_wraps(monkeypatch, fit, *args, **kwargs):
     """(the DenseCovariance.adopt calls that fit(*args, **kwargs) makes, its result)."""
     wraps = []
@@ -1268,6 +1305,16 @@ class TestTylerLoopMatchesTheReference:
         (chen_tyler, reference_chen_tyler), (robust_kronpca, reference_robust_kronpca)
     ])
     def test_cv_picks_the_same_rho(self, samples, fitter, reference):
+        cfg = EstimatorConfig()
+        chosen = est.cv_shrinkage_intensity(samples, fitter, cfg).rho
+        assert chosen == reference_cv_rho(samples, reference, cfg)
+
+    @pytest.mark.parametrize("samples", [FEWER_THAN_PT, AS_MANY_AS_PT], ids=["fewer", "as_many"])
+    @pytest.mark.parametrize("fitter, reference", [
+        (chen_tyler, reference_chen_tyler), (robust_kronpca, reference_robust_kronpca)
+    ])
+    def test_warm_path_picks_the_cold_rho_at_pt_and_below(self, samples, fitter, reference):
+        # each fold's grid runs as a warm-started path; the cold reference fits every rho from I
         cfg = EstimatorConfig()
         chosen = est.cv_shrinkage_intensity(samples, fitter, cfg).rho
         assert chosen == reference_cv_rho(samples, reference, cfg)

@@ -520,6 +520,25 @@ class TestKronCovariance:
             assert_close(mahalanobis_scores(wins, cov), ref)
         assert factored.count((dims.pt, dims.pt)) == 1
 
+    def test_split_form_eigensolves_its_blocks_once(self, monkeypatch):
+        # a one-term fit with a non-constant d scored on two slices: the T stacked p x p
+        # blocks are eigensolved once, the second slice reads the kept split
+        rng = np.random.default_rng(10)
+        dims = SpaceTimeDims(4, 3)
+        cov = KronCovariance(dims, [(spd_factor(rng, 3), spd_factor(rng, 4))],
+                             rng.uniform(0.5, 1.5, 4))
+        slices = [windows(rng, 5, dims) for _ in range(2)]
+        want = [mahalanobis_scores(wins, DenseCovariance(dims, cov.entries)) for wins in slices]
+        solved = []
+
+        def counted(a, *args, _real=np.linalg.eigh, **kwargs):
+            solved.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for wins, ref in zip(slices, want):
+            assert_close(mahalanobis_scores(wins, cov), ref)
+        assert solved.count((dims.T, dims.p, dims.p)) == 1
+
     def test_shrink_keeps_the_trace_and_reaches_the_scaled_identity(self):
         rng = np.random.default_rng(5)
         dims = SpaceTimeDims(3, 2)

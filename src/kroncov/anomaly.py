@@ -133,7 +133,9 @@ def mahalanobis_scores(x: np.ndarray, sigma) -> np.ndarray:
     spectrum (a one-term Kronecker form eigensolves two of its p x p
     blocks for them, and its solve all T).  A singular input is exactly
     the failure mode the structured estimators exist to avoid, so it is
-    an error here, not a warning.
+    an error here, not a warning.  So is a score that is not finite (a
+    NaN or inf in its window, or overflow): each form scores every row on
+    its own, so the check reads the n scores, not the windows.
     """
     p, T = sigma.dims.p, sigma.dims.T
     if x.shape[1] != p * T:
@@ -141,7 +143,13 @@ def mahalanobis_scores(x: np.ndarray, sigma) -> np.ndarray:
     lo, hi = sigma.extremes()
     if lo <= 1e-12 * hi or hi <= 0:
         raise ValueError(f"covariance is singular or indefinite (eig range [{lo:.3e}, {hi:.3e}])")
-    return sigma.inverse_quad_forms(x)[0]
+    with np.errstate(invalid="ignore", over="ignore"):  # such a row fails below, by its index
+        scores = sigma.inverse_quad_forms(x)[0]
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"window {bad[0]} has a non-finite score ({scores[bad[0]]}): "
+                         "its values hold a NaN or inf, or overflow")
+    return scores
 
 
 def roc(scores, labels) -> RocCurve:

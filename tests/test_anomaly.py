@@ -12,6 +12,7 @@ from kroncov import (
     NOMINAL,
     DenseCovariance,
     FrameSeries,
+    GramCovariance,
     KronCovariance,
     SampleSet,
     SpaceTimeDims,
@@ -184,6 +185,25 @@ class TestMahalanobisScores:
         sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="singular"):
             mahalanobis_scores(np.array([[1.0, 1.0]]), sigma)
+
+    @pytest.mark.parametrize("form", ["dense", "kron", "rows"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_score_names_its_window(self, form, bad):
+        dims = SpaceTimeDims(3, 2)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 12))
+        sigma = {
+            "dense": DenseCovariance(dims, a @ a.T / 12 + np.eye(6)),
+            "kron": KronCovariance(dims, [(2.0 * np.eye(2), np.eye(3))], 0.5),
+            "rows": GramCovariance(dims, rng.standard_normal((3, 6)), 1.0, 1.0),
+        }[form]
+        x = rng.standard_normal((5, 6))
+        x[3, 4] = bad
+        x[4, 0] = bad
+        with pytest.raises(ValueError, match=r"window 3 has a non-finite score"):
+            mahalanobis_scores(x, sigma)
+        np.testing.assert_array_equal(mahalanobis_scores(x[:3], sigma),
+                                      sigma.inverse_quad_forms(x[:3])[0])
 
     def test_tyler_kronpca_is_scored_from_its_blocks(self, monkeypatch):
         p, T = 4, 3

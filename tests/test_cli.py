@@ -4,14 +4,19 @@ import filecmp
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kroncov
 from kroncov import SpaceTimeDims, ar1_kron_truth, sample_gaussian, scm, shrink
 from kroncov import anomaly as anom
 from kroncov import files, synth
@@ -58,6 +63,18 @@ def assert_dirs_byte_identical(a, b):
     assert names == sorted(p.name for p in b.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The program needs numpy alone, so a run loads one BLAS (numpy's): a fresh
+    interpreter that imports kroncov.cli has no scipy module."""
+    src = str(Path(kroncov.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, kroncov.cli; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestSynthCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from kroncov import (
     DenseCovariance,
@@ -1004,6 +1004,41 @@ class TestInverseQuadForms:
     def test_indefinite_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             DenseCovariance(SpaceTimeDims(3, 1), np.diag([2.0, -1.0, 3.0])).inverse_quad_forms(np.ones((2, 3)))
+
+    # one block, one row either side of a block edge, and several blocks with a short last one
+    BLOCKED_SIZES = [1, kron_ops.SOLVE_BLOCK - 1, kron_ops.SOLVE_BLOCK, kron_ops.SOLVE_BLOCK + 1,
+                     3 * kron_ops.SOLVE_BLOCK + 5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from(BLOCKED_SIZES), n=st.integers(1, 9),
+           log_cond=st.floats(0.0, 12.0), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_solve_matches_lapack(self, d, n, log_cond, seed):
+        """The blocked forward solve against scipy's LAPACK Cholesky solve, up to condition number
+        1e12.  Two LAPACK builds' factors of one matrix differ by about kappa eps, more than the
+        solves do, so q is held to cho_solve on the factor the form keeps (np.linalg.cholesky's),
+        and the log det to cho_factor's own factor within the first-order bound d kappa eps."""
+        rng = np.random.default_rng(seed)
+        q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        cond = 10.0 ** log_cond
+        spd = (q_mat * np.geomspace(1.0, 1.0 / cond, d)) @ q_mat.T
+        spd = 0.5 * (spd + spd.T)
+        x = rng.standard_normal((n, d))
+        q, logdet = DenseCovariance(SpaceTimeDims(d, 1), spd).inverse_quad_forms(x)
+        kept = (np.linalg.cholesky(spd), True)
+        np.testing.assert_allclose(q, np.einsum("ij,ji->i", x, cho_solve(kept, x.T)), rtol=1e-12)
+        factor, _ = cho_factor(spd)
+        expect = 2.0 * np.log(np.diagonal(factor)).sum()
+        assert abs(logdet - expect) <= 1e-12 * abs(expect) + d * cond * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", BLOCKED_SIZES)
+    def test_indefinite_matrix_raises_at_every_size(self, d):
+        rng = np.random.default_rng(d)
+        q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = np.linspace(1.0, 2.0, d)
+        lam[rng.integers(d)] = -1e-3
+        sym = (q_mat * lam) @ q_mat.T
+        with pytest.raises(np.linalg.LinAlgError):
+            DenseCovariance(SpaceTimeDims(d, 1), 0.5 * (sym + sym.T)).inverse_quad_forms(np.ones((2, d)))
 
 
 class TestBlock:

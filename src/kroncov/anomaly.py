@@ -124,7 +124,7 @@ def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:
     return WindowSet(starts=starts, vectors=vectors, labels=labels)
 
 
-def mahalanobis_scores(x: np.ndarray, sigma) -> np.ndarray:
+def mahalanobis_scores(x: np.ndarray, sigma, starts=None) -> np.ndarray:
     """x_k^T Sigma^{-1} x_k for the rows x_k of x (n x pT), from the
     covariance's own :meth:`inverse_quad_forms` (blocks, Woodbury or a Cholesky).
 
@@ -135,7 +135,8 @@ def mahalanobis_scores(x: np.ndarray, sigma) -> np.ndarray:
     the failure mode the structured estimators exist to avoid, so it is
     an error here, not a warning.  So is a score that is not finite (a
     NaN or inf in its window, or overflow): each form scores every row on
-    its own, so the check reads the n scores, not the windows.
+    its own, so the check reads the n scores, not the windows.  The error
+    names the row by its index, or by its start frame from `starts`.
     """
     p, T = sigma.dims.p, sigma.dims.T
     if x.shape[1] != p * T:
@@ -147,7 +148,8 @@ def mahalanobis_scores(x: np.ndarray, sigma) -> np.ndarray:
         scores = sigma.inverse_quad_forms(x)[0]
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
-        raise ValueError(f"window {bad[0]} has a non-finite score ({scores[bad[0]]}): "
+        name = f"window {bad[0]}" if starts is None else f"the window at frame {starts[bad[0]]}"
+        raise ValueError(f"{name} has a non-finite score ({scores[bad[0]]}): "
                          "its values hold a NaN or inf, or overflow")
     return scores
 

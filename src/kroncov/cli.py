@@ -305,7 +305,8 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
         for _, name, _ in specs:
             est.require_samples(name, train_set.n, train_set)
 
-    test_parts = [part for part in (windows.vectors[:i0], windows.vectors[i1:]) if len(part)]
+    test_parts = [(windows.vectors[part], windows.starts[part])
+                  for part in (slice(None, i0), slice(i1, None)) if len(windows.starts[part])]
     test_labels = np.concatenate([windows.labels[:i0], windows.labels[i1:]])
     keep = test_labels != anom.EXCLUDED
     n_anomalous, n_nominal, n_excluded = (int(np.count_nonzero(test_labels == kind))
@@ -319,7 +320,8 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
     for label, name, ecfg in specs:
         cov, info = est.fit_by_name(name, train_set, ecfg)
         # scored in window order, as the ROC breaks ties by order; the slices stay views
-        scores = np.concatenate([anom.mahalanobis_scores(part, cov) for part in test_parts])
+        scores = np.concatenate([anom.mahalanobis_scores(part, cov, starts)
+                                 for part, starts in test_parts])
         curve = anom.roc(scores[keep], test_labels[keep])
         anom.write_roc_csv(out / f"roc_{label}.csv", curve)
         doc = {

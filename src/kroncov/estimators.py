@@ -631,9 +631,9 @@ def kronpca_T(sigma) -> np.ndarray:
 
 
 def flipflop_S(sigma_tilde, t_hat: np.ndarray) -> np.ndarray:
-    """Closed-form spatial factor with the temporal factor held fixed: (1/T)
-    sum_{i,j} [t_hat^{-1}]_{ij} * block(sigma_tilde, j, i), t_hat T x T for the
-    form's T: the form's own spatial_contract, so no form is assembled."""
+    """Closed-form spatial factor with the temporal factor held fixed: (1/T) sum_{i,j}
+    [t_hat^{-1}]_{ij} * block(sigma_tilde, j, i), t_hat T x T for the form's T, by the form's own
+    spatial_contract (no form assembled); :func:`_kron_tyler_loop` takes it in t_hat's eigenbasis."""
     T = sigma_tilde.dims.T
     t_hat = np.asarray(t_hat, dtype=float)
     if t_hat.shape != (T, T):
@@ -643,6 +643,45 @@ def flipflop_S(sigma_tilde, t_hat: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("temporal factor must be positive definite") from exc
     return _sym(sigma_tilde.spatial_contract((chol_inv.T @ chol_inv).T) / T)
+
+
+def _kron_tyler_loop(s: np.ndarray, t_hat: np.ndarray, sigma, q: np.ndarray, rho: float,
+                     cfg: EstimatorConfig):
+    """Shrunk Tyler steps with P = t_hat (x) flipflop_S(A, t_hat) from the q of the iterate sigma, in
+    t_hat = V diag(lam) V^T's eigenbasis: with each unit row's T x p frame X_k rotated once to Y_k =
+    V^T X_k, S' = (d/(nT)) sum_k Y_k^T diag(lam)^-1 Y_k / q_k (one exactly symmetric product), the
+    iterate c' t_hat (x) S' + rho I with c' = (1 - rho) d / (tr t_hat tr S'), and its q_k = sum_tj
+    (Y_k W)_tj^2 / (c' lam_t sig_j + rho) for one eigh S' = W diag(sig) W^T, until the change
+    |t_hat| |c' S' - c S| / |c t_hat (x) S + rho I| (the first: relative_change against sigma) falls
+    below cfg.tol.  Returns (the last iterate, its Tyler average A, steps, converged, its q)."""
+    (n, d), (p, T) = s.shape, (sigma.dims.p, sigma.dims.T)
+    lam, v = np.linalg.eigh(t_hat)
+    if not lam.min() > 0:
+        raise ValueError("temporal factor must be positive definite")
+    y = (v.T @ s.reshape(n, T, p).transpose(1, 0, 2).reshape(T, -1)).reshape(-1, p)
+    scale = np.sqrt(d / (n * T) / lam)[:, None, None]
+    tr_t, t_sq = np.trace(t_hat), np.vdot(t_hat, t_hat)
+    for steps in range(1, cfg.max_iter + 1):
+        if not np.all(q > 0):
+            raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
+        z = (y.reshape(T, n, p) * (scale / np.sqrt(q)[:, None])).reshape(-1, p)
+        s_new = z.T @ z
+        c_new = (1.0 - rho) * d / (tr_t * np.trace(s_new))
+        if steps == 1:
+            change = KronCovariance(sigma.dims, [(c_new * t_hat, s_new)], rho).relative_change(sigma)
+        else:
+            change = np.sqrt(t_sq) * np.linalg.norm(c_new * s_new - c * s_hat) / np.sqrt(
+                c * c * t_sq * np.vdot(s_hat, s_hat) + 2.0 * c * rho * tr_t * np.trace(s_hat) + rho * rho * d)
+        c, s_hat = c_new, s_new
+        sig, w = np.linalg.eigh(s_hat)
+        mu = c * lam[:, None] * sig + rho
+        if not mu.min() > 0:
+            raise np.linalg.LinAlgError("covariance is not positive definite")
+        q_used, q = q, np.einsum("tkj,tj->k", np.square(y @ w).reshape(T, n, p), 1.0 / mu)
+        if change < cfg.tol:
+            break
+    average = GramCovariance.adopt(sigma.dims, s / np.sqrt(q_used)[:, None], 0.0, d)
+    return KronCovariance(sigma.dims, [(c * t_hat, s_hat)], rho), average, steps, bool(change < cfg.tol), q
 
 
 def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
@@ -658,10 +697,10 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     of the temporal factor; the reported `converged` holds when the start,
     every inner loop and the outer loop converged.
 
-    The inner loop is :func:`_tyler_iterations` with P = T (x) flipflop_S(Tyler
-    average, T), so each iterate is the factor form (1 - rho) (pT / tr P) P + rho I:
-    trace pT, minimum eigenvalue >= rho, solved by its blocks, its change exact; A is read through its
-    rows, and kronpca_T makes the last A dense once per outer step.  The last iterate is the estimate.
+    The inner loop (:func:`_kron_tyler_loop`) takes P = T (x) flipflop_S(Tyler average A, T) in T's
+    eigenbasis, so each iterate is (1 - rho) (pT / tr P) P + rho I: trace pT, minimum eigenvalue >= rho,
+    one p x p eigh per step, its change exact.  Only the start is solved as a form; each loop hands
+    on the q of its last iterate, and kronpca_T reads its last A.  The last iterate is the estimate.
 
     `start`, a pair (estimate, Tyler average) of an earlier fit, replaces the
     chen_tyler start and its estimate as the first average, and counts as
@@ -680,15 +719,14 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     converged = False
     inner_converged = True
     inner_total = 0
+    q = sigma_hat.inverse_quad_forms(s)[0]  # the start's own solve; each inner loop returns the next
     for outer in range(1, cfg.max_iter + 1):
         t_hat = kronpca_T(average)
         if t_prev is not None and np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev) < cfg.tol:
             converged = True
             break
         t_prev = t_hat
-        sigma_hat, average, steps, inner_ok = _tyler_iterations(
-            s, sigma_hat, r, cfg,
-            lambda rows: KronCovariance(samples.dims, [(t_hat, flipflop_S(rows, t_hat))], 0.0))
+        sigma_hat, average, steps, inner_ok, q = _kron_tyler_loop(s, t_hat, sigma_hat, q, r, cfg)
         inner_total += steps
         inner_converged = inner_converged and inner_ok
     if not converged:

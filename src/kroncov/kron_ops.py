@@ -417,17 +417,25 @@ class KronCovariance:
         return self.inner(self)
 
     def relative_change(self, old) -> float:
-        """|sigma - old| / |old|.  With one term each and the same d, sigma - old = A (x) (B - E)
-        + (A - C) (x) E for sigma's A (x) B and old's C (x) E, whose square norm |A|^2 |B - E|^2 +
-        2 <A, A - C> <B - E, E> + |A - C|^2 |E|^2 keeps a small change's digits.  Otherwise the
-        expansion |sigma|^2 - 2 <sigma, old> + |old|^2, blind to a change below about 1e-8."""
-        one_term = isinstance(old, KronCovariance) and len(self.pairs) == len(old.pairs) == 1
-        if one_term and np.array_equal(self.d, old.d):
+        """|sigma - old| / |old| to rounding (an expansion of the square is blind below 1e-8).  One
+        term each, A (x) B and C (x) E, with the same d: sigma - old = A (x) (B - E) + (A - C) (x) E,
+        square norm |A|^2 |B - E|^2 + 2 <A, A - C> <B - E, E> + |A - C|^2 |E|^2.  Other factor forms:
+        sum_i P_i (x) Q_i over both forms' terms is the rearranged P Q^T, of norm |R_P R_Q^T| for the
+        R factors of P and Q.  A dense or rows old: its entries minus the terms."""
+        p, T = self.dims.p, self.dims.T
+        if not isinstance(old, KronCovariance):
+            diff = old.entries.reshape(T, p, T, p) - sum(
+                tm[:, None, :, None] * sm[None, :, None, :] for tm, sm in self._terms())
+            sq = np.vdot(diff, diff)
+        elif len(self.pairs) == len(old.pairs) == 1 and np.array_equal(self.d, old.d):
             (a, b), (c, e) = self.pairs[0], old.pairs[0]
             sq = (np.vdot(a, a) * np.vdot(b - e, b - e) + 2.0 * np.vdot(a, a - c) * np.vdot(b - e, e)
                   + np.vdot(a - c, a - c) * np.vdot(e, e))
         else:
-            sq = self.frobenius_sq() - 2.0 * self.inner(old) + old.frobenius_sq()
+            terms = [*self._terms(), *((tm, -sm) for tm, sm in old._terms())]
+            r_p, r_q = (np.linalg.qr(np.stack([f[k].ravel() for f in terms], axis=1), mode="r")
+                        for k in (0, 1))
+            sq = np.vdot(r_p @ r_q.T, r_p @ r_q.T)
         return float(np.sqrt(max(sq, 0.0) / old.frobenius_sq()))
 
     def quad_sum(self, x: np.ndarray) -> float:

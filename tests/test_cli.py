@@ -679,6 +679,23 @@ class TestAnomalyCommand:
         assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 3
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_a_non_finite_score_names_its_start_frame(self, tmp_path, capsys, stride):
+        # the windows after train_range form the second test slice; the first one that holds
+        # frame 180 starts at frame 179 with stride 1, 180 with stride 3, not at its slice index
+        rng = np.random.default_rng(16)
+        values = rng.standard_normal((200, 3))
+        values[180, 1] = 1e200
+        labels = np.zeros(200, dtype=int)
+        labels[20:30] = labels[150:160] = 1
+        csv = tmp_path / "stream.csv"
+        write_frame_csv(csv, FrameSeries(values, labels))
+        cfg = {"input": str(csv), "T": 2, "stride": stride, "train_range": [50, 120],
+               "estimators": [{"name": "scm-lw"}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 3
+        first = {1: 179, 3: 180}[stride]
+        assert f"the window at frame {first} has a non-finite score" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_sample_input_counts(self, tmp_path):

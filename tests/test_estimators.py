@@ -1094,17 +1094,43 @@ class TestRobustKronpca:
         _, info = robust_kronpca(samples, 0.1, full_output=True)
         assert info["converged"] is True
         loops = []
-        real = est._tyler_iterations
+        real = est._kron_tyler_loop
 
         def first_inner_loop_stuck(*args):
             loops.append(args[-1])
             out = real(*args)
-            return (*out[:3], False) if len(loops) == 2 else out  # the chen_tyler start is loop 1
-        monkeypatch.setattr(est, "_tyler_iterations", first_inner_loop_stuck)
+            return (*out[:3], False, *out[4:]) if len(loops) == 1 else out
+        monkeypatch.setattr(est, "_kron_tyler_loop", first_inner_loop_stuck)
         _, stuck = robust_kronpca(samples, 0.1, full_output=True)
         assert len(loops) > 2
         assert stuck["converged"] is False
         assert (stuck["iterations"], stuck["inner_iterations"]) == (info["iterations"], info["inner_iterations"])
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_temporal_eigh_per_loop_and_one_spatial_eigh_per_step(self, warm, monkeypatch):
+        # p=4, T=3: each inner loop takes one 3 x 3 eigh of its temporal factor, and each step one
+        # 4 x 4 eigh for the quadratic forms of its iterate (kronpca_T's eigh is of the 5 x 5
+        # compressed Gram); only the start is solved as a covariance form: the dense chen_tyler
+        # start, or a split warm start with its own two eighs
+        samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4)
+        start = robust_kronpca(samples, 0.3, full_output=True)[1]["warm_start"] if warm else None
+        shapes, splits = [], []
+
+        def counted(a, *args, _real=np.linalg.eigh, **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        real_split = KronCovariance._split
+
+        def counted_split(self, *args, **kwargs):
+            splits.append(self)
+            return real_split(self, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(KronCovariance, "_split", counted_split)
+        _, info = robust_kronpca(samples, 0.1, full_output=True, start=start)
+        assert info["converged"] is True and info["inner_iterations"] > info["iterations"]
+        assert splits == ([start[0]] if warm else [])
+        assert shapes.count((3, 3)) == info["iterations"] - 1 + warm
+        assert shapes.count((4, 4)) == info["inner_iterations"] + warm
 
     @pytest.mark.parametrize("rho", [0.05, 0.3, "auto"])
     def test_estimate_is_one_pair_of_symmetric_factors_plus_rho(self, rho):
@@ -1201,10 +1227,13 @@ def reference_chen_tyler(samples, r, cfg):
     return sigma, iterations
 
 
-def reference_robust_kronpca(samples, r, cfg):
+def reference_robust_kronpca(samples, r, cfg, start=None):
+    # start: the dense (estimate, Tyler average) of a warm start, in place of the chen_tyler start
     s = reference_directions(samples)
-    sigma_hat, _ = reference_chen_tyler(samples, r, cfg)
-    sigma_tilde, t_prev, inner = sigma_hat, None, 0
+    if start is None:
+        sigma_hat, _ = reference_chen_tyler(samples, r, cfg)
+        start = (sigma_hat, sigma_hat)
+    (sigma_hat, sigma_tilde), t_prev, inner = start, None, 0
     for outer in range(1, cfg.max_iter + 1):
         t_hat = kronpca_T(DenseCovariance(samples.dims, sigma_tilde))
         if t_prev is not None and rel_diff(t_hat, t_prev) < cfg.tol:
@@ -1318,6 +1347,52 @@ class TestTylerLoopMatchesTheReference:
         cfg = EstimatorConfig()
         chosen = est.cv_shrinkage_intensity(samples, fitter, cfg).rho
         assert chosen == reference_cv_rho(samples, reference, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @example(p=1, T=5, rows="as_many", rho=0.01, tol=1e-12, warm_rho=0.3, seed=50382)
+    @given(p=st.integers(1, 5), T=st.integers(1, 5), rows=st.sampled_from(["fewer", "as_many", "more"]),
+           rho=st.sampled_from([0.01, 0.3, 1.0]), tol=st.sampled_from([1e-6, 1e-12]),
+           warm_rho=st.sampled_from([None, 0.01, 0.3, 1.0]), seed=st.integers(0, 2 ** 16))
+    def test_eigenbasis_loop_matches_the_reference(self, p, T, rows, rho, tol, warm_rho, seed):
+        # n below, at and above pT; cold, or warm from the pair of a fit at warm_rho
+        pt = p * T
+        n = {"fewer": max(2, pt // 2), "as_many": max(2, pt), "more": 2 * pt + 5}[rows]
+        samples = sample_student_t(ar1_kron_truth(p, T, 0.5, 0.95), 3.0, n, seed)
+        cfg = EstimatorConfig(tol=tol)
+        start = ref_start = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a start at max_iter is still a start
+            if warm_rho is not None:
+                start = robust_kronpca(samples, warm_rho, cfg, full_output=True)[1]["warm_start"]
+                ref_start = tuple(form.entries for form in start)
+            cov, info = robust_kronpca(samples, rho, cfg, full_output=True, start=start)
+            sigma, outer, inner = reference_robust_kronpca(samples, rho, cfg, ref_start)
+        assert (info["iterations"], info["inner_iterations"]) == (outer, inner)
+        # an outer loop still moving at max_iter (p=1, T=5, n=5, rho=0.01 moves by about 0.1 per
+        # step) carries 500 outer steps of rounding differences; only its counts are compared
+        if outer < cfg.max_iter:
+            assert rel_diff(cov.entries, sigma) <= 1e-12
+        else:
+            assert info["converged"] is False
+
+    @pytest.mark.parametrize("samples", [FEWER_THAN_PT, AS_MANY_AS_PT, TestWarmStartedCV.SAMPLES],
+                             ids=["fewer", "as_many", "more"])
+    def test_a_step_takes_the_closed_form_spatial_factor(self, samples):
+        # the loop's S' is flipflop_S of the Tyler average it returns, exactly symmetric
+        s = est._normalized_directions(samples)
+        start = chen_tyler(samples, 0.1)
+        t_hat = kronpca_T(start)
+        q = start.inverse_quad_forms(s)[0]
+        for max_iter in (1, 2, 5):
+            cov, average, steps, _, _ = est._kron_tyler_loop(s, t_hat, start, q, 0.1,
+                                                             EstimatorConfig(max_iter=max_iter))
+            (ct, s_hat), = cov.pairs
+            want = flipflop_S(average, t_hat)
+            assert steps == max_iter
+            np.testing.assert_array_equal(s_hat, s_hat.T)
+            np.testing.assert_allclose(s_hat, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_allclose(ct, (0.9 * 12 / (np.trace(t_hat) * np.trace(s_hat))) * t_hat,
+                                       rtol=1e-14, atol=0)
 
     def test_factor_form_cv_assembles_nothing(self, samples, monkeypatch):
         from kroncov import kron_ops

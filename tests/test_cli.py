@@ -744,6 +744,17 @@ class TestSpectrumCommand:
             assert run_cli("spectrum", cfg, tmp_path / "out", tmp_path) == 2
         assert "entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut, named", [
+        (lambda raw: raw[:10], "truncated matrix header"),
+        (lambda raw: raw[:-8], "expected 36 values, found 35")], ids=["header", "size"])
+    def test_malformed_covariance_file_is_config_error(self, tmp_path, capsys, cut, named):
+        bin_path = tmp_path / "cut.bin"
+        write_matrix_binary(bin_path, np.eye(6))
+        bin_path.write_bytes(cut(bin_path.read_bytes()))
+        cfg = {"input": str(bin_path), "kind": "covariance", "p": 2, "T": 3}
+        assert run_cli("spectrum", cfg, tmp_path / "out", tmp_path) == 2
+        assert f"input (covariance file): {bin_path}: {named}" in capsys.readouterr().err
+
     def test_identity_covariance_needs_one_component(self, tmp_path):
         bin_path = tmp_path / "eye.bin"
         write_matrix_binary(bin_path, np.eye(6))
@@ -954,6 +965,13 @@ PROBES = [
      "estimators[0]: estimator 'scm-lw' does not read config field 'r'"),
     ("mse-bench", {"estimators": [{"name": "kronpca", "config": {"rho": 0.1}}]},
      "estimators[0]: estimator 'kronpca' does not read config field 'rho'"),
+    ("mse-bench", {"estimators": [{"name": "scm"}, {"name": "scm"}]},
+     "estimator labels must be unique (set 'label'"),
+    ("anomaly", {"estimators": [{"name": "scm", "label": "a"}, {"name": "scm-lw", "label": "a"}]},
+     "estimator labels must be unique (set 'label'"),
+    ("mse-bench", {"trials": 0}, "config key 'trials' must be at least 1"),
+    ("anomaly", {"train_range": [0]}, "train_range must be [start, stop]"),
+    ("anomaly", {"train_range": [0, 10, 30]}, "train_range must be [start, stop]"),
 ]
 
 

@@ -140,6 +140,11 @@ class TestShrink:
             else:  # 0 * a negative entry is -0.0, which the old sum turned into +0.0
                 assert np.array_equal(new, old)
 
+    def test_rho_above_one_rejected(self):
+        sigma = DenseCovariance(SpaceTimeDims(2, 1), np.diag([3.0, 1.0]))
+        with pytest.raises(ValueError, match=re.escape("rho must lie in [0, 1], got 1.5")):
+            shrink(sigma, 1.5)
+
     def test_trace_preserved_and_spectrum_affine(self):
         rng = np.random.default_rng(1)
         sigma = DenseCovariance(SpaceTimeDims(3, 2), random_spd(rng, 6))
@@ -415,6 +420,13 @@ class TestSoftImpute:
         mask[1, 2] = 0.5
         with pytest.raises(ValueError, match="mask entries must be exactly 0 or 1, found 0.5"):
             soft_impute(np.ones((3, 4)), mask, 0.1, EstimatorConfig())
+
+    @pytest.mark.parametrize("mask_shape, beta, named", [
+        ((4, 3), 0.1, "data shape (3, 4) and mask shape (4, 3) differ"),
+        ((3, 4), -0.1, "beta must be nonnegative")], ids=["mask-shape", "negative-beta"])
+    def test_bad_input_rejected(self, mask_shape, beta, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            soft_impute(np.ones((3, 4)), np.ones(mask_shape), beta, EstimatorConfig())
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(10)
@@ -1031,6 +1043,41 @@ class TestKronpcaT:
         ridged = a + (1e-8 * lam[-1] - lam[0]) * np.eye(T)
         np.testing.assert_allclose(out, ridged * (T / np.trace(ridged)), rtol=1e-12, atol=0)
 
+    @staticmethod
+    def forms():
+        """A dense form, a rows form on each route of rearranged_gram and a one-term factor form."""
+        rng = np.random.default_rng(33)
+        dims = SpaceTimeDims(6, 5)
+        cross = TestFitsFromTheRows.crossover(dims.p, dims.T)
+        rows = [GramCovariance(dims, rng.standard_t(3, (n, dims.pt)), 0.0, dims.pt)
+                for n in (cross - 1, 2 * cross)]
+        dense = DenseCovariance(dims, random_spd(rng, dims.pt, cond=30))
+        factor = KronCovariance(dims, [(toeplitz(0.6 ** np.arange(dims.T)), random_spd(rng, dims.p))], 0.2)
+        return {"dense": dense, "rows-frames": rows[0], "rows-dense": rows[1], "factor": factor}
+
+    def test_lifts_nothing(self, monkeypatch):
+        def lifted(*args):
+            raise AssertionError("kronpca_T lifted a spatial factor")
+        monkeypatch.setattr(est, "_rearranged_lift", lifted)
+        for form in (DenseCovariance, GramCovariance, KronCovariance):
+            monkeypatch.setattr(form, "spatial_contract", lifted)
+        forms = self.forms()
+        for sigma in forms.values():
+            out = kronpca_T(sigma)
+            assert np.trace(out) == pytest.approx(sigma.dims.T, rel=1e-12)
+        # the rows forms took the frame route and the dense one
+        assert "_entries" not in forms["rows-frames"].__dict__
+        assert "_entries" in forms["rows-dense"].__dict__
+
+    def test_is_the_repaired_temporal_factor_of_the_rank_one_toeplitz_fit(self):
+        for name, sigma in self.forms().items():
+            T = sigma.dims.T
+            tm = est._sym(kronpca(sigma, EstimatorConfig(r=1, toeplitz=True)).factors[0][1])
+            lam = np.linalg.eigvalsh(tm)
+            if lam[0] < 1e-8 * lam[-1]:
+                tm = tm + (1e-8 * lam[-1] - lam[0]) * np.eye(T)
+            np.testing.assert_array_equal(kronpca_T(sigma), tm * (T / np.trace(tm)), err_msg=name)
+
 
 class TestFlipflopS:
     def test_exact_factor_recovery(self):
@@ -1616,6 +1663,22 @@ class TestRegistry:
         else:
             doc["factors"][0][field][1][0] = entry
         with pytest.raises(ValueError, match=re.escape(f"{named} must be finite")):
+            KronModel.from_json_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("break_doc, named", [
+        (lambda doc: doc["factors"].reverse(), "factors must be ordered by nonincreasing |weight|"),
+        (lambda doc: doc["factors"][0].update(spatial=(2.0 * np.array(doc["factors"][0]["spatial"])).tolist()),
+         "factor matrices must have unit Frobenius norm"),
+        (lambda doc: doc["factors"][0].update(temporal=np.diag([0.6, 0.8]).tolist()),
+         "temporal factor of a Toeplitz fit is not Toeplitz"),
+        (lambda doc: doc["u"].append(0.0), "u has shape (4,), expected (3,)")],
+        ids=["weight-order", "non-unit", "non-toeplitz", "u-length"])
+    def test_malformed_kron_model_rejected(self, break_doc, named):
+        ss = sample_gaussian(ar1_kron_truth(3, 2, 0.5, 0.95), 20, 13)
+        doc = kronpca(scm(ss), EstimatorConfig(r=2, toeplitz=True)).to_json_dict()
+        KronModel.from_json_dict(json.loads(json.dumps(doc)))
+        break_doc(doc)
+        with pytest.raises(ValueError, match=re.escape(named)):
             KronModel.from_json_dict(json.loads(json.dumps(doc)))
 
 

@@ -294,8 +294,9 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
     if series.labels[start:stop].any():
         warnings.warn("training range contains anomalous frames; fitting proceeds anyway")
 
-    with _config_errors():
-        windows = anom.make_windows(anom.detrend(series, (start, stop), linear=linear), T, stride)
+    with _config_errors():  # the raw frames are dropped: the windows view the detrended ones
+        series = anom.detrend(series, (start, stop), linear=linear)
+        windows = anom.make_windows(series, T, stride)
 
     # starts increase: [:i0] end by start, [j0:j1] fit in the range, [i1:] begin at stop or later
     i0, j0, j1, i1 = np.searchsorted(windows.starts, [start - T + 1, start, stop - T + 1, stop])

@@ -57,11 +57,12 @@ def _fields(k: int) -> str:
 
 def write_csv(path, header, rows) -> None:
     """The header fields, then one line per row (a float array or tuples) by one % format,
-    as np.savetxt does, from the first row's cells: %.17g for a float, %s for a str or int."""
+    as np.savetxt does, from the first row's cells: %.17g for a float, %s for a str or int.
+    An array's rows are formatted as Python numbers (tolist), the same bytes at less cost."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fmt = None
-        for row in rows:
+        for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
             fmt = fmt or ",".join("%.17g" if isinstance(c, float) else "%s" for c in row) + "\n"
             fh.write(fmt % tuple(row))
 

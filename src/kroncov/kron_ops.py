@@ -29,8 +29,10 @@ SYMMETRY_RTOL = 1e-12
 SOLVE_BLOCK = 32
 # rows whitened at once by KronCovariance's block solve: 0.5 MB temporaries at p=100, T=10
 SCORE_CHUNK = 64
-# rows scored at once by GramCovariance's Woodbury solve: 6.4 MB products at n=400
-GRAM_SCORE_CHUNK = 2048
+# rows scored at once by GramCovariance's Woodbury solve: 1.6 MB products at n=400, and for a
+# strided view (anomaly windows) a 4 MB copy of the chunk at pT=1000; 384 to 2048 rows score
+# 5,000 such windows within 5% of each other on one BLAS thread
+GRAM_SCORE_CHUNK = 512
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -634,10 +636,24 @@ class GramCovariance:
         G_kl (x) G_kl + a beta (v e^T + e v^T) + a^2 p e e^T, with e = vec(I_T) and v = vec(sum_k
         G_kk), compressed on both sides when toeplitz.  That costs about n^2 T^2 (p + T^2) and
         is kept (shared with every affine form); the kept entries cost n (pT)^2 + T^4 p^2, and the
-        cheaper of the two is taken."""
+        cheaper of the two is taken.  On the entries' side a toeplitz B is built without them: its
+        row for offset o >= 0 sums the blocks (i, i + o), beta X_{:T-o}^T X_{o:} over the frames
+        X_i (n x p) of the rows stacked in frame order, plus a T I at o = 0, and row -o is its
+        transpose's, each over sqrt(T - |o|).  That costs the entries' n p^2 T(T+1)/2 with one
+        nT x p copy of the frames."""
         n, p, T = len(self.x), self.dims.p, self.dims.T
         if n * n * T * T * (p + T * T) >= n * self.dims.pt ** 2 + T ** 4 * p * p:
-            return _dense_rearranged_gram(self, toeplitz)
+            if not toeplitz:
+                return _dense_rearranged_gram(self, False)
+            frames = self.x.reshape(n, T, p).transpose(1, 0, 2).reshape(T * n, p)
+            c = np.empty((2 * T - 1, p * p))
+            for o in range(T):
+                lag = self._beta * (frames[:(T - o) * n].T @ frames[o * n:])
+                if o == 0:
+                    lag.flat[::p + 1] += self.a * T
+                c[T - 1 + o], c[T - 1 - o] = lag.ravel(order="F"), lag.ravel()
+            c /= diagonal_weights(T)[:, None]
+            return c @ c.T
 
         def frame_terms():
             frames = self.x.reshape(n * T, p)
@@ -698,7 +714,7 @@ class GramCovariance:
         w = (vecs / np.sqrt(shifted)).T @ self.x
         q = np.empty(len(y))
         for lo in range(0, len(q), GRAM_SCORE_CHUNK):
-            wy = w @ y[lo:lo + GRAM_SCORE_CHUNK].T  # n x chunk: no copy of the rows
+            wy = w @ y[lo:lo + GRAM_SCORE_CHUNK].T  # n x chunk; numpy copies a strided view's chunk
             q[lo:lo + GRAM_SCORE_CHUNK] = sq[lo:lo + GRAM_SCORE_CHUNK] - np.einsum("ij,ij->j", wy, wy)
         q /= a
         logdet = (d - n) * np.log(a) + n * np.log(beta) + np.log(shifted).sum()

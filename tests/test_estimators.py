@@ -648,7 +648,9 @@ class TestFitsFromTheRows:
             # summed here, not through kron_assemble: an r >= 2 term's factors can miss exact
             # symmetry by more than its 1e-12 check, on either route
             assert np.abs(kron_sum(from_rows) - kron_sum(from_dense)).max() <= 1e-10 * scale
-        assert ("_entries" in rows.__dict__) == (n >= cross)
+        # past the crossover only the non-Toeplitz Gram reads the dense entries: the Toeplitz one
+        # sums lagged frame products
+        assert ("_entries" in rows.__dict__) == (n >= cross and not toeplitz_rows)
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -656,10 +658,11 @@ class TestFitsFromTheRows:
     ("dc-kronpca-lw", {})])
 def test_paper_scale_fit_reads_the_rows_unassembled(monkeypatch, name, overrides):
     # p=100, T=10, n=50 (mc-paper's larger n): the Kronecker fits read the frame Gram, so
-    # nothing rearranges and the sample covariance never makes its 8 MB dense entries
+    # nothing rearranges and the sample covariance never makes its 8 MB dense entries.  n=120 is
+    # past the crossover (TestFitsFromTheRows.crossover), where a Toeplitz fit sums lagged frame
+    # products instead
     from kroncov import kron_ops
 
-    samples = sample_gaussian(ar1_kron_truth(100, 10), 50, 4)
     rearranged = []
     real = kron_ops.rearrange
 
@@ -668,11 +671,13 @@ def test_paper_scale_fit_reads_the_rows_unassembled(monkeypatch, name, overrides
         return real(sigma)
     monkeypatch.setattr(kron_ops, "rearrange", counted)
     monkeypatch.setattr(est, "rearrange", counted)
-    fit_by_name(name, samples, overrides)
-    sigma = samples.covariance()
-    assert isinstance(sigma, GramCovariance)
-    assert rearranged == []
-    assert "_entries" not in sigma.__dict__ and "_dense" not in sigma.__dict__
+    for n in (50, 120) if make_config(name, overrides).toeplitz else (50,):
+        samples = sample_gaussian(ar1_kron_truth(100, 10), n, 4)
+        fit_by_name(name, samples, overrides)
+        sigma = samples.covariance()
+        assert isinstance(sigma, GramCovariance)
+        assert rearranged == []
+        assert "_entries" not in sigma.__dict__ and "_dense" not in sigma.__dict__
 
 
 class TestDcKronpca:
@@ -1065,9 +1070,11 @@ class TestKronpcaT:
         for sigma in forms.values():
             out = kronpca_T(sigma)
             assert np.trace(out) == pytest.approx(sigma.dims.T, rel=1e-12)
-        # the rows forms took the frame route and the dense one
+        # the rows forms took the frame route and the lagged frame products: neither made its entries
+        assert "frame_terms" in forms["rows-frames"]._shared
+        assert "frame_terms" not in forms["rows-dense"]._shared
         assert "_entries" not in forms["rows-frames"].__dict__
-        assert "_entries" in forms["rows-dense"].__dict__
+        assert "_entries" not in forms["rows-dense"].__dict__
 
     def test_is_the_repaired_temporal_factor_of_the_rank_one_toeplitz_fit(self):
         for name, sigma in self.forms().items():

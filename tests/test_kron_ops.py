@@ -1,4 +1,5 @@
 """Operator tests against loop-based index oracles and exact identities."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -923,14 +924,32 @@ class TestGramCovariance:
         np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=0)
         assert logdet == pytest.approx(logdet_ref, rel=1e-12)
 
-    @pytest.mark.parametrize("n, dense_route", [(2, False), (5, False), (6, True), (40, True)])
+    @pytest.mark.parametrize("p, T, n, a_sign, dense_route", [
+        # ids n-route at p = 6, T = 3 with a > 0; the other shapes and a < 0 name themselves
+        pytest.param(6, 3, 2, 1, False, id="2-False"),
+        pytest.param(6, 3, 5, 1, False, id="5-False"),
+        pytest.param(6, 3, 6, 1, True, id="6-True"),
+        pytest.param(6, 3, 40, 1, True, id="40-True"),
+        pytest.param(1, 1, 1, 1, True, id="p1-T1-n1-True"),
+        pytest.param(1, 1, 3, 1, True, id="p1-T1-n3-True"),
+        pytest.param(1, 4, 2, 1, True, id="p1-T4-n2-True"),
+        pytest.param(6, 1, 5, 1, False, id="p6-T1-n5-False"),
+        pytest.param(6, 1, 6, 1, True, id="p6-T1-n6-True"),
+        pytest.param(6, 3, 2, -1, False, id="negative-a-2-False"),
+        pytest.param(6, 3, 40, -1, True, id="negative-a-40-True")])
     @pytest.mark.parametrize("toeplitz_rows", [False, True])
-    def test_rearranged_gram_takes_the_cheaper_route(self, n, dense_route, toeplitz_rows, monkeypatch):
+    def test_rearranged_gram_takes_the_cheaper_route(self, p, T, n, a_sign, dense_route, toeplitz_rows,
+                                                     monkeypatch):
         # frame route n^2 T^2 (p + T^2) against n (pT)^2 + T^4 p^2 over the entries: at p = 6,
-        # T = 3 the frames are cheaper below n = 6
+        # T = 3 the frames are cheaper below n = 6, at p = 6, T = 1 below n = 6, and at p = 1
+        # never.  On the entries' side only the non-Toeplitz Gram reads them: the Toeplitz one
+        # sums lagged frame products
         rng = np.random.default_rng(n)
-        dims = SpaceTimeDims(6, 3)
+        dims = SpaceTimeDims(p, T)
         cov = shrink(GramCovariance(dims, rng.standard_normal((n, dims.pt)), 0.0, 1.5), 0.3)
+        if a_sign < 0:
+            cov = cov.affine(1.0, -2.0 * cov.a)
+        assert np.sign(cov.a) == a_sign
         rearranged = []
 
         def counted(sigma, _real=kron_ops.rearrange):
@@ -938,11 +957,52 @@ class TestGramCovariance:
             return _real(sigma)
         monkeypatch.setattr(kron_ops, "rearrange", counted)
         gram = cov.rearranged_gram(toeplitz_rows)
-        assert len(rearranged) == dense_route
-        assert ("_entries" in cov.__dict__) == dense_route
+        reads_entries = dense_route and not toeplitz_rows
+        assert len(rearranged) == reads_entries
+        assert ("_entries" in cov.__dict__) == reads_entries
+        assert ("frame_terms" in cov._shared) == (not dense_route)
         b = rearrange_oracle(np.array(cov.entries), dims.p, dims.T)
         b = compress_diagonals(b, dims.T) if toeplitz_rows else b
         assert np.abs(gram - b @ b.T).max() <= 1e-12 * np.sum(b ** 2)
+
+    @staticmethod
+    def traced_peak(call):
+        """call()'s peak of traced allocations, in bytes (numpy reports its arrays to tracemalloc)."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_toeplitz_gram_past_the_crossover_makes_no_pt_square_array(self):
+        # p=100, T=10, n=120: past the crossover (n=100), below pT; one 1000 x 1000 array is 8 MB
+        dims = SpaceTimeDims(100, 10)
+        cov = GramCovariance(dims, gram_rows(np.random.default_rng(21), 120, dims))
+        assert self.traced_peak(lambda: cov.rearranged_gram(True)) < 8 * dims.pt ** 2
+        assert "_entries" not in cov.__dict__
+
+    def test_woodbury_scores_of_a_strided_view_copy_no_large_chunk(self):
+        # 1,500 windows of a frame stream at pT=1000 as the anomaly pipeline holds them.  For the
+        # product numpy copies each chunk of the strided view into a buffer that tracemalloc does
+        # not see, so the chunks are also read off the view's slices: all 1,500 rows would be 12 MB
+        class Sliced(np.ndarray):
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                if isinstance(key, slice) and not out.flags.c_contiguous:
+                    chunks.append(out.nbytes)
+                return out
+
+        rng = np.random.default_rng(22)
+        dims = SpaceTimeDims(100, 10)
+        cov = shrink(GramCovariance(dims, gram_rows(rng, 50, dims)), 0.2)
+        view = stream_windows(rng, 1500, dims)
+        cov.inverse_quad_forms(view[:1])  # the kept Gram eigh, outside the measured call
+        chunks, scores = [], []
+        peak = self.traced_peak(lambda: scores.append(cov.inverse_quad_forms(view.view(Sliced))[0]))
+        assert peak < 8 * dims.pt ** 2
+        assert chunks and max(chunks) < 8 * dims.pt ** 2
+        np.testing.assert_array_equal(scores[0], cov.inverse_quad_forms(view)[0])
 
     def test_scores_do_not_depend_on_the_chunk_size(self, monkeypatch):
         rng = np.random.default_rng(13)

@@ -547,6 +547,16 @@ def _normalized_directions(samples: SampleSet) -> np.ndarray:
     return x / np.sqrt(sq)[:, None]
 
 
+def _tyler_preamble(samples: SampleSet, rho, cfg: EstimatorConfig | None):
+    """(cfg or the default, rho as a float, the unit directions); ValueError unless 0 < rho <= 1."""
+    cfg = cfg or EstimatorConfig()
+    r = _rho_value(rho)
+    s = _normalized_directions(samples)
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {r}")
+    return cfg, r, s
+
+
 def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
                full_output: bool = False, start=None):
     """Robust shape estimate from shrunk Tyler fixed-point iterations.
@@ -564,11 +574,7 @@ def chen_tyler(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     The info of full_output carries `warm_start`, the estimate, which a fit at a
     nearby rho on the same samples may take as its `start`.
     """
-    cfg = cfg or EstimatorConfig()
-    r = _rho_value(rho)
-    s = _normalized_directions(samples)
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {r}")
+    cfg, r, s = _tyler_preamble(samples, rho, cfg)
     d = samples.dims.pt
     if start is None:
         start = DenseCovariance.adopt(samples.dims, np.eye(d))
@@ -706,9 +712,7 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     chen_tyler start and its estimate as the first average, and counts as
     converged; the info of full_output carries this fit's own pair as `warm_start`.
     """
-    cfg = cfg or EstimatorConfig()
-    r = _rho_value(rho)
-    s = _normalized_directions(samples)
+    cfg, r, s = _tyler_preamble(samples, rho, cfg)
     if start is None:
         sigma_hat, start_info = chen_tyler(samples, r, cfg, full_output=True)
         average, start_converged = sigma_hat, start_info["converged"]
@@ -755,7 +759,9 @@ def kron_spectrum(sigma: DenseCovariance | GramCovariance, toeplitz_rows: bool =
 
 
 def components_for_energy(spectrum: np.ndarray, fraction: float = 0.95) -> int:
-    """Smallest leading component count whose squared mass reaches `fraction`."""
+    """Smallest leading component count whose squared mass reaches `fraction`, 0 < fraction <= 1."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     energy = np.cumsum(np.asarray(spectrum, dtype=float) ** 2)
     total = energy[-1]
     if total <= 0:
@@ -885,7 +891,9 @@ def _estimator_spec(name: str) -> EstimatorSpec:
 def make_config(name: str, overrides: dict | None = None) -> EstimatorConfig:
     spec = _estimator_spec(name)
     overrides = overrides or {}
-    cfg = EstimatorConfig(**{**spec.defaults, **overrides})  # type errors first
+    known = {f.name for f in dataclasses.fields(EstimatorConfig)}
+    # type errors on known fields first; a key EstimatorConfig lacks is one more unread field
+    cfg = EstimatorConfig(**{**spec.defaults, **{k: v for k, v in overrides.items() if k in known}})
     unread = sorted(set(overrides) - set(spec.fields))
     if unread:
         raise ValueError(f"estimator {name!r} does not read config field {unread[0]!r} "

@@ -52,6 +52,12 @@ def _kept(store: dict, key: str, compute):
     return store[key]
 
 
+def _spectrum_ends(sigma) -> tuple[float, float]:
+    """(lambda_min, lambda_max): the ends of the form's own eigvalsh()."""
+    lam = sigma.eigvalsh()
+    return float(lam[0]), float(lam[-1])
+
+
 def is_symmetric(a: np.ndarray) -> bool:
     """Every entry is finite and max|a - a^T| is within SYMMETRY_RTOL of max|a|."""
     scale = np.abs(a).max() if a.size else 0.0
@@ -133,10 +139,7 @@ class DenseCovariance(_Payload):
         """All pT eigenvalues in ascending order, computed on first use and kept."""
         return _kept(self.__dict__, "_eigvalsh", lambda: np.linalg.eigvalsh(self.entries))
 
-    def extremes(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max): the ends of the kept :meth:`eigvalsh`."""
-        lam = self.eigvalsh()
-        return float(lam[0]), float(lam[-1])
+    extremes = _spectrum_ends
 
     def affine(self, scale: float, shift: float) -> "DenseCovariance":
         """scale sigma + shift I: the entries times scale, then shift added on the diagonal."""
@@ -165,8 +168,9 @@ class DenseCovariance(_Payload):
         return float(np.vdot(self.entries, x.T @ x))
 
     def rearranged_gram(self, toeplitz: bool) -> np.ndarray:
-        """B B^T for B the rearranged image of the entries (compressed when toeplitz)."""
-        return _dense_rearranged_gram(self, toeplitz)
+        """B B^T for B the rearranged image of the entries (compressed when toeplitz): O(T^4 p^2)."""
+        b = _compressed(rearrange(self).entries, self.dims.T, toeplitz)
+        return b @ b.T
 
     def hidden_columns(self, toeplitz: bool) -> np.ndarray:
         """The columns of B that hold the covariance diagonal (:func:`diag_mask`'s cols):
@@ -284,12 +288,6 @@ def _compressed(rows: np.ndarray, T: int, toeplitz: bool) -> np.ndarray:
     return compress_diagonals(rows, T) if toeplitz else rows
 
 
-def _dense_rearranged_gram(sigma, toeplitz: bool) -> np.ndarray:
-    """B B^T for B = rearrange(sigma), compressed when toeplitz: O(T^4 p^2) over the entries."""
-    b = _compressed(rearrange(sigma).entries, sigma.dims.T, toeplitz)
-    return b @ b.T
-
-
 def toeplitz_project(r: RearrangedMatrix) -> ToeplitzCompressed:
     """Compress a rearranged matrix onto its 2T-1 weighted block diagonals."""
     return ToeplitzCompressed.adopt(r.dims, compress_diagonals(r.entries, r.dims.T))
@@ -321,19 +319,11 @@ def kron_assemble(dims: SpaceTimeDims, factors, u=None) -> DenseCovariance:
     `factors` is a sequence of (temporal T x T, spatial p x p) pairs; `u`
     is a length-p vector (scalar or None meaning zeros).
     """
-    p, T = dims.p, dims.T
+    form = KronCovariance(dims, factors, 0.0 if u is None else u)  # checks the shapes
     total = np.zeros((dims.pt, dims.pt))
-    for tm, sm in factors:
-        tm = np.asarray(tm, dtype=float)
-        sm = np.asarray(sm, dtype=float)
-        if tm.shape != (T, T) or sm.shape != (p, p):
-            raise ValueError(
-                f"factor shapes {tm.shape}, {sm.shape} do not match dims (T={T}, p={p})"
-            )
+    for tm, sm in form.pairs:
         total += np.kron(tm, sm)
-    if u is not None:
-        uvec = np.broadcast_to(np.asarray(u, dtype=float), (p,))
-        total.flat[::dims.pt + 1] += np.tile(uvec, T)  # the diagonal of I (x) diag(u)
+    total.flat[::dims.pt + 1] += np.tile(form.d, dims.T)  # the diagonal of I (x) diag(u)
     return DenseCovariance(dims, total)
 
 
@@ -636,15 +626,15 @@ class GramCovariance:
         G_kl (x) G_kl + a beta (v e^T + e v^T) + a^2 p e e^T, with e = vec(I_T) and v = vec(sum_k
         G_kk), compressed on both sides when toeplitz.  That costs about n^2 T^2 (p + T^2) and
         is kept (shared with every affine form); the kept entries cost n (pT)^2 + T^4 p^2, and the
-        cheaper of the two is taken.  On the entries' side a toeplitz B is built without them: its
-        row for offset o >= 0 sums the blocks (i, i + o), beta X_{:T-o}^T X_{o:} over the frames
-        X_i (n x p) of the rows stacked in frame order, plus a T I at o = 0, and row -o is its
-        transpose's, each over sqrt(T - |o|).  That costs the entries' n p^2 T(T+1)/2 with one
-        nT x p copy of the frames."""
+        cheaper of the two is taken.  On the entries' side the full B is :meth:`to_dense`'s, and a
+        toeplitz B is built without them: its row for offset o >= 0 sums the blocks (i, i + o),
+        beta X_{:T-o}^T X_{o:} over the frames X_i (n x p) of the rows stacked in frame order,
+        plus a T I at o = 0, and row -o is its transpose's, each over sqrt(T - |o|).  That costs
+        the entries' n p^2 T(T+1)/2 with one nT x p copy of the frames."""
         n, p, T = len(self.x), self.dims.p, self.dims.T
         if n * n * T * T * (p + T * T) >= n * self.dims.pt ** 2 + T ** 4 * p * p:
             if not toeplitz:
-                return _dense_rearranged_gram(self, False)
+                return self.to_dense().rearranged_gram(False)
             frames = self.x.reshape(n, T, p).transpose(1, 0, 2).reshape(T * n, p)
             c = np.empty((2 * T - 1, p * p))
             for o in range(T):
@@ -684,10 +674,7 @@ class GramCovariance:
         lam = self._gram_eigh()[0][max(n - d, 0):]
         return np.concatenate([np.full(max(d - n, 0), self.a), self.a + self._beta * lam])
 
-    def extremes(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max): the ends of :meth:`eigvalsh`, read off the kept Gram eigh."""
-        lam = self.eigvalsh()
-        return float(lam[0]), float(lam[-1])
+    extremes = _spectrum_ends
 
     def inverse_quad_forms(self, y: np.ndarray):
         """(q, log det sigma) with q_k = y_k^T sigma^{-1} y_k for each row y_k

@@ -961,6 +961,9 @@ PROBES = [
      "estimator 'tyler-kronpca' does not read config field 'r'"),
     ("estimate", {"estimator": "scm", "estimator_config": {"rho": 0.1}},
      "estimator 'scm' does not read config field 'rho'"),
+    ("estimate", {"estimator": "kronpca", "estimator_config": {"toeplits": True}},
+     "estimator 'kronpca' does not read config field 'toeplits' "
+     "(it reads: r, beta, toeplitz, diag_correct)"),
     ("mse-bench", {"estimators": [{"name": "scm-lw", "config": {"r": 2}}]},
      "estimators[0]: estimator 'scm-lw' does not read config field 'r'"),
     ("mse-bench", {"estimators": [{"name": "kronpca", "config": {"rho": 0.1}}]},

@@ -1179,6 +1179,14 @@ class TestRobustKronpca:
             wins += err_r < err_c
         assert wins >= 0.8 * trials
 
+    @pytest.mark.parametrize("rho", [0.0, 1.5, -0.2, np.nan])
+    def test_warm_start_checks_rho_as_chen_tyler_does(self, rho):
+        # a warm start skips the chen_tyler start, but not its rho check
+        samples = sample_student_t(ar1_kron_truth(4, 3, 0.5, 0.95), 3.0, 30, 4)
+        start = robust_kronpca(samples, 0.3, full_output=True)[1]["warm_start"]
+        with pytest.raises(ValueError, match=re.escape("rho must lie in (0, 1]")):
+            robust_kronpca(samples, rho, start=start)
+
     def test_trace_and_floor(self):
         truth = ar1_kron_truth(3, 3, 0.5, 0.95)
         ss = sample_student_t(truth, 3.0, 100, 5)
@@ -1565,6 +1573,13 @@ class TestKronSpectrum:
     def test_energy_count_helper(self):
         assert components_for_energy(np.array([1.0, 0.0])) == 1
         assert components_for_energy(np.array([3.0, 4.0]) / 5.0) == 2
+        assert components_for_energy(np.array([3.0, 2.0, 1.0]), 1.0) == 3
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, np.nan])
+    def test_energy_fraction_outside_the_unit_interval_rejected(self, fraction):
+        # unchecked, 1.5 and NaN count 4 components of a 3-value spectrum
+        with pytest.raises(ValueError, match=re.escape("fraction must lie in (0, 1]")):
+            components_for_energy(np.array([3.0, 2.0, 1.0]), fraction)
 
 
 class TestConfigValidation:

@@ -960,6 +960,7 @@ class TestGramCovariance:
         reads_entries = dense_route and not toeplitz_rows
         assert len(rearranged) == reads_entries
         assert ("_entries" in cov.__dict__) == reads_entries
+        assert ("_dense" in cov.__dict__) == reads_entries  # the full rows are to_dense()'s
         assert ("frame_terms" in cov._shared) == (not dense_route)
         b = rearrange_oracle(np.array(cov.entries), dims.p, dims.T)
         b = compress_diagonals(b, dims.T) if toeplitz_rows else b

@@ -32,7 +32,23 @@ class FrameSeries:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        values = _frozen_array(self.values)
+        self._settle(_frozen_array(self.values))
+
+    @classmethod
+    def adopt(cls, values: np.ndarray, labels=None) -> "FrameSeries":
+        """Wrap fresh C-ordered float frames, or a read-only view of frozen ones, without the
+        constructor's copy, as _Payload.adopt does: the values become read-only, nothing else
+        may hold a writable alias to them, and every other check of the constructor is made."""
+        if values.dtype != np.float64 or not values.flags.c_contiguous:
+            raise ValueError(f"cannot adopt a {values.dtype} array as frames: they must be C-ordered float64")
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "labels", labels)
+        out._settle(values)
+        return out
+
+    def _settle(self, values: np.ndarray) -> None:
+        """Check the read-only `values` and keep them; check and freeze the labels."""
         if values.ndim != 2:
             raise ValueError("frame values must be a 2-d array (frames x coordinates)")
         if not np.isfinite(values).all():
@@ -80,7 +96,9 @@ def detrend(series: FrameSeries, training_range, linear: bool = False) -> FrameS
     trend in the frame index, fit on the training range) from every frame.
 
     Labels pass through; applying detrend twice with the same range is a
-    no-op on the already-detrended data.
+    no-op on the already-detrended data.  The result adopts its one fresh
+    n x p array (:meth:`FrameSeries.adopt`): the linear branch subtracts
+    into its own fitted trend.
     """
     start, stop = int(training_range[0]), int(training_range[1])
     if not 0 <= start < stop <= series.n_frames:
@@ -90,11 +108,11 @@ def detrend(series: FrameSeries, training_range, linear: bool = False) -> FrameS
     if linear:
         design = np.column_stack([np.ones(stop - start), ts[start:stop]])
         coefs, *_ = np.linalg.lstsq(design, values[start:stop], rcond=None)
-        fitted = np.column_stack([np.ones(series.n_frames), ts]) @ coefs
-        out = values - fitted
+        out = np.column_stack([np.ones(series.n_frames), ts]) @ coefs
+        np.subtract(values, out, out=out)
     else:
         out = values - values[start:stop].mean(axis=0)
-    return FrameSeries(out, series.labels)
+    return FrameSeries.adopt(out, series.labels)
 
 
 def make_windows(series: FrameSeries, T: int, stride: int = 1) -> WindowSet:

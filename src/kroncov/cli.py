@@ -21,7 +21,6 @@ import json
 import re
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -248,9 +247,14 @@ def run_mse_bench(cfg: dict, threads: int = 1):
         return row, converged
 
     jobs = [(n, t) for n in n_grid for t in range(trials)]
-    # with one thread the trials run in this one: a pool thread's own malloc arena raises peak RSS
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_one, jobs) if threads > 1 else map(run_one, jobs))
+    # with one thread the trials run in this one: a pool thread's own malloc arena raises peak RSS,
+    # and the pool's module (which loads logging) is imported only for a pool
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_one, jobs))
+    else:
+        results = list(map(run_one, jobs))
 
     rows = []
     for label, _, _ in specs:
@@ -300,8 +304,8 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
 
     # starts increase: [:i0] end by start, [j0:j1] fit in the range, [i1:] begin at stop or later
     i0, j0, j1, i1 = np.searchsorted(windows.starts, [start - T + 1, start, stop - T + 1, stop])
-    train_rows = windows.vectors[j0:j1]
-    train_set = synth.SampleSet(SpaceTimeDims(series.p, T), len(train_rows), train_rows)
+    # the training set adopts its rows, a read-only view of the detrended frames: no copy
+    train_set = synth.SampleSet.adopt(SpaceTimeDims(series.p, T), windows.vectors[j0:j1])
     with _config_errors("train_range (windows inside it)"):
         for _, name, _ in specs:
             est.require_samples(name, train_set.n, train_set)

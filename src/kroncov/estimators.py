@@ -26,6 +26,7 @@ from .kron_ops import (
     GramCovariance,
     KronCovariance,
     SpaceTimeDims,
+    _kept,
     compress_diagonals,
     diag_mask,
     expand_diagonals,
@@ -208,6 +209,7 @@ def _lw_terms(samples: SampleSet, plugin):
     Any pilot answers through trace, frobenius_sq and quad_sum
     (<S, X^T X> = sum_i x_i^T S x_i), and ||S - m I||^2 = ||S||^2 - pT m^2,
     floored at 0 so a numerically scaled-identity pilot keeps d2 >= 0.
+    The centered rows X are the set's own (:meth:`SampleSet.centered`).
     """
     if samples.n < 2:
         raise ValueError("intensity estimation needs at least two samples")
@@ -215,7 +217,7 @@ def _lw_terms(samples: SampleSet, plugin):
     if plugin.dims != samples.dims:
         raise ValueError("plugin dims do not match the sample set")
     n = samples.n
-    x = samples.samples - samples.samples.mean(axis=0)
+    x = samples.centered()
     m = plugin.trace() / d
     s_sq = plugin.frobenius_sq()
     d2 = max(s_sq - d * m * m, 0.0) / d
@@ -711,6 +713,8 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     `start`, a pair (estimate, Tyler average) of an earlier fit, replaces the
     chen_tyler start and its estimate as the first average, and counts as
     converged; the info of full_output carries this fit's own pair as `warm_start`.
+    The temporal factor is kept on the average it was read from, so a fit warm-started
+    from a converged one reads its last factor back instead of computing it again.
     """
     cfg, r, s = _tyler_preamble(samples, rho, cfg)
     if start is None:
@@ -724,7 +728,7 @@ def robust_kronpca(samples: SampleSet, rho, cfg: EstimatorConfig | None = None,
     def step(state):
         # the change of the temporal factor is tested first, so the step that converges runs no inner loop
         sigma_hat, average, q, t_prev, inner_total, inner_converged = state
-        t_hat = kronpca_T(average)
+        t_hat = _kept(average.__dict__, "_temporal_factor", lambda: kronpca_T(average))
         change = np.inf if t_prev is None else np.linalg.norm(t_hat - t_prev) / np.linalg.norm(t_prev)
         if change < cfg.tol:
             return state, change

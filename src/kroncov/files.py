@@ -5,6 +5,7 @@ sorted keys, indent 2 and a trailing newline, so equal documents give equal byte
 covariance.bin holds two little-endian uint64 (rows, cols), then row-major float64 LE."""
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import warnings
@@ -55,14 +56,22 @@ def _fields(k: int) -> str:
     return f"{k} field" if k == 1 else f"{k} fields"
 
 
+# rows of an array turned into Python numbers at once by write_csv
+CSV_BLOCK = 1024
+
+
 def write_csv(path, header, rows) -> None:
     """The header fields, then one line per row (a float array or tuples) by one % format,
     as np.savetxt does, from the first row's cells: %.17g for a float, %s for a str or int.
-    An array's rows are formatted as Python numbers (tolist), the same bytes at less cost."""
+    An array's rows are formatted as Python numbers (tolist), the same bytes at less cost,
+    CSV_BLOCK rows at a time, so no list of the whole array's numbers is held."""
+    if isinstance(rows, np.ndarray):
+        blocks = [rows[lo:lo + CSV_BLOCK] for lo in range(0, len(rows), CSV_BLOCK)]  # views
+        rows = itertools.chain.from_iterable(block.tolist() for block in blocks)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fmt = None
-        for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        for row in rows:
             fmt = fmt or ",".join("%.17g" if isinstance(c, float) else "%s" for c in row) + "\n"
             fh.write(fmt % tuple(row))
 

@@ -29,10 +29,10 @@ SYMMETRY_RTOL = 1e-12
 SOLVE_BLOCK = 32
 # rows whitened at once by KronCovariance's block solve: 0.5 MB temporaries at p=100, T=10
 SCORE_CHUNK = 64
-# rows scored at once by GramCovariance's Woodbury solve: 1.6 MB products at n=400, and for a
-# strided view (anomaly windows) a 4 MB copy of the chunk at pT=1000; 384 to 2048 rows score
-# 5,000 such windows within 5% of each other on one BLAS thread
-GRAM_SCORE_CHUNK = 512
+# rows scored at once by GramCovariance's Woodbury solve: 0.8 MB products at n=400, and for a
+# strided view (anomaly windows) a 2 MB copy of the chunk at pT=1000; on one BLAS thread of a 2-core
+# x86 machine 128 / 256 / 512 rows score 5,000 such windows in 74.8 / 67.9 / 65.9 ms (fastest of 15)
+GRAM_SCORE_CHUNK = 256
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -616,7 +616,8 @@ class GramCovariance:
     def quad_sum(self, y: np.ndarray) -> float:
         """sum_k y_k^T sigma y_k = a |Y|^2 + beta |X Y^T|^2 over the rows y_k
         of y; the form's own rows give X X^T = G, which is reused."""
-        xy = self._gram() if y.shape == self.x.shape and np.array_equal(y, self.x) else y @ self.x.T
+        same = y is self.x or (y.shape == self.x.shape and np.array_equal(y, self.x))
+        xy = self._gram() if same else y @ self.x.T
         return float(self.a * np.vdot(y, y) + self._beta * np.vdot(xy, xy))
 
     def rearranged_gram(self, toeplitz: bool) -> np.ndarray:

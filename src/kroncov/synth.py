@@ -30,7 +30,24 @@ class SampleSet:
     seed: int | None = None
 
     def __post_init__(self):
-        samples = _frozen_array(self.samples)
+        self._settle(_frozen_array(self.samples))
+
+    @classmethod
+    def adopt(cls, dims: SpaceTimeDims, samples: np.ndarray, seed: int | None = None) -> "SampleSet":
+        """Wrap fresh float rows, or a read-only view of frozen ones (such as windows cut from
+        frames), without the constructor's copy, as _Payload.adopt does: the rows become
+        read-only, nothing else may hold a writable alias to them, and the shape and
+        finiteness checks of the constructor are made."""
+        if samples.dtype != np.float64 or samples.ndim != 2:
+            raise ValueError(f"cannot adopt a {samples.dtype} array of {samples.ndim} axes as samples")
+        samples.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__.update(dims=dims, n=len(samples), seed=seed)
+        out._settle(samples)
+        return out
+
+    def _settle(self, samples: np.ndarray) -> None:
+        """Check the read-only `samples` against dims and n, and keep them."""
         if samples.shape != (self.n, self.dims.pt):
             raise ValueError(
                 f"sample array shape {samples.shape}, expected ({self.n}, {self.dims.pt})"
@@ -38,6 +55,13 @@ class SampleSet:
         if not np.isfinite(samples).all():
             raise ValueError("samples must be finite (found NaN or inf)")
         object.__setattr__(self, "samples", samples)
+
+    def centered(self) -> np.ndarray:
+        """The mean-centered rows (n x pT).  Below pT samples they are the read-only rows the kept
+        :meth:`covariance` holds, so they exist once; from pT on they are made at each call."""
+        if self.n < self.dims.pt:
+            return self.covariance().x
+        return self.samples - self.samples.mean(axis=0)
 
     def covariance(self) -> DenseCovariance | GramCovariance:
         """Mean-centered sample covariance with 1/n normalization, made on

@@ -75,6 +75,17 @@ class TestDetrend:
         with pytest.raises(ValueError):
             detrend(s, (2, 2))
 
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_makes_one_array_of_the_frames(self, linear, traced_peak):
+        # the result adopts the one n x p array detrend makes: a copy of it, or a trend held
+        # beside the difference, would be two
+        s = series_from(np.random.default_rng(5).standard_normal((2000, 50)) + 3.0)
+        out = []
+        assert traced_peak(lambda: out.append(detrend(s, (0, 500), linear=linear))) < 1.5 * s.values.nbytes
+        assert not out[0].values.flags.writeable
+        if not linear:
+            np.testing.assert_array_equal(out[0].values, s.values - s.values[:500].mean(axis=0))
+
 
 class TestMakeWindows:
     def test_single_window_when_t_equals_length(self):
@@ -304,6 +315,27 @@ class TestFrameSeries:
     def test_labels_other_than_zero_or_one_rejected(self, bad):
         with pytest.raises(ValueError, match="labels must be exactly 0 or 1"):
             series_from(np.zeros((4, 2)), labels=[0.0, 1.0, bad, 0.0])
+
+    def test_adopt_keeps_the_array_and_the_constructor_copies_it(self):
+        values = np.arange(12.0).reshape(6, 2)
+        adopted = FrameSeries.adopt(values, [0, 1, 0, 1, 1, 0])
+        assert adopted.values is values and not values.flags.writeable
+        np.testing.assert_array_equal(adopted.labels, [0, 1, 0, 1, 1, 0])
+        assert not np.shares_memory(FrameSeries(values).values, values)
+
+    @pytest.mark.parametrize("values", [np.zeros((6, 3))[:, :2], np.zeros((6, 2), dtype=np.float32)],
+                             ids=["strided", "float32"])
+    def test_adopt_takes_only_c_ordered_float64_frames(self, values):
+        with pytest.raises(ValueError, match="cannot adopt"):
+            FrameSeries.adopt(values)
+
+    def test_adopt_keeps_the_checks(self):
+        values = np.zeros((4, 2))
+        values[1, 1] = np.nan
+        with pytest.raises(ValueError, match="frame values must be finite"):
+            FrameSeries.adopt(values)
+        with pytest.raises(ValueError, match="labels must align"):
+            FrameSeries.adopt(np.zeros((4, 2)), [0, 1])
 
     def test_label_column_read_unconverted(self, tmp_path):
         path = tmp_path / "frames.csv"

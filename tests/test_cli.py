@@ -65,16 +65,28 @@ def assert_dirs_byte_identical(a, b):
     assert mismatch == [] and errors == []
 
 
-def test_importing_the_cli_loads_no_scipy():
-    """The program needs numpy alone, so a run loads one BLAS (numpy's): a fresh
-    interpreter that imports kroncov.cli has no scipy module."""
+def modules_after_importing_the_cli() -> set:
+    """The modules a fresh interpreter has loaded once it has imported kroncov.cli."""
     src = str(Path(kroncov.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, kroncov.cli; "
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))")
+    code = "import sys, kroncov.cli; print(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The program needs numpy alone, so a run loads one BLAS (numpy's): a fresh
+    interpreter that imports kroncov.cli has no scipy module."""
+    loaded = modules_after_importing_the_cli()
+    assert "scipy" not in loaded, sorted(m for m in loaded if m.startswith("scipy"))
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """A run with one thread starts no pool, so importing kroncov.cli loads neither
+    concurrent.futures nor the logging it imports."""
+    assert not {"concurrent.futures", "logging"} & modules_after_importing_the_cli()
 
 
 class TestSynthCommand:
@@ -487,6 +499,28 @@ class TestAnomalyCommand:
             np.testing.assert_allclose(rows[:, 0], curve.thresholds, rtol=1e-13, atol=0)
             doc = json.loads((tmp_path / "out" / f"auc_{entry['name']}.json").read_text())
             assert doc["auc"] == curve.auc
+
+    def test_training_rows_are_a_view_of_the_detrended_frames(self, tmp_path, monkeypatch):
+        # the training set adopts its windows of the detrended frames: no copy of the rows is made
+        seen = {"rows": []}
+
+        def detrend(*args, _real=anom.detrend, **kwargs):
+            series = _real(*args, **kwargs)
+            seen["frames"] = series.values
+            return series
+
+        def fit_by_name(name, samples, *args, _real=est.fit_by_name):
+            seen["rows"].append(samples.samples)
+            return _real(name, samples, *args)
+        monkeypatch.setattr(anom, "detrend", detrend)
+        monkeypatch.setattr(est, "fit_by_name", fit_by_name)
+        csv = tmp_path / "stream.csv"
+        n_train = make_stream_csv(csv)
+        cfg = {"input": str(csv), "T": 5, "train_range": [0, n_train],
+               "estimators": [{"name": "scm-lw"}, {"name": "dc-kronpca-lw"}]}
+        assert run_cli("anomaly", cfg, tmp_path / "out", tmp_path) == 0
+        assert len(seen["rows"]) == 2
+        assert all(np.shares_memory(rows, seen["frames"]) for rows in seen["rows"])
 
     def test_one_sample_covariance_per_training_set(self, tmp_path, monkeypatch):
         computed = record_sample_covariances(monkeypatch)

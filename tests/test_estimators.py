@@ -206,6 +206,16 @@ class TestLwIntensity:
         rho = lw_intensity(samples, DenseCovariance(samples.dims, s)).rho
         np.testing.assert_allclose(rho, b2bar / d2, rtol=1e-12)
 
+    def test_reads_the_rows_the_sample_covariance_holds(self, traced_peak):
+        # n = 40 < pT = 200: the SCM is the centered rows, and the plug-in terms read those rows
+        # instead of centering the samples again, so no n x pT array is made
+        samples = sample_gaussian(ar1_kron_truth(20, 10, 0.5, 0.9), 40, 6)
+        base = scm(samples)
+        rho = []
+        assert traced_peak(lambda: rho.append(lw_intensity(samples, base))) < samples.samples.nbytes
+        copied = SampleSet(samples.dims, samples.n, samples.samples)
+        assert rho[0] == lw_intensity(copied, scm(copied))
+
     def test_needs_two_samples(self):
         samples = sample_set([[1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -1311,6 +1321,26 @@ class TestWarmStartedCV:
             _, info = fitter(self.SAMPLES, 0.3, cfg, full_output=True)
             warm = fitter(self.SAMPLES, 0.1, cfg, start=info["warm_start"])
             assert rel_diff(warm.entries, fitter(self.SAMPLES, 0.1, cfg).entries) < 1e-8
+
+    def test_a_warm_fit_reads_back_the_temporal_factor_of_its_start(self, monkeypatch):
+        # a converged fit's last outer step read the factor of its last average; the warm fit's
+        # first step reads it back: one factor fewer computed, and the same fit as from a copy
+        _, info = robust_kronpca(self.SAMPLES, 0.3, full_output=True)
+        assert info["converged"]
+        sigma, average = info["warm_start"]
+        computed = []
+
+        def counted(form, _real=est.kronpca_T):
+            computed.append(form)
+            return _real(form)
+        monkeypatch.setattr(est, "kronpca_T", counted)
+        warm, warm_info = robust_kronpca(self.SAMPLES, 0.1, full_output=True, start=(sigma, average))
+        assert len(computed) == warm_info["iterations"] - 1
+        assert all(form is not average for form in computed)
+        copied = GramCovariance(average.dims, average.x, average.a, average.b)
+        from_copy = robust_kronpca(self.SAMPLES, 0.1, start=(sigma, copied))
+        assert computed[warm_info["iterations"] - 1] is copied
+        np.testing.assert_array_equal(warm.entries, from_copy.entries)
 
     def test_a_start_of_other_dims_is_refused(self):
         other = chen_tyler(sample_student_t(ar1_kron_truth(3, 3, 0.5, 0.95), 3.0, 30, 4), 0.3)

@@ -1,5 +1,4 @@
 """Operator tests against loop-based index oracles and exact identities."""
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -966,27 +965,18 @@ class TestGramCovariance:
         b = compress_diagonals(b, dims.T) if toeplitz_rows else b
         assert np.abs(gram - b @ b.T).max() <= 1e-12 * np.sum(b ** 2)
 
-    @staticmethod
-    def traced_peak(call):
-        """call()'s peak of traced allocations, in bytes (numpy reports its arrays to tracemalloc)."""
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_toeplitz_gram_past_the_crossover_makes_no_pt_square_array(self):
+    def test_toeplitz_gram_past_the_crossover_makes_no_pt_square_array(self, traced_peak):
         # p=100, T=10, n=120: past the crossover (n=100), below pT; one 1000 x 1000 array is 8 MB
         dims = SpaceTimeDims(100, 10)
         cov = GramCovariance(dims, gram_rows(np.random.default_rng(21), 120, dims))
-        assert self.traced_peak(lambda: cov.rearranged_gram(True)) < 8 * dims.pt ** 2
+        assert traced_peak(lambda: cov.rearranged_gram(True)) < 8 * dims.pt ** 2
         assert "_entries" not in cov.__dict__
 
-    def test_woodbury_scores_of_a_strided_view_copy_no_large_chunk(self):
+    def test_woodbury_scores_of_a_strided_view_copy_no_large_chunk(self, traced_peak):
         # 1,500 windows of a frame stream at pT=1000 as the anomaly pipeline holds them.  For the
         # product numpy copies each chunk of the strided view into a buffer that tracemalloc does
-        # not see, so the chunks are also read off the view's slices: all 1,500 rows would be 12 MB
+        # not see, so the chunks are also read off the view's slices: all 1,500 rows would be 12 MB,
+        # and a chunk of GRAM_SCORE_CHUNK = 256 rows is 2 MB
         class Sliced(np.ndarray):
             def __getitem__(self, key):
                 out = super().__getitem__(key)
@@ -1000,9 +990,9 @@ class TestGramCovariance:
         view = stream_windows(rng, 1500, dims)
         cov.inverse_quad_forms(view[:1])  # the kept Gram eigh, outside the measured call
         chunks, scores = [], []
-        peak = self.traced_peak(lambda: scores.append(cov.inverse_quad_forms(view.view(Sliced))[0]))
+        peak = traced_peak(lambda: scores.append(cov.inverse_quad_forms(view.view(Sliced))[0]))
         assert peak < 8 * dims.pt ** 2
-        assert chunks and max(chunks) < 8 * dims.pt ** 2
+        assert chunks and max(chunks) <= 2 * 1024 ** 2
         np.testing.assert_array_equal(scores[0], cov.inverse_quad_forms(view)[0])
 
     def test_scores_do_not_depend_on_the_chunk_size(self, monkeypatch):

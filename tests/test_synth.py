@@ -288,3 +288,29 @@ class TestSampleSet:
         data[1, 2] = bad
         with pytest.raises(ValueError, match="samples must be finite"):
             SampleSet(SpaceTimeDims(2, 2), 3, data)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            SampleSet.adopt(SpaceTimeDims(2, 2), data)
+
+    def test_adopt_keeps_a_view_and_the_constructor_copies_it(self):
+        # overlapping windows of frozen frames, as the anomaly pipeline cuts them
+        frames = np.arange(24.0).reshape(12, 2)
+        frames.setflags(write=False)
+        windows = np.lib.stride_tricks.sliding_window_view(frames, (3, 2))[:, 0].reshape(10, 6)
+        adopted = SampleSet.adopt(SpaceTimeDims(2, 3), windows)
+        assert adopted.n == 10 and adopted.seed is None
+        assert adopted.samples is windows
+        assert not np.shares_memory(SampleSet(SpaceTimeDims(2, 3), 10, windows).samples, frames)
+
+    def test_adopt_checks_the_shape(self):
+        with pytest.raises(ValueError, match="expected"):
+            SampleSet.adopt(SpaceTimeDims(2, 2), np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="cannot adopt"):
+            SampleSet.adopt(SpaceTimeDims(2, 2), np.zeros(4))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_centered_rows(self, n):
+        # below pT samples they are the rows the kept covariance holds; from pT on a fresh array
+        samples = SampleSet(SpaceTimeDims(2, 2), n, np.random.default_rng(n).standard_normal((n, 4)))
+        centered = samples.centered()
+        np.testing.assert_array_equal(centered, samples.samples - samples.samples.mean(axis=0))
+        assert (getattr(samples.covariance(), "x", None) is centered) == (n < 4)

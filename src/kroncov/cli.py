@@ -4,12 +4,13 @@ pipeline, and spectrum analysis as reproducible subcommands.
     kroncov <synth|estimate|mse-bench|anomaly|spectrum>
             --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
 
-Configs are JSON (schemas documented in the README).  Every output embeds
-the resolved config and its hash plus the seed, and nothing time- or
-path-dependent is written, so re-running a manifest reproduces the output
-files byte for byte.  Exit codes: 0 success, 2 config error, 3 numerical
-failure.  Estimators that merely fail to converge still exit 0 and record
-converged=false in the diagnostics.
+Configs are JSON (schemas in the README).  The samples sidecar, the manifests
+and the spectrum summary embed the resolved config, input paths included, its
+hash and the seed; the diagnostics hold the estimator config instead, and an
+AUC file the hash only.  Nothing time-dependent is written, so re-running a
+config reproduces the output files byte for byte.  Exit codes: 0 success, 2
+config error, 3 numerical failure; a fit that merely fails to converge exits
+0 and records converged=false in the diagnostics.
 """
 from __future__ import annotations
 
@@ -42,6 +43,11 @@ class ConfigError(Exception):
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _provenance(cfg: dict, **fields) -> dict:
+    """An output document: the resolved config, its hash, the seed the run used, then fields."""
+    return {"config": cfg, "config_hash": config_hash(cfg), "seed": _field(cfg, "seed", int, None), **fields}
 
 
 # the JSON kind of each type a config value can be read as
@@ -171,10 +177,13 @@ def cmd_synth(cfg: dict, out: Path) -> None:
     with _config_errors("n"):
         sset = sample(n, seed)
     synth.write_sample_csv(out / "samples.csv", sset)
-    synth.write_sample_sidecar(
-        out / "samples.json", sset, truth.description,
-        extra={"config": cfg, "config_hash": config_hash(cfg)},
-    )
+    write_json(out / "samples.json", _provenance(
+        cfg,
+        p=sset.dims.p,
+        T=sset.dims.T,
+        n=sset.n,
+        truth=truth.description,
+    ))
 
 
 def _load_samples(cfg: dict) -> synth.SampleSet:
@@ -202,7 +211,7 @@ def cmd_estimate(cfg: dict, out: Path) -> None:
         "estimator": name,
         "config": dataclasses.asdict(ecfg),
         "config_hash": config_hash(cfg),
-        "seed": cfg.get("seed"),
+        "seed": _field(cfg, "seed", int, None),
         "n": samples.n,
         "p": samples.dims.p,
         "T": samples.dims.T,
@@ -269,16 +278,14 @@ def cmd_mse_bench(cfg: dict, out: Path, threads: int = 1) -> None:
     rows, all_converged = run_mse_bench(cfg, threads)
     write_csv(out / "mse.csv", ["estimator", "n", "mean", "stderr"], [row[:4] for row in rows])
     specs = _estimator_specs(cfg)
-    write_json(out / "manifest.json", {
-        "command": "mse-bench",
-        "config": cfg,
-        "config_hash": config_hash(cfg),
-        "seed": cfg["seed"],
-        "converged": all_converged,
-        "metric": {label: ("shape_mse" if est.ESTIMATORS[name].shape else "mse")
-                   for label, name, _ in specs},
-        "seed_derivation": "SeedSequence([seed, n, trial]) per cell, shared across estimators",
-    })
+    write_json(out / "manifest.json", _provenance(
+        cfg,
+        command="mse-bench",
+        converged=all_converged,
+        metric={label: ("shape_mse" if est.ESTIMATORS[name].shape else "mse")
+                for label, name, _ in specs},
+        seed_derivation="SeedSequence([seed, n, trial]) per cell, shared across estimators",
+    ))
 
 
 def cmd_anomaly(cfg: dict, out: Path) -> None:
@@ -340,14 +347,12 @@ def cmd_anomaly(cfg: dict, out: Path) -> None:
         }
         write_json(out / f"auc_{label}.json", doc)
         summary[label] = curve.auc
-    write_json(out / "manifest.json", {
-        "command": "anomaly",
-        "config": cfg,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.get("seed"),
-        "n_train_windows": train_set.n,
-        "auc": summary,
-    })
+    write_json(out / "manifest.json", _provenance(
+        cfg,
+        command="anomaly",
+        n_train_windows=train_set.n,
+        auc=summary,
+    ))
 
 
 def cmd_spectrum(cfg: dict, out: Path) -> None:
@@ -366,14 +371,12 @@ def cmd_spectrum(cfg: dict, out: Path) -> None:
     write_csv(out / "spectrum.csv", ["spectrum", "index", "value"],
               [("kron", i, v) for i, v in enumerate(kron_sv)]
               + [("pca", i, v) for i, v in enumerate(pca_ev)])
-    write_json(out / "summary.json", {
-        "command": "spectrum",
-        "config": cfg,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.get("seed"),
-        "kron_components_95": est.components_for_energy(kron_sv),
-        "pca_components_95": est.components_for_energy(pca_ev),
-    })
+    write_json(out / "summary.json", _provenance(
+        cfg,
+        command="spectrum",
+        kron_components_95=est.components_for_energy(kron_sv),
+        pca_components_95=est.components_for_energy(pca_ev),
+    ))
 
 
 COMMANDS = {

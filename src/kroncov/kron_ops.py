@@ -616,8 +616,7 @@ class GramCovariance:
     def quad_sum(self, y: np.ndarray) -> float:
         """sum_k y_k^T sigma y_k = a |Y|^2 + beta |X Y^T|^2 over the rows y_k
         of y; the form's own rows give X X^T = G, which is reused."""
-        same = y is self.x or (y.shape == self.x.shape and np.array_equal(y, self.x))
-        xy = self._gram() if same else y @ self.x.T
+        xy = self._gram() if y is self.x else y @ self.x.T
         return float(self.a * np.vdot(y, y) + self._beta * np.vdot(xy, xy))
 
     def rearranged_gram(self, toeplitz: bool) -> np.ndarray:

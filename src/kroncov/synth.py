@@ -263,24 +263,11 @@ def inject_anomalies(base, rate: float, magnitude: float, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# CSV + sidecar interchange
+# sample CSV interchange (synth's samples.json sidecar is written by the CLI)
 
 def write_sample_csv(path, sset: SampleSet) -> None:
     """One row per sample, columns x0..x{pT-1}, full float64 precision."""
     files.write_csv(path, [f"x{i}" for i in range(sset.dims.pt)], sset.samples)
-
-
-def write_sample_sidecar(path, sset: SampleSet, description: str, extra: dict | None = None) -> None:
-    doc = {
-        "p": sset.dims.p,
-        "T": sset.dims.T,
-        "n": sset.n,
-        "seed": sset.seed,
-        "truth": description,
-    }
-    if extra:
-        doc.update(extra)
-    files.write_json(path, doc)
 
 
 def read_sample_csv(path, dims: SpaceTimeDims) -> SampleSet:

@@ -22,7 +22,7 @@ from kroncov import anomaly as anom
 from kroncov import files, synth
 from kroncov import estimators as est
 from kroncov.anomaly import FrameSeries, write_frame_csv
-from kroncov.cli import COMMANDS, main, read_matrix_binary, write_matrix_binary
+from kroncov.cli import COMMANDS, config_hash, main, read_matrix_binary, write_matrix_binary
 from kroncov.synth import ar1_frame_stream, inject_anomalies, read_sample_csv, write_sample_csv
 
 
@@ -1061,3 +1061,33 @@ class TestConfigSchema:
         a, b = (np.loadtxt(tmp_path / d / "samples.csv", delimiter=",", skiprows=1)
                 for d in "ab")
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed_case", ["config seed", "--seed", "integral float seed"])
+    @pytest.mark.parametrize("command, document", [
+        ("synth", "samples.json"), ("mse-bench", "manifest.json"),
+        ("anomaly", "manifest.json"), ("spectrum", "summary.json")])
+    def test_documents_record_the_resolved_config_its_hash_and_seed(self, schema_inputs, tmp_path,
+                                                                    command, document, seed_case):
+        """The document of each command echoes the resolved config (the --seed override
+        included), its hash, and the seed the run used as an integer, also when the
+        config gives it as an integral float."""
+        _, base = schema_inputs
+        cfg = {**base[command], "seed": 7.0 if seed_case == "integral float seed" else 3}
+        extra = ("--seed", "11") if seed_case == "--seed" else ()
+        assert run_cli(command, cfg, tmp_path / "out", tmp_path, extra) == 0
+        doc = json.loads((tmp_path / "out" / document).read_text())
+        resolved = {**cfg, "seed": 11} if extra else cfg
+        assert doc["config"] == resolved
+        assert config_hash(doc["config"]) == doc["config_hash"] == config_hash(resolved)
+        seed = {"config seed": 3, "--seed": 11, "integral float seed": 7}[seed_case]
+        assert type(doc["seed"]) is int and doc["seed"] == seed
+
+    def test_diagnostics_record_the_seed_run_as_an_integer(self, schema_inputs, tmp_path):
+        """estimate's diagnostics hold the estimator config, and the config hash and the
+        seed as the other documents do."""
+        _, base = schema_inputs
+        cfg = {**base["estimate"], "seed": 7.0}
+        assert run_cli("estimate", cfg, tmp_path / "out", tmp_path) == 0
+        doc = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert doc["config_hash"] == config_hash(cfg)
+        assert type(doc["seed"]) is int and doc["seed"] == 7

@@ -729,6 +729,9 @@ class TestCovarianceContract:
             tol * scale * np.linalg.norm(tm) * np.linalg.norm(sm) * np.sqrt(dims.pt))
         assert abs(cov.quad_sum(y) - np.einsum("ki,ij,kj->", y, ref, y)) <= (
             tol * scale * np.sum(y ** 2))
+        if isinstance(cov, GramCovariance):  # the own rows reuse the kept Gram; a copy of them does not
+            own = cov.quad_sum(cov.x)
+            assert abs(cov.quad_sum(cov.x.copy()) - own) <= 1e-12 * own
         assert_close(cov.eigvalsh(), lam, rtol=tol)
         for toeplitz_rows in (False, True):
             b = rearrange(DenseCovariance.adopt(dims, ref)).entries
